@@ -1,12 +1,14 @@
 """Correctness checks on a run's kept outputs, against references that
 do not use the package's numerics.
 
-- Synthesis: the report's P, K, D and T_bar agree with the package's
-  full-precision design to the printed 6 digits; P solves the CARE as
-  scipy's ``solve_continuous_are`` does (REL_DESIGN); K = alpha1 B' P;
-  lam1 is the smallest eigenvalue of D H + H' D over the graphs by
-  scipy's ``eigvalsh`` and is positive; T_high <= T_bar for every
-  scenario that is verified.
+- Synthesis: the report's P, K, d_m, d_M, lam_m, lam_M, lam1, alpha1
+  to alpha4, c1, c2 and T_bar agree to the printed 6 digits with a
+  ladder recomputed here from scipy's ``solve_continuous_are``,
+  ``eigvalsh`` and 2-norms, at the scaling D the package chose; the
+  report's D is the design's, and makes D H + H' D positive definite
+  on every graph; the package's full-precision P and K agree with the
+  scipy ones (REL_DESIGN); T_high <= T_bar for every scenario that is
+  verified.
 - Simulation: the error state at every sampling instant in the CSV
   matches a reference propagated interval by interval with one scipy
   ``expm`` of the Van Loan block per (mode, gap), to REL_STATE times
@@ -19,7 +21,9 @@ do not use the package's numerics.
   leader. The mode column matches the switching signal and the leader
   matches e^(A t) x0.
 - Enumerate: the admissible-graph count matches a transitive-closure
-  count over every digraph on the followers.
+  count over every digraph on the followers, and the report's
+  worst-case ladder matches the same recomputation over those graphs,
+  each with its own scaling d = z / w.
 
 The design gain K is the package's own full-precision one: it is the
 input the simulation is checked under, and the report shows it only
@@ -33,6 +37,7 @@ import os
 import numpy as np
 import scipy.linalg
 
+MU1 = MU2 = 1.0  # every generated scenario and model has mu1 = mu2 = 1
 REL_DESIGN = 1e-8
 REL_PRINTED = 1e-5
 REL_STATE = 1e-9
@@ -51,10 +56,11 @@ def grounded_laplacian(N, edges):
 
 
 def parse_reports(text):
-    """Synthesis reports by scenario name: scalars and matrices."""
+    """Synthesis (``scenario``) and enumerate (``model``) reports by
+    name: scalars and matrices."""
     reports, cur, mat = {}, None, None
     for line in text.splitlines():
-        if line.startswith("scenario "):
+        if line.startswith(("scenario ", "model ")):
             cur = reports.setdefault(line.split()[1], {})
             mat = None
         elif cur is None:
@@ -81,6 +87,57 @@ def _close(a, b, rel):
                                                   1e-300)
 
 
+LADDER = ("d_m", "d_M", "lam_m", "lam_M", "lam1", "alpha1", "alpha2",
+          "alpha3", "alpha4", "c1", "c2", "T_bar")
+
+
+def ladder(A, B, pairs):
+    """The gain and sampling-bound ladder from LAPACK: scipy's CARE
+    solution P, ``eigvalsh`` and 2-norms. ``pairs`` lists each grounded
+    Laplacian H with its scaling d: one common d for a synthesized
+    design, each graph's own d for the worst case over graphs."""
+    # P A + A' P - mu1 P B B' P + mu2 I = 0
+    P = scipy.linalg.solve_continuous_are(A, B, MU2 * np.eye(A.shape[0]),
+                                          np.eye(B.shape[1]) / MU1)
+    norm = functools.partial(np.linalg.norm, ord=2)
+    eigP = scipy.linalg.eigvalsh(P)
+    r = {"P": P}
+    r["d_m"] = min(float(np.min(d)) for _, d in pairs)
+    r["d_M"] = max(float(np.max(d)) for _, d in pairs)
+    r["lam_m"] = r["d_m"] * eigP[0]
+    r["lam_M"] = r["d_M"] * eigP[-1]
+    r["lam1"] = min(float(scipy.linalg.eigvalsh(
+        np.diag(d) @ H + H.T @ np.diag(d))[0]) for H, d in pairs)
+    r["alpha1"] = MU1 * r["d_M"] / r["lam1"]
+    PBBP, BBP = P @ B @ B.T @ P, B @ B.T @ P
+    r["alpha2"] = max(2.0 * r["alpha1"] * norm(np.diag(d) @ H) * norm(PBBP)
+                      for H, d in pairs)
+    r["alpha3"] = r["alpha2"] ** 2 / (2.0 * r["d_m"] * MU2)
+    r["alpha4"] = max((norm(A) + r["alpha1"] * norm(H) * norm(BBP)) ** 2
+                      / r["lam_m"] for H, _ in pairs)
+    r["c1"] = r["d_m"] * MU2 / (2.0 * r["lam_M"])
+    r["c2"] = r["alpha3"] * r["alpha4"]
+    r["T_bar"] = math.sqrt(r["c1"] / r["c2"])
+    r["K"] = r["alpha1"] * (B.T @ P)
+    return r
+
+
+def check_ladder(rep, ref):
+    """Problems where a printed report disagrees with the reference
+    ladder to the printed 6 digits."""
+    if rep is None:
+        return ["no report"]
+    out = [f"reported {k} differs from the reference {k}"
+           for k in ("P", "K") if k not in rep
+           or not _close(rep[k], ref[k], REL_PRINTED)]
+    for key in LADDER:
+        val = float(rep.get(key, "nan"))
+        if not math.isclose(val, ref[key], rel_tol=REL_PRINTED):
+            out.append(f"reported {key} {val} differs from the reference "
+                       f"{ref[key]:.6g}")
+    return out
+
+
 def design(path):
     """The package's full-precision design for a scenario file."""
     from leadersync.graph import build_H
@@ -93,32 +150,28 @@ def design(path):
 
 
 def check_design(sc, rep, res, verified):
-    """Problems with one scenario's synthesis report."""
-    out = []
+    """Problems with one scenario's synthesis report. ``res`` is the
+    package's full-precision design, whose K the simulation check uses
+    and whose D the reference ladder is evaluated at."""
     A, B = np.array(sc["A"]), np.array(sc["B"])
-    n = A.shape[0]
-    P_ref = scipy.linalg.solve_continuous_are(A, B, np.eye(n),
-                                              np.eye(B.shape[1]))
-    if not _close(res.P, P_ref, REL_DESIGN):
-        out.append("P differs from the scipy CARE solution")
-    if not _close(res.K, res.alpha1 * (B.T @ P_ref), REL_DESIGN):
-        out.append("K differs from alpha1 B' P")
     d = np.asarray(res.D)
-    lam1 = min(float(scipy.linalg.eigvalsh(
-        np.diag(d) @ H + H.T @ np.diag(d))[0])
-        for H in (grounded_laplacian(sc["N"], e) for e in sc["topologies"]))
-    if not (lam1 > 0.0 and math.isclose(lam1, res.lam1, rel_tol=1e-8)):
-        out.append(f"lam1 {res.lam1} disagrees with eigvalsh {lam1}")
-    if rep is None:
-        return out + ["no synthesis report"]
-    for key, full in (("P", res.P), ("K", res.K), ("D", res.D)):
-        if key not in rep or not _close(rep[key], full, REL_PRINTED):
-            out.append(f"reported {key} differs from the design")
-    T_bar = float(rep.get("T_bar", "nan"))
-    if not math.isclose(T_bar, res.T_bar, rel_tol=REL_PRINTED):
-        out.append(f"reported T_bar {T_bar} differs from {res.T_bar}")
-    if verified and not sc["T_high"] <= T_bar:
-        out.append(f"T_high {sc['T_high']} exceeds T_bar {T_bar}")
+    ref = ladder(A, B, [(grounded_laplacian(sc["N"], e), d)
+                        for e in sc["topologies"]])
+    out = []
+    if not _close(res.P, ref["P"], REL_DESIGN):
+        out.append("P differs from the scipy CARE solution")
+    if not _close(res.K, ref["K"], REL_DESIGN):
+        out.append("K differs from alpha1 B' P")
+    if not ref["lam1"] > 0.0:
+        out.append(f"D does not make D H + H' D definite: lam1 "
+                   f"{ref['lam1']}")
+    out += check_ladder(rep, ref)
+    if rep is not None:
+        if "D" not in rep or not _close(rep["D"], d, REL_PRINTED):
+            out.append("reported D differs from the design")
+        T_bar = float(rep.get("T_bar", "nan"))
+        if verified and not sc["T_high"] <= T_bar:
+            out.append(f"T_high {sc['T_high']} exceeds T_bar {T_bar}")
     return out
 
 
@@ -203,21 +256,42 @@ def check_trajectory(sc, K, traj_path, sched_path):
 
 
 @functools.lru_cache(maxsize=None)
-def admissible_count(N):
+def admissible(N):
     """Digraphs on a leader and N followers with every follower
-    reachable from the leader, by transitive closure."""
+    reachable from the leader, by transitive closure: their count, and
+    their distinct grounded Laplacians, each with its scaling
+    d = z / w (w = H^-1 1, z = H^-T 1, max d = 1)."""
     pairs = [(j, i) for j in range(N + 1) for i in range(N + 1) if j != i]
-    count = 0
+    count, distinct = 0, {}
+    ones = np.ones(N)
     for bits in range(1 << len(pairs)):
+        edges = [pairs[k] for k in range(len(pairs)) if (bits >> k) & 1]
         R = np.eye(N + 1, dtype=bool)
-        for k, (j, i) in enumerate(pairs):
-            if (bits >> k) & 1:
-                R[j, i] = True
+        for j, i in edges:
+            R[j, i] = True
         for _ in range(N):
             R = R | ((R.astype(int) @ R.astype(int)) > 0)
-        if R[0].all():
-            count += 1
-    return count
+        if not R[0].all():
+            continue
+        count += 1
+        H = grounded_laplacian(N, edges)
+        if H.tobytes() not in distinct:
+            d = np.linalg.solve(H.T, ones) / np.linalg.solve(H, ones)
+            distinct[H.tobytes()] = (H, d / np.max(d))
+    return count, list(distinct.values())
+
+
+def check_enumerate(sc, N, text):
+    """Problems with an enumerate report: the admissible-graph count
+    and the worst-case ladder over those graphs."""
+    count, pairs = admissible(N)
+    out = []
+    line = next((l for l in text.splitlines()
+                 if l.startswith("admissible graphs ")), "")
+    if line != f"admissible graphs {count}":
+        out.append(f"'{line}' disagrees with the closure count {count}")
+    ref = ladder(np.array(sc["A"]), np.array(sc["B"]), pairs)
+    return out + check_ladder(parse_reports(text).get(sc["name"]), ref)
 
 
 def check_run(commands, first_stdout, keep):
@@ -232,8 +306,7 @@ def check_run(commands, first_stdout, keep):
             designs[sc["name"]] = design(path)
         return designs[sc["name"]]
 
-    found = {}
-    for i, c in enumerate(commands):
+    def problems_of(i, c):
         text = first_stdout[i]
         probs = []
         if c["kind"] == "synthesize":
@@ -260,15 +333,16 @@ def check_run(commands, first_stdout, keep):
                     probs.append(f"{sc['name']}: {p}")
         elif c["kind"] == "enumerate":
             N = int(c["argv"][c["argv"].index("--followers") + 1])
-            line = next((l for l in text.splitlines()
-                         if l.startswith("admissible graphs ")), "")
-            if line != f"admissible graphs {admissible_count(N)}":
-                probs.append(f"enumerate: '{line}' disagrees with the "
-                             f"closure count")
-            T_bar = next((l.split()[1] for l in text.splitlines()
-                          if l.startswith("T_bar ")), "nan")
-            if not float(T_bar) > 0.0:
-                probs.append("enumerate: T_bar is not positive")
+            probs += [f"enumerate: {p}" for p in
+                      check_enumerate(c["scenarios"][0], N, text)]
+        return probs
+
+    found = {}
+    for i, c in enumerate(commands):
+        try:
+            probs = problems_of(i, c)
+        except Exception as e:  # malformed output or a failing design
+            probs = [f"check raised {type(e).__name__}: {e}"]
         if probs:
             found[i] = probs
     return found

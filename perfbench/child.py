@@ -8,8 +8,10 @@ the command list, the run length, whether to trace, and where to
 write the result. Each command's stdout must repeat byte for byte and
 every CSV it writes must hash the same on every repetition; the
 outputs of the first repetition are kept for the reference check in
-run.py. With tracing on, passes alternate untraced and traced, so the
-tracing overhead is the difference of their medians.
+run.py. Between commands, at even steps over the run, the child times
+fresh interpreters importing the package (setup_s). With tracing on,
+passes alternate untraced and traced, so the tracing overhead is the
+difference of their medians.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import os
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import time
 
@@ -37,7 +40,11 @@ def _csv_hashes(directory):
 
 def _environment():
     import numpy
-    from leadersync.numerics import kernels
+    try:
+        from leadersync.numerics import kernels
+    except ImportError:
+        return {"numpy": numpy.__version__,
+                "kernel_backend": "numpy (no kernels module)"}
     flag = getattr(kernels, "NUMBA_ENABLED", None)
     backend = ("numba" if flag else "numpy") if flag is not None \
         else "numpy (no backend flag)"
@@ -77,6 +84,9 @@ def main(spec_path):
             try:
                 with scope:
                     code = cli.main(cmd["argv"])
+            except SystemExit as e:  # e.g. argparse rejecting the argv
+                code = e.code if isinstance(e.code, int) else \
+                    f"SystemExit: {e.code}"
             except Exception as e:  # a traceback is a failed invocation
                 code = f"{type(e).__name__}: {e}"
             dt = time.perf_counter() - t0
@@ -92,7 +102,7 @@ def main(spec_path):
                 bad.append(f"{n_pass} of {len(cmd['scenarios'])} verdicts PASS")
         if first[i] is None:
             first[i] = {"stdout": text, "csv": hashes}
-            if cmd["out"]:
+            if cmd["out"] and os.path.isdir(cmd["out"]):
                 dest = os.path.join(keep, f"cmd{i}")
                 shutil.rmtree(dest, ignore_errors=True)
                 shutil.move(cmd["out"], dest)
@@ -105,6 +115,37 @@ def main(spec_path):
             failures += 1
             problems.append(f"{cmd['kind']} #{i}: " + "; ".join(bad))
         return dt
+
+    setup = spec["setup"]
+    setup_times = []
+    setup_every = spec["seconds"] / max(setup["runs"], 1)
+
+    def time_setup():
+        """One fresh interpreter importing the package and building the
+        CLI parser; a non-zero exit is a failed invocation."""
+        nonlocal attempts, failures
+        t0 = time.perf_counter()
+        try:
+            proc = subprocess.run(
+                setup["argv"], cwd=setup["cwd"],
+                env=dict(os.environ, PYTHONPATH=spec["src"]),
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                timeout=60)
+            code, err = proc.returncode, proc.stderr
+        except subprocess.TimeoutExpired as e:
+            code, err = "timeout", e.stderr or b""
+        setup_times.append(time.perf_counter() - t0)
+        attempts += 1
+        if code != 0:
+            failures += 1
+            problems.append(f"setup: exit {code}: "
+                            + err.decode(errors="replace")[-300:])
+
+    def setup_due():
+        # spread over the measured window, so that setup_s samples the
+        # same phases of host speed as the commands do
+        return len(setup_times) < setup["runs"] and \
+            time.perf_counter() - start >= len(setup_times) * setup_every
 
     while True:
         traced = tracer is not None and len(passes) % 2 == 1
@@ -119,6 +160,8 @@ def main(spec_path):
                 busy += dt
                 if not traced:
                     samples[cmd["kind"]].append(dt)
+                if setup_due():
+                    time_setup()
         info = {"traced": traced, "busy_s": busy}
         if traced:
             tracer.uninstall()
@@ -132,7 +175,11 @@ def main(spec_path):
                 elapsed + 0.5 * wall >= spec["seconds"]:
             break
 
+    while len(setup_times) < setup["runs"]:
+        time_setup()
+
     result = {
+        "setup_s": setup_times,
         "samples": samples,
         "attempts": attempts,
         "failures": failures,

@@ -5,17 +5,19 @@ its ``src`` directory; nothing needs installing):
 
     python3 perfbench/run.py --workload ring32_design --seed 1 --seconds 55 --trace 0
 
-Workloads: demo_batch, ring32_design (see ``workloads.py`` for what
-each one stresses and why). A run
+Workloads: the names in BENCHMARK.json, which says why each was
+chosen; ``workloads.py`` builds them and maps which per-layer metric
+should move which end-to-end metric. A run
 
 1. writes the workload's scenario files, generated from ``--seed``;
-2. times SETUP_RUNS fresh interpreters importing the package and
-   building the CLI parser (``python -m leadersync --help``): setup_s;
-3. starts one child process that imports the package once and issues
+2. starts one child process that imports the package once and issues
    the workload's commands back to back, one client in a closed loop,
-   for ``--seconds`` seconds (``child.py``);
-4. checks the outputs against independent references (``check.py``);
-5. prints a readable report and, as the last line, one JSON object.
+   for ``--seconds`` seconds (``child.py``); between commands, spread
+   over the run, the child times SETUP_RUNS fresh interpreters
+   importing the package and building the CLI parser
+   (``python -m leadersync --help``): setup_s;
+3. checks the outputs against independent references (``check.py``);
+4. prints a readable report and, as the last line, one JSON object.
 
 With ``--trace 0`` the JSON metrics are the end-to-end ones: setup_s,
 the median wall time of one invocation of each subcommand, and the
@@ -41,7 +43,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -51,7 +52,7 @@ sys.path.insert(0, HERE)
 
 import workloads  # noqa: E402
 
-SETUP_RUNS = 7
+SETUP_RUNS = 25
 CHILD_TIMEOUT_S = 150
 COMMANDS = ("synthesize", "simulate", "verify", "enumerate")
 END_TO_END = [(f"{k}_s", "s") for k in COMMANDS]
@@ -82,19 +83,13 @@ def _git_commit():
     return proc.stdout.strip() or "unknown"
 
 
-def _setup_times(cwd):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    times = []
-    for _ in range(SETUP_RUNS):
-        t0 = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "leadersync", "--help"], cwd=cwd, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60)
-        times.append(time.perf_counter() - t0)
-        if proc.returncode != 0:
-            raise RuntimeError("python -m leadersync --help failed: "
-                               + proc.stderr.decode(errors="replace")[-500:])
-    return times
+def _benchmark_spec():
+    """BENCHMARK.json: the workload names and why each was chosen."""
+    try:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        _fail(f"cannot read BENCHMARK.json: {e}")
 
 
 def _fail(msg):
@@ -104,7 +99,8 @@ def _fail(msg):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    why = {w["name"]: w["why"] for w in _benchmark_spec()["workloads"]}
+    ap.add_argument("--workload", required=True, choices=tuple(why))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -124,13 +120,10 @@ def main(argv=None):
     os.makedirs(keep)
     commands = workloads.build(args.workload, args.seed, scen_dir)
 
-    try:
-        setup = _setup_times(work)
-    except (RuntimeError, subprocess.TimeoutExpired) as e:
-        _fail(str(e))
-
+    setup = {"argv": [sys.executable, "-m", "leadersync", "--help"],
+             "cwd": work, "runs": 0 if args.trace else SETUP_RUNS}
     spec = {"src": SRC, "commands": commands, "seconds": args.seconds,
-            "trace": bool(args.trace), "keep": keep,
+            "trace": bool(args.trace), "keep": keep, "setup": setup,
             "result": os.path.join(work, "result.json"),
             "spans_out": os.path.join(work, "spans.json")}
     spec_path = os.path.join(work, "spec.json")
@@ -169,7 +162,7 @@ def main(argv=None):
 
     print(f"perfbench {args.workload} seed={args.seed} "
           f"seconds={args.seconds:g} trace={args.trace}")
-    print(f"  why: {workloads.WHY[args.workload]}")
+    print(f"  why: {why[args.workload]}")
     for layers, e2e, names in workloads.MOVES:
         if args.workload in names:
             print(f"  expect: {layers} -> {e2e}")
@@ -183,9 +176,11 @@ def main(argv=None):
     metrics = {}
     if args.trace == 0:
         print("end-to-end (medians):")
-        metrics["setup_s"] = {"value": statistics.median(setup), "unit": "s"}
+        setup_s = res["setup_s"]
+        metrics["setup_s"] = {"value": statistics.median(setup_s),
+                              "unit": "s"}
         print(f"  setup_s {metrics['setup_s']['value']:.6f} s "
-              f"({_percentile_note(setup)})")
+              f"({_percentile_note(setup_s)})")
         for name, unit in END_TO_END:
             vals = res["samples"][name[:-2]]
             metrics[name] = {"value": statistics.median(vals), "unit": unit}

@@ -10,9 +10,8 @@ interval count varies only through the drawn gaps.
 
 Each workload runs all four subcommands, so that each end-to-end
 metric exists on each workload: the commands a workload was built for
-carry its weight, the others are small. ``WHY`` says why each workload
-was chosen and ``MOVES`` which per-layer metric should move which
-end-to-end metric on it.
+carry its weight, the others are small. ``MOVES`` says which per-layer
+metric should move which end-to-end metric on which workload.
 """
 
 import os
@@ -41,43 +40,40 @@ RING_A = [[-0.38, 0.72, 0.05, 0.0], [-0.68, 0.42, 0.0, 0.0],
 RING_B = [[0.26, 0.0], [0.31, 0.0], [0.0, 0.26], [0.0, 0.31]]
 RING_N = 32
 
-# One line per workload; BENCHMARK.json repeats these lines.
-WHY = {
-    "demo_batch": "Paper's demos at 2 seeds each as one --jobs 2 batch: CSV "
-                  "write and per-step propagation dominate. cli.self_s, "
-                  "sim.simulate.self_s, sim.write_*_csv_s move simulate_s, "
-                  "verify_s",
-    "ring32_design": "32 followers on a leader-fed ring (n=4) plus an "
-                     "ascent-only scaling search and enumerate on 3 "
-                     "followers. numerics.*_s, find_common_D_s move "
-                     "synthesize_s; expm_s simulate_s",
-}
-
-# (per-layer metrics, end-to-end metrics they should move, workloads)
+# The layer -> end-to-end map, worded as in the benchmark's issue:
+# (per-layer metrics, end-to-end metrics they should move, workloads on
+# which they should move them). run.py prints the entries of the run's
+# workload. BENCHMARK.json says why each workload was chosen.
 MOVES = [
-    ("cli.self_s (the --jobs pool)", "simulate_s, verify_s",
-     ("demo_batch",)),
-    ("scenario.load_scenario_s", "all, slightly",
+    ("cli.self_s (invocation time outside child spans, with the --jobs "
+     "pool)", "simulate_s, verify_s", ("demo_batch",)),
+    ("scenario.load_scenario_s", "all end-to-end timings, but small",
      ("demo_batch", "ring32_design")),
-    ("graph.signal_mode_s, graph.signal_mode.calls", "simulate_s, verify_s",
+    ("graph.signal_mode_s, graph.signal_mode.calls (linear event scan per "
+     "interval)", "verify_s, simulate_s; near zero on the static ring",
      ("demo_batch",)),
+    ("graph.leader_reachable.calls", "enumerate_s", ("ring32_design",)),
+    ("synthesis.find_common_D_s, synthesis.find_common_D.margin_evals "
+     "(projected ascent)", "synthesize_s; few evaluations elsewhere",
+     ("ring32_design",)),
+    ("synthesis.synthesize_s", "synthesize_s", ("ring32_design",)),
+    ("synthesis.worst_case_params_s", "enumerate_s", ("ring32_design",)),
+    ("numerics.sym_eig_extremes_s/.calls/.max_dim, "
+     "numerics.spectral_norm_s/.calls", "synthesize_s, simulate_s, verify_s",
+     ("ring32_design",)),
+    ("numerics.expm_s/.calls/.max_dim (256x256 Van Loan block)",
+     "simulate_s, verify_s", ("ring32_design",)),
+    ("numerics.solve_care_s", "synthesize_s, simulate_s, verify_s",
+     ("ring32_design",)),
     ("sim.gen_schedule_s", "simulate_s, verify_s", ("demo_batch",)),
-    ("sim.simulate.self_s", "simulate_s, verify_s (never synthesize_s)",
+    ("sim.simulate.self_s (propagation and per-interval bookkeeping)",
+     "verify_s, simulate_s; never synthesize_s",
      ("demo_batch", "ring32_design")),
+    ("sim.grid_steps, sim.intervals, sim.output_rows", "exact counts that "
+     "size simulate_s and verify_s", ("demo_batch", "ring32_design")),
     ("sim.lyapunov_trace_s", "verify_s", ("demo_batch",)),
     ("sim.write_trajectory_csv_s, sim.write_schedule_csv_s, sim.csv_bytes",
-     "simulate_s (never verify_s)", ("demo_batch",)),
-    ("synthesis.find_common_D_s, synthesis.find_common_D.margin_evals",
-     "synthesize_s", ("ring32_design",)),
-    ("synthesis.synthesize_s", "synthesize_s, simulate_s, verify_s",
-     ("ring32_design",)),
-    ("graph.leader_reachable.calls, synthesis.worst_case_params_s",
-     "enumerate_s", ("ring32_design",)),
-    ("numerics.sym_eig_extremes_s/.calls/.max_dim, "
-     "numerics.spectral_norm_s/.calls, numerics.solve_care_s",
-     "synthesize_s, simulate_s, verify_s", ("ring32_design",)),
-    ("numerics.expm_s/.calls/.max_dim", "simulate_s, verify_s",
-     ("ring32_design",)),
+     "simulate_s; never verify_s", ("demo_batch",)),
     ("any synthesis.* or numerics.* metric", "under 1% of any metric",
      ("demo_batch",)),
 ]
@@ -184,9 +180,6 @@ def _scenarios(workload, rng):
     raise ValueError(f"unknown workload {workload!r}")
 
 
-WORKLOADS = tuple(WHY)
-
-
 def build(workload, seed, directory):
     """Write the workload's scenario files into ``directory``.
 
@@ -214,7 +207,8 @@ def build(workload, seed, directory):
             argv = ["enumerate", "--model", paths[model["name"]],
                     "--followers", str(followers)]
             commands.append({"kind": kind, "argv": argv, "repeat": repeat,
-                             "scenarios": [], "paths": [], "out": None})
+                             "scenarios": [model],
+                             "paths": [paths[model["name"]]], "out": None})
             continue
         scs = groups[group]
         files = [paths[sc["name"]] for sc in scs]
