@@ -9,9 +9,11 @@ write the result. Each command's stdout must repeat byte for byte and
 every CSV it writes must hash the same on every repetition; the
 outputs of the first repetition are kept for the reference check in
 run.py. Between commands, at even steps over the run, the child times
-fresh interpreters importing the package (setup_s). With tracing on,
-passes alternate untraced and traced, so the tracing overhead is the
-difference of their medians.
+fresh interpreters importing the package (setup_s). Before and after
+each timed command and setup start it times a fixed calibration job,
+so that run.py can scale every sample to a reference host speed. With
+tracing on, passes alternate untraced and traced, so the tracing
+overhead is the difference of their medians.
 """
 
 import contextlib
@@ -26,6 +28,8 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 
 def _csv_hashes(directory):
     out = {}
@@ -39,16 +43,34 @@ def _csv_hashes(directory):
 
 
 def _environment():
-    import numpy
     try:
         from leadersync.numerics import kernels
     except ImportError:
-        return {"numpy": numpy.__version__,
+        return {"numpy": np.__version__,
                 "kernel_backend": "numpy (no kernels module)"}
     flag = getattr(kernels, "NUMBA_ENABLED", None)
     backend = ("numba" if flag else "numpy") if flag is not None \
         else "numpy (no backend flag)"
-    return {"numpy": numpy.__version__, "kernel_backend": backend}
+    return {"numpy": np.__version__, "kernel_backend": backend}
+
+
+_CAL_M = np.random.default_rng(0).standard_normal((48, 48)) / 10
+
+
+def calibrate():
+    """Wall time of a fixed job that does not use the package: an
+    interpreter loop, small matrix products and float formatting, the
+    three kinds of work the commands do, about 4 ms in all. Timed just
+    before and after a command, it tells how fast the host ran then."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(30000):
+        acc += i * i
+    M = _CAL_M
+    for _ in range(60):
+        M = np.tanh(M @ _CAL_M)
+    ",".join("%.17g" % v for v in M[0:8].ravel())
+    return time.perf_counter() - t0
 
 
 def main(spec_path):
@@ -66,6 +88,8 @@ def main(spec_path):
     keep = spec["keep"]
     first = [None] * len(commands)
     samples = {c["kind"]: [] for c in commands}
+    # calibration time around each untraced sample
+    cal = {c["kind"]: [] for c in commands}
     attempts = failures = 0
     problems = []
     passes = []
@@ -116,8 +140,19 @@ def main(spec_path):
             problems.append(f"{cmd['kind']} #{i}: " + "; ".join(bad))
         return dt
 
+    last_cal = 0.0
+
+    def bracket():
+        """Calibration time around the sample just taken: the mean of
+        the one timed before it and one timed now."""
+        nonlocal last_cal
+        after = calibrate()
+        mid = 0.5 * (last_cal + after)
+        last_cal = after
+        return mid
+
     setup = spec["setup"]
-    setup_times = []
+    setup_times, setup_cal = [], []
     setup_every = spec["seconds"] / max(setup["runs"], 1)
 
     def time_setup():
@@ -135,6 +170,7 @@ def main(spec_path):
         except subprocess.TimeoutExpired as e:
             code, err = "timeout", e.stderr or b""
         setup_times.append(time.perf_counter() - t0)
+        setup_cal.append(bracket())
         attempts += 1
         if code != 0:
             failures += 1
@@ -152,6 +188,7 @@ def main(spec_path):
         if traced:
             tracer.install()
             mark = len(tracer.spans)
+        last_cal = calibrate()
         t_pass = time.perf_counter()
         busy = 0.0
         for i, cmd in enumerate(commands):
@@ -160,6 +197,7 @@ def main(spec_path):
                 busy += dt
                 if not traced:
                     samples[cmd["kind"]].append(dt)
+                    cal[cmd["kind"]].append(bracket())
                 if setup_due():
                     time_setup()
         info = {"traced": traced, "busy_s": busy}
@@ -180,7 +218,9 @@ def main(spec_path):
 
     result = {
         "setup_s": setup_times,
+        "setup_cal": setup_cal,
         "samples": samples,
+        "cal": cal,
         "attempts": attempts,
         "failures": failures,
         "problems": problems,

@@ -3,7 +3,7 @@
 Run from the root of a source checkout (the package is imported from
 its ``src`` directory; nothing needs installing):
 
-    python3 perfbench/run.py --workload ring32_design --seed 1 --seconds 55 --trace 0
+    python3 perfbench/run.py --workload ring16_design --seed 1 --seconds 55 --trace 0
 
 Workloads: the names in BENCHMARK.json, which says why each was
 chosen; ``workloads.py`` builds them and maps which per-layer metric
@@ -21,10 +21,18 @@ should move which end-to-end metric. A run
 
 With ``--trace 0`` the JSON metrics are the end-to-end ones: setup_s,
 the median wall time of one invocation of each subcommand, and the
-child's peak resident memory. With ``--trace 1`` the child alternates
-untraced and traced passes; the metrics are the per-layer ones from
-the traced passes (``tracer.py``) and the tracing overhead, and the
-spans are written to ``.perfbench_work/<workload>/spans.json``.
+child's peak resident memory. The host's speed drifts by up to 1.5x
+in phases of seconds to minutes, so each timing is taken at a
+reference speed: every sample is divided by the time of a fixed
+calibration job run around it (``child.calibrate``) and
+multiplied by CAL_REF_S, that job's median time on the reference host;
+the metric is the median of those scaled samples. The report prints
+the raw median, its percentile and sample count next to it.
+
+With ``--trace 1`` the child alternates untraced and traced passes;
+the metrics are the per-layer ones from the traced passes
+(``tracer.py``) and the tracing overhead, and the spans are written to
+``.perfbench_work/<workload>/spans.json``.
 
 An invocation fails on an unexpected exit code, a verify verdict other
 than PASS, stdout or CSV bytes that change between repetitions, or
@@ -55,8 +63,16 @@ import workloads  # noqa: E402
 SETUP_RUNS = 25
 CHILD_TIMEOUT_S = 150
 COMMANDS = ("synthesize", "simulate", "verify", "enumerate")
-END_TO_END = [(f"{k}_s", "s") for k in COMMANDS]
 PERCENTILES = (50, 75, 90, 95, 99, 99.9)
+# Median of child.calibrate() on the reference host: a 2-vCPU VM on a
+# 2.1 GHz Xeon, one BLAS thread.
+CAL_REF_S = 0.0037
+# One BLAS thread per process, so that the thread count is what the
+# commands ask for: one, or the --jobs 2 pool on two cores. With the
+# default (a thread per core) the pool's workers and BLAS's threads
+# oversubscribe the cores, and timings follow the scheduler.
+BLAS_ENV = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                             "MKL_NUM_THREADS")}
 
 
 def _percentile_note(values):
@@ -70,6 +86,13 @@ def _percentile_note(values):
     if best is None:
         return f"n={len(s)}, no percentile has 10 samples beyond it"
     return f"n={len(s)}, p{best[0]:g} {best[1]:.6g}"
+
+
+def _at_reference_speed(samples, cal):
+    """Median of the samples, each scaled by the calibration time taken
+    around it: the timing at the reference host's speed."""
+    return statistics.median(t / c * CAL_REF_S
+                             for t, c in zip(samples, cal))
 
 
 def _git_commit():
@@ -132,7 +155,8 @@ def main(argv=None):
     try:
         proc = subprocess.run(
             [sys.executable, os.path.join(HERE, "child.py"), spec_path],
-            cwd=work, stdout=sys.stderr, timeout=CHILD_TIMEOUT_S)
+            cwd=work, stdout=sys.stderr, timeout=CHILD_TIMEOUT_S,
+            env=dict(os.environ, **BLAS_ENV))
     except subprocess.TimeoutExpired:
         _fail(f"workload child exceeded {CHILD_TIMEOUT_S} s")
     if proc.returncode != 0:
@@ -158,6 +182,7 @@ def main(argv=None):
            "scipy": scipy.__version__, "nproc": os.cpu_count(),
            "numba_importable": importlib.util.find_spec("numba") is not None,
            "kernel_backend": res["env"]["kernel_backend"],
+           "blas_threads": BLAS_ENV["OPENBLAS_NUM_THREADS"],
            "git_commit": _git_commit()}
 
     print(f"perfbench {args.workload} seed={args.seed} "
@@ -176,15 +201,17 @@ def main(argv=None):
     metrics = {}
     if args.trace == 0:
         print("end-to-end (medians):")
-        setup_s = res["setup_s"]
-        metrics["setup_s"] = {"value": statistics.median(setup_s),
-                              "unit": "s"}
-        print(f"  setup_s {metrics['setup_s']['value']:.6f} s "
-              f"({_percentile_note(setup_s)})")
-        for name, unit in END_TO_END:
-            vals = res["samples"][name[:-2]]
-            metrics[name] = {"value": statistics.median(vals), "unit": unit}
-            print(f"  {name} {metrics[name]['value']:.6f} {unit} "
+        cal = res["cal"]
+        print(f"  host speed: calibration median "
+              f"{statistics.median(c for v in cal.values() for c in v):.6f}"
+              f" s, reference {CAL_REF_S:g} s")
+        timings = [("setup_s", res["setup_s"], res["setup_cal"])]
+        timings += [(f"{k}_s", res["samples"][k], cal[k]) for k in COMMANDS]
+        for name, vals, vals_cal in timings:
+            value = _at_reference_speed(vals, vals_cal)
+            metrics[name] = {"value": value, "unit": "s"}
+            print(f"  {name} {value:.6f} s at reference speed; raw "
+                  f"median {statistics.median(vals):.6f} s "
                   f"({_percentile_note(vals)})")
         metrics["peak_rss_mb"] = {"value": res["peak_rss_mb"], "unit": "MiB"}
         print(f"  peak_rss_mb {res['peak_rss_mb']:.3f} MiB")

@@ -10,7 +10,10 @@ interval count varies only through the drawn gaps.
 
 Each workload runs all four subcommands, so that each end-to-end
 metric exists on each workload: the commands a workload was built for
-carry its weight, the others are small. ``MOVES`` says which per-layer
+carry its weight, the others are small. Horizons and the ring's size
+keep every command under about 1 s, so that a run holds 20 or more
+samples of each and its medians do not hang on a handful of
+invocations in a host phase. ``MOVES`` says which per-layer
 metric should move which end-to-end metric on which workload.
 """
 
@@ -24,6 +27,7 @@ DEMO_XF = [[2.4, -1.6], [-1.4, 2.6], [1.8, -2.5], [-0.2, 1.3]]
 DEMO_EDGES_1 = [(0, 1), (0, 2), (3, 2), (1, 3), (4, 3), (2, 4)]
 DEMO_EDGES_2 = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)]
 SHIPPED_SEED = 7
+DEMO_HORIZON = 4.0
 
 # Two 5-follower graphs on which the identity, the per-graph scalings
 # and their geometric mean all fail, so only the projected ascent of
@@ -33,12 +37,12 @@ EDGES_ASC_1 = [(0, 5), (1, 3), (1, 4), (2, 0), (2, 1), (2, 4), (2, 5),
 EDGES_ASC_2 = [(0, 1), (0, 5), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2),
                (3, 5), (4, 3), (4, 5), (5, 2)]
 
-# Two demo-like oscillators with a weak cross coupling; with 32
-# followers on a leader-fed ring this gives T_bar = 0.0424 > T_high.
+# Two demo-like oscillators with a weak cross coupling; with 16 (or
+# 32) followers on a leader-fed ring this gives T_bar = 0.0424 > T_high.
 RING_A = [[-0.38, 0.72, 0.05, 0.0], [-0.68, 0.42, 0.0, 0.0],
           [0.0, 0.0, -0.38, 0.72], [0.0, 0.05, -0.68, 0.42]]
 RING_B = [[0.26, 0.0], [0.31, 0.0], [0.0, 0.26], [0.0, 0.31]]
-RING_N = 32
+RING_N = 16
 
 # The layer -> end-to-end map, worded as in the benchmark's issue:
 # (per-layer metrics, end-to-end metrics they should move, workloads on
@@ -48,29 +52,29 @@ MOVES = [
     ("cli.self_s (invocation time outside child spans, with the --jobs "
      "pool)", "simulate_s, verify_s", ("demo_batch",)),
     ("scenario.load_scenario_s", "all end-to-end timings, but small",
-     ("demo_batch", "ring32_design")),
+     ("demo_batch", "ring16_design")),
     ("graph.signal_mode_s, graph.signal_mode.calls (linear event scan per "
      "interval)", "verify_s, simulate_s; near zero on the static ring",
      ("demo_batch",)),
-    ("graph.leader_reachable.calls", "enumerate_s", ("ring32_design",)),
+    ("graph.leader_reachable.calls", "enumerate_s", ("ring16_design",)),
     ("synthesis.find_common_D_s, synthesis.find_common_D.margin_evals "
      "(projected ascent)", "synthesize_s; few evaluations elsewhere",
-     ("ring32_design",)),
-    ("synthesis.synthesize_s", "synthesize_s", ("ring32_design",)),
-    ("synthesis.worst_case_params_s", "enumerate_s", ("ring32_design",)),
+     ("ring16_design",)),
+    ("synthesis.synthesize_s", "synthesize_s", ("ring16_design",)),
+    ("synthesis.worst_case_params_s", "enumerate_s", ("ring16_design",)),
     ("numerics.sym_eig_extremes_s/.calls/.max_dim, "
      "numerics.spectral_norm_s/.calls", "synthesize_s, simulate_s, verify_s",
-     ("ring32_design",)),
-    ("numerics.expm_s/.calls/.max_dim (256x256 Van Loan block)",
-     "simulate_s, verify_s", ("ring32_design",)),
+     ("ring16_design",)),
+    ("numerics.expm_s/.calls/.max_dim (128x128 Van Loan block)",
+     "simulate_s, verify_s", ("ring16_design",)),
     ("numerics.solve_care_s", "synthesize_s, simulate_s, verify_s",
-     ("ring32_design",)),
+     ("ring16_design",)),
     ("sim.gen_schedule_s", "simulate_s, verify_s", ("demo_batch",)),
     ("sim.simulate.self_s (propagation and per-interval bookkeeping)",
      "verify_s, simulate_s; never synthesize_s",
-     ("demo_batch", "ring32_design")),
+     ("demo_batch", "ring16_design")),
     ("sim.grid_steps, sim.intervals, sim.output_rows", "exact counts that "
-     "size simulate_s and verify_s", ("demo_batch", "ring32_design")),
+     "size simulate_s and verify_s", ("demo_batch", "ring16_design")),
     ("sim.lyapunov_trace_s", "verify_s", ("demo_batch",)),
     ("sim.write_trajectory_csv_s, sim.write_schedule_csv_s, sim.csv_bytes",
      "simulate_s; never verify_s", ("demo_batch",)),
@@ -129,7 +133,8 @@ def _u64(rng):
 def _demo(name, switching, seed):
     """A shipped demo scenario with another schedule seed."""
     sc = {"name": name, "A": DEMO_A, "B": DEMO_B, "N": 4,
-          "T_low": 0.001, "grid_h": 0.001, "seed": seed, "horizon": 30.0,
+          "T_low": 0.001, "grid_h": 0.001, "seed": seed,
+          "horizon": DEMO_HORIZON,
           "x0": DEMO_X0, "xf": DEMO_XF, "output_dt": None}
     if switching:
         sc.update(topologies=[DEMO_EDGES_1, DEMO_EDGES_2], T_high=0.016,
@@ -152,18 +157,18 @@ def _scenarios(workload, rng):
             _demo("static_sx", False, _u64(rng)),
             _demo("switching_sx", True, _u64(rng)),
         ]
-        plan = [("synthesize", "batch", 10), ("enumerate", "followers2", 20),
-                ("simulate", "batch", 1),
-                ("synthesize", "batch", 10), ("enumerate", "followers2", 20),
+        plan = [("synthesize", "batch", 5), ("enumerate", "followers2", 10),
+                ("simulate", "batch", 1), ("verify", "batch", 1),
+                ("synthesize", "batch", 5), ("enumerate", "followers2", 10),
                 ("verify", "batch", 1)]
         return {"batch": batch, "model": batch[0]}, plan
-    if workload == "ring32_design":
+    if workload == "ring16_design":
         N = RING_N
         edges = [(0, i) for i in range(1, N + 1)]
         edges += [(i, i + 1) for i in range(1, N)] + [(N, 1)]
-        ring = {"name": "ring32", "A": RING_A, "B": RING_B, "N": N,
+        ring = {"name": f"ring{N}", "A": RING_A, "B": RING_B, "N": N,
                 "topologies": [edges], "T_low": 0.001, "T_high": 0.04,
-                "grid_h": 0.001, "seed": _u64(rng), "horizon": 30.0,
+                "grid_h": 0.001, "seed": _u64(rng), "horizon": 5.0,
                 "x0": _states(rng, 1, 4)[0], "xf": _states(rng, N, 4),
                 "output_dt": 0.1}
         # synthesized only: T_bar is 5.9e-12, so it is never simulated
