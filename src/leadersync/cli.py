@@ -10,7 +10,6 @@ import argparse
 import concurrent.futures
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .errors import (CommonDNotFound, EnumerationTooLarge, InvalidSchedule,
                      InvalidTime, LeaderSyncError, NotStabilizable,
                      ScenarioError, UnreachableGraph)
 from .graph import build_H, leader_reachable
-from .numerics import kernels
 from .scenario import Scenario, load_model, load_scenario
 from .sim import (SystemModel, gen_schedule, lyapunov_trace, simulate,
                   write_schedule_csv, write_trajectory_csv)
@@ -141,30 +139,12 @@ def _prepare_run(sc: Scenario, seed_override):
     return model, K, synth, schedule, warn
 
 
-def cmd_simulate(path, out_dir=None, seed_override=None,
-                 compare_backends=False):
+def cmd_simulate(path, out_dir=None, seed_override=None):
     sc = load_scenario(path)
     model, K, synth, schedule, warn = _prepare_run(sc, seed_override)
     lines = [f"scenario {sc.name}"]
-
-    if compare_backends:
-        kernels.warmup()
-        t0 = time.perf_counter()
-        result = simulate(model, sc.topologies, sc.signal, K, schedule,
-                          sc.x0_leader, sc.x0_followers, sc.output_dt)
-        t1 = time.perf_counter()
-        result_pure = simulate(model, sc.topologies, sc.signal, K, schedule,
-                               sc.x0_leader, sc.x0_followers, sc.output_dt,
-                               pure=True)
-        t2 = time.perf_counter()
-        diff = float(np.max(np.abs(result.errors - result_pure.errors)))
-        lines.append(f"backend comparison: numba "
-                     f"{'on' if kernels.NUMBA_ENABLED else 'off'}, "
-                     f"default {t1 - t0:.4f} s, pure {t2 - t1:.4f} s, "
-                     f"max state difference {diff:.3e}")
-    else:
-        result = simulate(model, sc.topologies, sc.signal, K, schedule,
-                          sc.x0_leader, sc.x0_followers, sc.output_dt)
+    result = simulate(model, sc.topologies, sc.signal, K, schedule,
+                      sc.x0_leader, sc.x0_followers, sc.output_dt)
 
     V = None
     if synth is not None:
@@ -262,8 +242,7 @@ def _run_one(kind, path, args):
         if kind == "synthesize":
             return cmd_synthesize(path, args.out)
         if kind == "simulate":
-            return cmd_simulate(path, args.out, args.seed,
-                                args.compare_backends)
+            return cmd_simulate(path, args.out, args.seed)
         return cmd_verify(path, args.out, args.seed)
     except Exception as e:
         code, msg = _map_exception(e)
@@ -307,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "runtime decay verification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_scenario_opts(p, with_compare=False):
+    def add_scenario_opts(p):
         p.add_argument("--scenario", nargs="+", required=True,
                        help="scenario file(s)")
         p.add_argument("--out", default=None, help="output directory")
@@ -315,16 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the scenario seed")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel scenarios in batch mode")
-        if with_compare:
-            p.add_argument("--compare-backends", action="store_true",
-                           help="run both kernel backends and report "
-                                "timings and the state difference")
 
     add_scenario_opts(sub.add_parser(
         "synthesize", help="compute the gain and sampling bound"))
     add_scenario_opts(sub.add_parser(
-        "simulate", help="integrate the closed loop and write CSV"),
-        with_compare=True)
+        "simulate", help="integrate the closed loop and write CSV"))
     add_scenario_opts(sub.add_parser(
         "verify", help="simulate and check the quadratic decay"))
 

@@ -37,5 +37,11 @@ RATIO_REL_SLACK = 1e-12     # V(t_{s+1})/V(t_s) <= rho * (1 + slack)
 # time grid
 GRID_DIV_TOL = 1e-12        # relative error allowed when snapping to the grid
 
+# simulation memory: bytes one simulate call may allocate for its
+# per-mode transition tables (modes x (longest gap in steps + 1) x d^2
+# doubles, d = followers x states) plus its output arrays; checked
+# before anything is allocated
+SIM_MEMORY_BUDGET = 256 * 2**20
+
 # stabilizability test
 EIG_REAL_GUARD = 1e-12      # eigenvalues with Re >= -guard are treated as unstable

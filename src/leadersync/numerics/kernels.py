@@ -1,32 +1,15 @@
-"""Dense linear-algebra kernels with optional JIT compilation.
-
-Every kernel is written once as a plain function over numpy arrays.
-When numba is importable and the environment variable LEADERSYNC_NUMBA
-is not "0", the public names are compiled with numba.njit; the
-uncompiled versions stay importable under a ``_py`` suffix for
-equivalence tests and benchmarks.
+"""Dense linear-algebra kernels over numpy arrays.
 
 Kernels never raise: each returns its result together with a success
 flag, and the wrappers in ``linalg`` turn failures into typed errors.
 """
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
 
-    HAS_NUMBA = True
-except ImportError:
-    numba = None
-    HAS_NUMBA = False
-
-NUMBA_ENABLED = HAS_NUMBA and os.environ.get("LEADERSYNC_NUMBA", "1") != "0"
-
-
-def _jacobi_eigvals(S, off_tol=1e-14, max_sweeps=100):
+def jacobi_eigvals(S, off_tol=1e-14, max_sweeps=100):
     """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (values sorted ascending, converged flag). Sweeping stops
@@ -82,7 +65,7 @@ def _jacobi_eigvals(S, off_tol=1e-14, max_sweeps=100):
     return vals, converged
 
 
-def _jacobi_singular_values(M, off_tol=1e-14, max_sweeps=60):
+def jacobi_singular_values(M, off_tol=1e-14, max_sweeps=60):
     """Singular values of a real matrix by one-sided Jacobi rotations.
 
     Columns are rotated pairwise until all normalized inner products
@@ -150,7 +133,7 @@ def _jacobi_singular_values(M, off_tol=1e-14, max_sweeps=60):
     return sig, converged
 
 
-def _expm_pade7(M, scaled_norm=0.5):
+def expm_pade7(M, scaled_norm=0.5):
     """Matrix exponential by scaling and squaring with an order-7 Pade core.
 
     The input is scaled so its 1-norm is at most scaled_norm before the
@@ -185,19 +168,15 @@ def _expm_pade7(M, scaled_norm=0.5):
     A6 = A4 @ A2
     U = A @ (b7 * A6 + b5 * A4 + b3 * A2 + b1 * eye)
     V = b6 * A6 + b4 * A4 + b2 * A2 + b0 * eye
-    # the copy pins a contiguous layout for the repeated squaring
-    E = np.linalg.solve(V - U, V + U).copy()
-    for _ in range(s_pow):
-        E = np.ascontiguousarray(E @ E)
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            if not math.isfinite(E[i, j]):
-                ok = False
-    return E, ok
+    E = np.linalg.solve(V - U, V + U)
+    # an overflow is reported by the flag, not by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s_pow):
+            E = E @ E
+    return E, bool(np.all(np.isfinite(E)))
 
 
-def _eig_qr(M, max_sweeps_per_n=100):
+def eig_qr(M, max_sweeps_per_n=100):
     """Eigenvalues of a real square matrix.
 
     Householder reduction to Hessenberg form, then shifted QR iteration
@@ -342,7 +321,7 @@ def _eig_qr(M, max_sweeps_per_n=100):
     return eigs, converged
 
 
-def _matrix_sign_newton(W, max_iter=100, conv_tol=1e-12):
+def matrix_sign_newton(W, max_iter=100, conv_tol=1e-12):
     """Matrix sign function by Newton iteration with determinant scaling.
 
     Returns (sign, converged flag). Iteration stops when the relative
@@ -374,92 +353,3 @@ def _matrix_sign_newton(W, max_iter=100, conv_tol=1e-12):
             ok = True
             break
     return X, ok
-
-
-def _propagate_grid(Fs, Gs, mode_idx, steps, xbar0):
-    """Advance the sampled closed loop across its uniform time grid.
-
-    Fs, Gs hold the per-mode one-step transition blocks, shape
-    (modes, d, d). mode_idx gives the mode index of each interval,
-    steps the grid steps it spans. The held state is frozen at each
-    interval start. Returns the stacked state at every grid point,
-    shape (sum(steps) + 1, d).
-    """
-    total = 0
-    for s in range(steps.shape[0]):
-        total += steps[s]
-    d = xbar0.shape[0]
-    out = np.empty((total + 1, d))
-    for i in range(d):
-        out[0, i] = xbar0[i]
-    x = xbar0.copy()
-    g = 0
-    for s in range(mode_idx.shape[0]):
-        p = mode_idx[s]
-        F = Fs[p]
-        gh = Gs[p] @ x
-        for _ in range(steps[s]):
-            x = F @ x + gh
-            g += 1
-            for i in range(d):
-                out[g, i] = x[i]
-    return out
-
-
-def _propagate_linear(E, x0, total):
-    """Repeated application of a fixed one-step transition matrix.
-
-    Returns states at every grid point, shape (total + 1, n).
-    """
-    n = x0.shape[0]
-    out = np.empty((total + 1, n))
-    for i in range(n):
-        out[0, i] = x0[i]
-    x = x0.copy()
-    for g in range(total):
-        x = E @ x
-        for i in range(n):
-            out[g + 1, i] = x[i]
-    return out
-
-
-jacobi_eigvals_py = _jacobi_eigvals
-jacobi_singular_values_py = _jacobi_singular_values
-expm_pade7_py = _expm_pade7
-eig_qr_py = _eig_qr
-matrix_sign_newton_py = _matrix_sign_newton
-propagate_grid_py = _propagate_grid
-propagate_linear_py = _propagate_linear
-
-if NUMBA_ENABLED:
-    _jit = numba.njit(cache=True)
-    jacobi_eigvals = _jit(_jacobi_eigvals)
-    jacobi_singular_values = _jit(_jacobi_singular_values)
-    expm_pade7 = _jit(_expm_pade7)
-    eig_qr = _jit(_eig_qr)
-    matrix_sign_newton = _jit(_matrix_sign_newton)
-    propagate_grid = _jit(_propagate_grid)
-    propagate_linear = _jit(_propagate_linear)
-else:
-    jacobi_eigvals = _jacobi_eigvals
-    jacobi_singular_values = _jacobi_singular_values
-    expm_pade7 = _expm_pade7
-    eig_qr = _eig_qr
-    matrix_sign_newton = _matrix_sign_newton
-    propagate_grid = _propagate_grid
-    propagate_linear = _propagate_linear
-
-
-def warmup():
-    """Run every kernel once on tiny inputs to trigger JIT compilation."""
-    small = np.array([[2.0, 1.0], [1.0, 3.0]])
-    jacobi_eigvals(small)
-    jacobi_singular_values(np.array([[1.0, 0.5], [0.0, 2.0]]))
-    expm_pade7(small)
-    eig_qr(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    matrix_sign_newton(np.array([[1.0, 0.2], [0.1, -1.0]]))
-    Fs = np.eye(2)[None, :, :].copy()
-    Gs = (0.1 * np.eye(2))[None, :, :].copy()
-    propagate_grid(Fs, Gs, np.zeros(1, dtype=np.int64),
-                   np.ones(1, dtype=np.int64), np.ones(2))
-    propagate_linear(np.eye(2), np.ones(2), 1)

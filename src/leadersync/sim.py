@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IncompleteTrace, InvalidSchedule
 from .graph import SwitchingSignal, build_H, signal_mode
-from .numerics import config, kernels
+from .numerics import config
 from .numerics.linalg import _as_matrix, _square, expm, kron
 from .synthesis import SynthesisResult
 
@@ -100,14 +100,38 @@ class SamplingSchedule:
         object.__setattr__(self, "instants", a)
 
 
-def _grid_ticks(value: float, grid_h: float, what: str) -> int:
-    """Snap a time to its grid step count, rejecting off-grid values."""
-    k = int(round(value / grid_h))
-    if abs(k * grid_h - value) > config.GRID_DIV_TOL * max(1.0, abs(value)):
+def _grid_ticks(value, grid_h: float, what: str):
+    """Snap a time, or an array of times, to its grid step count,
+    rejecting off-grid values."""
+    v = np.asarray(value, dtype=float)
+    k = np.rint(v / grid_h)
+    on_grid = np.abs(k * grid_h - v) <= \
+        config.GRID_DIV_TOL * np.maximum(1.0, np.abs(v))
+    if not np.all(on_grid):
         raise InvalidSchedule(
-            f"{what} = {value} is not a whole number of grid steps "
-            f"(grid_h = {grid_h})")
-    return k
+            f"{what} = {float(v[~on_grid].flat[0])} is not a whole number "
+            f"of grid steps (grid_h = {grid_h})")
+    return int(k) if k.ndim == 0 else k.astype(np.int64)
+
+
+def _check_memory(modes: int, L: int, d: int, n: int, Nm: int, n_open: int,
+                  n_rows: int) -> None:
+    """Refuse a run whose transition tables (modes x (L + 1) blocks of
+    d x d, plus L + 1 leader blocks of n x n) and output arrays would
+    together exceed config.SIM_MEMORY_BUDGET bytes."""
+    table = 8 * (L + 1) * (modes * d * d + n * n)
+    outputs = 8 * (n_rows * (4 + n + 2 * d) + n_open * Nm
+                   + (n_open + 1) * (d + n))
+    budget = config.SIM_MEMORY_BUDGET
+    if table + outputs > budget:
+        mib = 1 << 20
+        raise InvalidSchedule(
+            f"simulation needs {(table + outputs) / mib:.1f} MiB "
+            f"({table / mib:.1f} MiB of transition tables for {modes} "
+            f"mode(s) x {L + 1} steps of {d}x{d} blocks, "
+            f"{outputs / mib:.1f} MiB for {n_rows} output rows), above "
+            f"the budget of {budget / mib:.0f} MiB; shorten the longest "
+            f"sampling gap or the horizon, or raise grid_h or output_dt")
 
 
 def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
@@ -167,18 +191,22 @@ class SimulationResult:
 
 def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
              schedule: SamplingSchedule, x0_leader, x0_followers,
-             output_dt: float | None = None, pure: bool = False) -> SimulationResult:
+             output_dt: float | None = None) -> SimulationResult:
     """Integrate the sampled closed loop exactly over the schedule.
 
     On each interval the active graph is the one the switching signal
-    selects at the interval's opening instant, the input is the error
-    feedback frozen there, and the error state advances through the
-    exact transition of the held-input linear dynamics, one grid step
-    at a time. The leader advances through its own exact one-step
-    transition. Outputs are taken at every multiple of output_dt
-    (default grid_h), at every sampling instant, and at the horizon.
-    pure=True forces the plain array path even when the compiled
-    kernels are available.
+    selects at the interval's opening instant and the input is the
+    error feedback frozen there, so the error state l grid steps after
+    the opening is Phi[p, l] times the opening state, with
+    Phi[p, l] = F^l + sum_{j<l} F^j G built once per mode from the
+    one-step blocks F, G of the held-input dynamics. The leader uses
+    the powers of its own one-step transition the same way. Outputs
+    are taken at every multiple of output_dt (default grid_h), at
+    every sampling instant, and at the horizon.
+
+    The transition tables and the output arrays are sized before any
+    of them is allocated; a run that would need more than
+    config.SIM_MEMORY_BUDGET bytes raises InvalidSchedule.
     """
     topologies = list(topologies)
     if len(topologies) != signal.mode_count:
@@ -209,33 +237,33 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
     if stride < 1:
         raise InvalidSchedule(f"output_dt = {out_dt} is below the grid pitch")
 
-    ticks = [_grid_ticks(t, grid_h, "sampling instant")
-             for t in schedule.instants]
-    if not ticks or ticks[0] != 0:
+    ticks = _grid_ticks(schedule.instants, grid_h, "sampling instant")
+    if ticks.size == 0 or ticks[0] != 0:
         raise InvalidSchedule("schedule must start at t = 0")
-    for a, b in zip(ticks, ticks[1:]):
-        if b <= a:
-            raise InvalidSchedule("sampling instants must strictly increase")
+    if np.any(np.diff(ticks) <= 0):
+        raise InvalidSchedule("sampling instants must strictly increase")
     if ticks[-1] < hor:
         raise InvalidSchedule(
             f"schedule ends at {ticks[-1] * grid_h} but the horizon is "
             f"{schedule.horizon}")
 
     # intervals that open inside the window, truncated at the horizon
-    mode_list = []
-    step_list = []
-    s_used = 0
-    for s in range(len(ticks) - 1):
-        if ticks[s] >= hor:
-            break
-        end = min(ticks[s + 1], hor)
-        mode_list.append(signal_mode(signal, float(schedule.instants[s])))
-        step_list.append(end - ticks[s])
-        s_used = s + 1
-    n_complete = sum(1 for s in range(s_used) if ticks[s + 1] <= hor)
-    used_ticks = [t for t in ticks if t <= hor]
+    n_open = int(np.searchsorted(ticks, hor, side="left"))
+    starts = ticks[:n_open]
+    steps = np.minimum(ticks[1:n_open + 1], hor) - starts
+    n_complete = int(np.count_nonzero(ticks[1:n_open + 1] <= hor))
+    used_ticks = ticks[:int(np.searchsorted(ticks, hor, side="right"))]
+    mode_idx = np.array([signal_mode(signal, float(schedule.instants[s]))
+                         for s in range(n_open)], dtype=np.int64)
 
+    # output rows: the stride multiples, the horizon, every instant
+    off_stride = used_ticks[used_ticks % stride != 0]
+    n_rows = (hor // stride + 1 + int(hor % stride != 0)
+              + int(np.count_nonzero(off_stride != hor)))
     d = N * n
+    L = int(steps.max()) if n_open else 0
+    _check_memory(len(topologies), L, d, n, N * m, n_open, n_rows)
+
     Hs = [build_H(t).H for t in topologies]
     Fs = np.empty((len(Hs), d, d))
     Gs = np.empty((len(Hs), d, d))
@@ -246,35 +274,63 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
         E = expm(M, grid_h)
         Fs[p] = E[:d, :d]
         Gs[p] = E[:d, d:]
+    E_lead = expm(model.A, grid_h)
 
-    xbar0 = (foll0 - lead0[None, :]).reshape(-1)
-    mode_idx = np.array(mode_list, dtype=np.int64)
-    steps = np.array(step_list, dtype=np.int64)
-    prop_grid = kernels.propagate_grid_py if pure else kernels.propagate_grid
-    prop_lin = kernels.propagate_linear_py if pure else kernels.propagate_linear
-    err_trace = prop_grid(Fs, Gs, mode_idx, steps, xbar0)
-    lead_trace = prop_lin(expm(model.A, grid_h), lead0, hor)
+    # Phi[p, l] advances the error l steps from an opening state in
+    # mode p; Lead[l] advances the leader l steps
+    Phi = np.empty((len(Hs), L + 1, d, d))
+    Phi[:, 0] = np.eye(d)
+    Lead = np.empty((L + 1, n, n))
+    Lead[0] = np.eye(n)
+    for l in range(1, L + 1):
+        Phi[:, l] = Fs @ Phi[:, l - 1] + Gs
+        Lead[l] = E_lead @ Lead[l - 1]
 
-    out_ticks = sorted(set(range(0, hor + 1, stride)) | {hor} | set(used_ticks))
-    out_ticks = np.array(out_ticks, dtype=np.int64)
-    times = out_ticks.astype(float) * grid_h
-    errors = err_trace[out_ticks].reshape(-1, N, n)
-    leader = lead_trace[out_ticks]
+    # states at every opening instant and at the horizon
+    X = np.empty((n_open + 1, d))
+    Y = np.empty((n_open + 1, n))
+    X[0] = (foll0 - lead0[None, :]).reshape(-1)
+    Y[0] = lead0
+    for s, (p, l) in enumerate(zip(mode_idx.tolist(), steps.tolist())):
+        X[s + 1] = Phi[p, l] @ X[s]
+        Y[s + 1] = Lead[l] @ Y[s]
+
+    out_ticks = np.union1d(np.arange(0, hor + 1, stride),
+                           np.append(used_ticks, hor))
+    knots = np.append(starts, hor)
+    seg = np.searchsorted(knots, out_ticks, side="right") - 1
+    offset = out_ticks - knots[seg]
+    err = np.empty((n_rows, d))
+    leader = np.empty((n_rows, n))
+    at_knot = offset == 0
+    err[at_knot] = X[seg[at_knot]]
+    leader[at_knot] = Y[seg[at_knot]]
+    # every other row is one product per (mode, offset) group
+    inner = np.flatnonzero(~at_knot)
+    key = mode_idx[seg[inner]] * (L + 1) + offset[inner]
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    for rows in np.split(inner[order], cuts):
+        if rows.size == 0:
+            continue
+        p, l = int(mode_idx[seg[rows[0]]]), int(offset[rows[0]])
+        err[rows] = X[seg[rows]] @ Phi[p, l].T
+        leader[rows] = Y[seg[rows]] @ Lead[l].T
+
+    errors = err.reshape(n_rows, N, n)
     followers = errors + leader[:, None, :]
-
-    pos = {int(g): k for k, g in enumerate(out_ticks)}
-    boundary_idx = np.array([pos[g] for g in used_ticks], dtype=np.int64)
-
-    u_held = np.empty((len(mode_list), N, m))
-    for s, p in enumerate(mode_list):
-        xs = err_trace[ticks[s]]
-        u_held[s] = (-(kron(Hs[p], Km) @ xs)).reshape(N, m)
+    u_held = np.empty((n_open, N * m))
+    for p, H in enumerate(Hs):
+        sel = mode_idx == p
+        u_held[sel] = -(X[:n_open][sel] @ kron(H, Km).T)
 
     return SimulationResult(
-        times=times, leader=leader, followers=followers, errors=errors,
-        u_held=u_held, instants=np.array([g * grid_h for g in used_ticks]),
-        modes=mode_idx, boundary_idx=boundary_idx, n_complete=n_complete,
-        schedule=schedule)
+        times=out_ticks.astype(float) * grid_h, leader=leader,
+        followers=followers, errors=errors,
+        u_held=u_held.reshape(n_open, N, m),
+        instants=used_ticks.astype(float) * grid_h, modes=mode_idx,
+        boundary_idx=np.searchsorted(out_ticks, used_ticks),
+        n_complete=n_complete, schedule=schedule)
 
 
 def leader_trajectory(A, x0, times) -> np.ndarray:
@@ -365,40 +421,41 @@ def lyapunov_trace(result: SimulationResult, D, P,
             "boundary index does not cover every sampling instant")
     if bidx.size > 1 and np.any(np.diff(bidx) <= 0):
         raise IncompleteTrace("boundary indices must strictly increase")
-    for k, idx in enumerate(bidx):
-        if idx < 0 or idx >= result.times.shape[0] or \
-                abs(result.times[idx] - result.instants[k]) > 1e-9:
-            raise IncompleteTrace(
-                f"sampling instant {result.instants[k]} is missing from "
-                f"the dense output times")
+    n_rows = result.times.shape[0]
+    missing = (bidx < 0) | (bidx >= n_rows)
+    at = result.times[np.clip(bidx, 0, n_rows - 1)]
+    missing |= np.abs(at - result.instants) > 1e-9
+    if np.any(missing):
+        k = int(np.argmax(missing))
+        raise IncompleteTrace(
+            f"sampling instant {result.instants[k]} is missing from "
+            f"the dense output times")
 
     W = kron(np.diag(d_vec), Pm)
     flat = result.errors.reshape(result.errors.shape[0], N * n)
     V = np.einsum("ki,ij,kj->k", flat, W, flat)
     V_samples = V[bidx]
 
+    # largest V from each sampling instant up to the next (or the end)
     violations = 0
-    worst = -math.inf
-    for s in range(bidx.shape[0]):
-        lo = int(bidx[s])
-        hi = int(bidx[s + 1]) if s + 1 < bidx.shape[0] else V.shape[0]
-        seg_max = float(np.max(V[lo:hi]))
-        Vs = float(V[lo])
-        if Vs > 0.0:
-            excess = (seg_max - Vs) / Vs
-        else:
-            excess = math.inf if seg_max > 0.0 else 0.0
-        worst = max(worst, excess)
-        if excess > config.INTERVAL_SLACK:
-            violations += 1
-    if not math.isfinite(worst) and worst < 0:
-        worst = 0.0
+    worst = 0.0
+    if bidx.size:
+        seg_max = np.maximum.reduceat(V, bidx)
+        positive = V_samples > 0.0
+        excess = np.where(seg_max > 0.0, math.inf, 0.0)
+        excess[positive] = ((seg_max[positive] - V_samples[positive])
+                            / V_samples[positive])
+        violations = int(np.count_nonzero(excess > config.INTERVAL_SLACK))
+        # NaN excesses are skipped, as a running max() would skip them
+        worst = float(np.fmax.reduce(excess))
+        if math.isnan(worst):
+            worst = 0.0
 
+    V0 = V_samples[:result.n_complete]
+    V1 = V_samples[1:result.n_complete + 1]
     ratios = np.full(result.n_complete, math.nan)
-    for s in range(result.n_complete):
-        V0 = float(V_samples[s])
-        if V0 > 0.0:
-            ratios[s] = float(V_samples[s + 1]) / V0
+    positive = V0 > 0.0
+    ratios[positive] = V1[positive] / V0[positive]
 
     beta1 = synth.c1
     beta2 = synth.c2 * result.schedule.T_high ** 2
@@ -412,6 +469,9 @@ def lyapunov_trace(result: SimulationResult, D, P,
         interval_violations=violations, worst_interval_slack=worst,
         rho=float(rho), bound_feasible=feasible,
         rho_threshold=float(threshold))
+
+
+CSV_BLOCK_ROWS = 64
 
 
 def _fmt(x: float) -> str:
@@ -432,16 +492,18 @@ def write_trajectory_csv(path, result: SimulationResult, V=None) -> None:
     cols.append("V")
     vcol = np.full(n_out, math.nan) if V is None else np.asarray(V, dtype=float)
     norms = np.linalg.norm(result.errors, axis=2)
+    followers = result.followers.reshape(n_out, N * n)
     with open(path, "w", newline="\n") as f:
         f.write(",".join(cols) + "\n")
-        for k in range(n_out):
-            row = [_fmt(result.times[k])]
-            row += [_fmt(v) for v in result.leader[k]]
-            for i in range(N):
-                row += [_fmt(v) for v in result.followers[k, i]]
-            row += [_fmt(v) for v in norms[k]]
-            row.append(_fmt(vcol[k]))
-            f.write(",".join(row) + "\n")
+        # a block of rows at a time, so the text and float objects held
+        # at once do not grow with the length of the run
+        for lo in range(0, n_out, CSV_BLOCK_ROWS):
+            hi = lo + CSV_BLOCK_ROWS
+            block = np.column_stack([result.times[lo:hi],
+                                     result.leader[lo:hi], followers[lo:hi],
+                                     norms[lo:hi], vcol[lo:hi]])
+            f.write("".join([",".join(map(repr, row)) + "\n"
+                             for row in block.tolist()]))
 
 
 def write_schedule_csv(path, result: SimulationResult) -> None:

@@ -6,15 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from leadersync.numerics import kernels
-
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compilation must not be charged to any individual test
-    kernels.warmup()
 
 
 @pytest.fixture

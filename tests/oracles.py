@@ -189,3 +189,30 @@ def random_stabilizable(n, m, rng):
     while abs(np.linalg.det(T)) < 0.1:
         T = rng.standard_normal((n, n))
     return T @ A @ np.linalg.inv(T), T @ B
+
+
+def propagate_grid(Fs, Gs, mode_idx, steps, xbar0):
+    """Sampled closed loop advanced one grid step at a time.
+
+    Fs, Gs hold the per-mode one-step transition blocks, shape
+    (modes, d, d); mode_idx gives the mode of each interval and steps
+    the grid steps it spans. The held input is frozen at each interval
+    start. Returns the state at every grid point, shape
+    (sum(steps) + 1, d).
+    """
+    out = [np.array(xbar0, dtype=float)]
+    x = out[0]
+    for p, count in zip(mode_idx, steps):
+        gh = Gs[p] @ x
+        for _ in range(count):
+            x = Fs[p] @ x + gh
+            out.append(x)
+    return np.array(out)
+
+
+def propagate_linear(E, x0, total):
+    """States of x -> E x at every grid point, shape (total + 1, n)."""
+    out = [np.array(x0, dtype=float)]
+    for _ in range(total):
+        out.append(E @ out[-1])
+    return np.array(out)

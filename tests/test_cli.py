@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -117,22 +118,45 @@ def test_simulate_seed_override_changes_schedule(workdir, capsys):
            (workdir / "b" / "static_demo_schedule.csv").read_bytes()
 
 
-def test_simulate_compare_backends(workdir, capsys):
-    assert main(["simulate", "--scenario", STATIC,
-                 "--compare-backends"]) == 0
-    out = capsys.readouterr().out
-    line = next(l for l in out.splitlines()
-                if l.startswith("backend comparison"))
-    diff = float(line.rsplit(" ", 1)[-1])
-    assert diff <= 1e-12
-
-
 def test_simulate_over_bound_warns(workdir, capsys):
     path = _overbound_path(workdir)
     assert main(["simulate", "--scenario", path]) == 0
     err = capsys.readouterr().err
     assert "over-bound sampling" in err
     assert "T_bar" in err
+
+
+def _star_scenario(tmp_path):
+    """16 followers of 4 states each, all fed by the leader, sampled
+    with gaps of up to 10000 grid steps: the transition table alone
+    would hold a 64 x 64 block of doubles per step, about 330 MB."""
+    lines = ["name huge_gap",
+             "A 4  0 1 0 0  0 0 1 0  0 0 0 1  -1 -2 -3 -2",
+             "B 4 1  0 0 0 1", "mu1 1.0", "mu2 1.0",
+             "topology 16 " + " ".join(f"0 {i}" for i in range(1, 17)),
+             "T_low 9.0", "T_high 10.0", "grid_h 0.001", "seed 7",
+             "horizon 20.0", "output_dt 0.1", "x0 1 0 0 0"]
+    lines += [f"x{i} 0 {i} 0 0" for i in range(1, 17)]
+    path = tmp_path / "huge_gap.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_simulate_refuses_table_over_memory_budget(workdir, capsys):
+    path = _star_scenario(workdir)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--scenario", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "configuration error" in err
+    assert "transition tables" in err and "MiB" in err
+    # refused before the table was allocated
+    assert peak < 32 * 2**20
+    assert not (workdir / "huge_gap_trajectory.csv").exists()
 
 
 # --------------------------------------------------------------- verify

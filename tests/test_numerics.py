@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,8 +67,11 @@ def test_expm_determinant_identity():
 
 
 def test_expm_overflow_raises():
-    with pytest.raises(NumericalOverflow):
-        expm(np.array([[2000.0, 0.0], [0.0, 2000.0]]))
+    # the typed error is the only report: no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow):
+            expm(np.array([[2000.0, 0.0], [0.0, 2000.0]]))
 
 
 def test_expm_rejects_nonsquare():

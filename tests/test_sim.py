@@ -173,13 +173,53 @@ def test_simulate_bitwise_deterministic():
         assert np.array_equal(fa, fb)
 
 
-def test_simulate_pure_path_matches_jit():
-    sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 11)
-    K = [[0.887356, 1.21952]]
-    a = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F)
-    b = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F,
-                 pure=True)
-    assert np.array_equal(a.errors, b.errors)
+def test_simulate_matches_step_by_step_oracle():
+    # two event-switched modes, output every third grid step, and a
+    # last interval cut by the horizon
+    h = 0.01
+    t_a = Topology(3, frozenset([(0, 1), (1, 2), (2, 3)]))
+    t_b = Topology(3, frozenset([(0, 1), (0, 3), (3, 2), (1, 3)]))
+    events = ((0.0, 0), (0.55, 1), (1.3, 0), (2.0, 1))
+    sig = SwitchingSignal(mode_count=2, events=events)
+    gaps = np.random.default_rng(5).integers(1, 13, size=40)
+    gaps[-1] = 12
+    ticks = np.concatenate([[0], np.cumsum(gaps)])
+    hor = int(ticks[-1]) - 5
+    sched = _schedule(ticks * h, h, horizon=hor * h)
+    K = np.array([[0.887356, 1.21952]])
+    x0f = np.array([[2.4, -1.6], [-1.4, 2.6], [1.8, -2.5]])
+    res = simulate(MODEL, [t_a, t_b], sig, K, sched, X0L, x0f,
+                   output_dt=3 * h)
+
+    n_open = len(ticks) - 1
+    assert res.modes.shape[0] == n_open
+    assert res.n_complete == n_open - 1
+    modes = [[m for t, m in events if t <= s * h][-1] for s in ticks[:-1]]
+    assert list(res.modes) == modes
+    steps = np.minimum(ticks[1:], hor) - ticks[:-1]
+
+    d = 6
+    Hs = [build_H(t).H for t in (t_a, t_b)]
+    Fs, Gs = np.empty((2, d, d)), np.empty((2, d, d))
+    for p, H in enumerate(Hs):
+        top = np.hstack([np.kron(np.eye(3), A2), -np.kron(H, B2 @ K)])
+        E = oracles.expm_taylor(np.vstack([top, np.zeros((d, 2 * d))]), h)
+        Fs[p], Gs[p] = E[:d, :d], E[:d, d:]
+    x0 = (x0f - X0L[None, :]).reshape(-1)
+    err = oracles.propagate_grid(Fs, Gs, modes, steps, x0)
+    lead = oracles.propagate_linear(oracles.expm_taylor(A2, h), X0L, hor)
+
+    want_ticks = sorted(set(range(0, hor + 1, 3)) | set(ticks[:-1]) | {hor})
+    got_ticks = np.rint(res.times / h).astype(int)
+    assert list(got_ticks) == want_ticks
+    x_max = np.max(np.abs(np.vstack([x0f, X0L])))
+    tol = dict(rtol=1e-10, atol=1e-12 * x_max)
+    np.testing.assert_allclose(res.errors.reshape(-1, d), err[got_ticks],
+                               **tol)
+    np.testing.assert_allclose(res.leader, lead[got_ticks], **tol)
+    for s in range(n_open):
+        want_u = -(np.kron(Hs[modes[s]], K) @ err[ticks[s]])
+        np.testing.assert_allclose(res.u_held[s].reshape(-1), want_u, **tol)
 
 
 def test_simulate_mode_chosen_at_interval_opening():
