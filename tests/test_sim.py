@@ -173,6 +173,31 @@ def test_simulate_bitwise_deterministic():
         assert np.array_equal(fa, fb)
 
 
+def test_simulate_pure_path_matches_jit():
+    # the pure path is the step-by-step loop of tests/oracles.py; the
+    # default path is simulate's per-mode transition table
+    sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 11)
+    K = np.array([[0.887356, 1.21952]])
+    res = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F)
+
+    h, d = sched.grid_h, 8
+    ticks = np.rint(np.asarray(sched.instants) / h).astype(int)
+    hor = int(round(sched.horizon / h))
+    opens = ticks[ticks < hor]
+    steps = np.minimum(np.append(opens[1:], hor), hor) - opens
+    top = np.hstack([np.kron(np.eye(4), A2),
+                     -np.kron(build_H(TOP).H, B2 @ K)])
+    E = oracles.expm_taylor(np.vstack([top, np.zeros((d, 2 * d))]), h)
+    x0 = (X0F - X0L[None, :]).reshape(-1)
+    err = oracles.propagate_grid(E[None, :d, :d], E[None, :d, d:],
+                                 np.zeros(len(opens), dtype=int), steps, x0)
+
+    got_ticks = np.rint(res.times / h).astype(int)
+    x_max = np.max(np.abs(np.vstack([X0F, X0L])))
+    np.testing.assert_allclose(res.errors.reshape(-1, d), err[got_ticks],
+                               rtol=1e-10, atol=1e-12 * x_max)
+
+
 def test_simulate_matches_step_by_step_oracle():
     # two event-switched modes, output every third grid step, and a
     # last interval cut by the horizon
