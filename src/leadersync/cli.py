@@ -80,9 +80,9 @@ def _synthesize_for(sc: Scenario) -> SynthesisResult:
     return synthesize(sc.A, sc.B, sc.mu1, sc.mu2, d, gls)
 
 
-def _synthesis_report(sc_name, modes, res: SynthesisResult) -> list:
-    lines = [f"scenario {sc_name}", f"modes {modes}"]
-    lines += _matrix_lines("P", res.P)
+def _design_lines(res: SynthesisResult) -> list:
+    """P, D (when the design has one), K and the ladder up to T_bar."""
+    lines = _matrix_lines("P", res.P)
     if res.D is not None:
         lines.append("D: " + " ".join(_g(v) for v in res.D))
     lines += _matrix_lines("K", res.K)
@@ -90,6 +90,12 @@ def _synthesis_report(sc_name, modes, res: SynthesisResult) -> list:
                 "alpha3", "alpha4", "c1", "c2"):
         lines.append(f"{key} {_g(getattr(res, key))}")
     lines.append(f"T_bar {_g(res.T_bar)}")
+    return lines
+
+
+def _synthesis_report(sc_name, modes, res: SynthesisResult) -> list:
+    lines = [f"scenario {sc_name}", f"modes {modes}"]
+    lines += _design_lines(res)
     lines.append(f"care_residual {_g(res.care_residual)}")
     return lines
 
@@ -117,34 +123,37 @@ def cmd_synthesize(path, out_dir=None):
     return EXIT_OK, text, ""
 
 
-def _prepare_run(sc: Scenario, seed_override):
-    """Gain, optional certificate, schedule, and model for a scenario."""
+def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
+    """Design, schedule and simulated run for a scenario.
+
+    A scenario that fixes K is simulated with it; its design is then
+    computed only for the certificate and the T_bar warning, and a
+    design failure is fatal only when need_synthesis is set. Returns
+    (synthesis or None, simulation result, warning lines)."""
     warn = []
-    if sc.K is None:
+    if sc.K is None or need_synthesis:
         synth = _synthesize_for(sc)
-        K = synth.K
     else:
-        K = sc.K
         try:
             synth = _synthesize_for(sc)
         except LeaderSyncError:
             synth = None
+    K = synth.K if sc.K is None else sc.K
     if synth is not None and sc.T_high > synth.T_bar:
         warn.append(f"warning: over-bound sampling: T_high = {_g(sc.T_high)} "
                     f"exceeds T_bar = {_g(synth.T_bar)}; decay is not "
                     f"guaranteed")
     seed = sc.seed if seed_override is None else seed_override
     schedule = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, seed)
-    model = SystemModel(sc.A, sc.B)
-    return model, K, synth, schedule, warn
+    result = simulate(SystemModel(sc.A, sc.B), sc.topologies, sc.signal, K,
+                      schedule, sc.x0_leader, sc.x0_followers, sc.output_dt)
+    return synth, result, warn
 
 
 def cmd_simulate(path, out_dir=None, seed_override=None):
     sc = load_scenario(path)
-    model, K, synth, schedule, warn = _prepare_run(sc, seed_override)
+    synth, result, warn = _run_scenario(sc, seed_override, need_synthesis=False)
     lines = [f"scenario {sc.name}"]
-    result = simulate(model, sc.topologies, sc.signal, K, schedule,
-                      sc.x0_leader, sc.x0_followers, sc.output_dt)
 
     V = None
     if synth is not None:
@@ -170,22 +179,8 @@ def cmd_simulate(path, out_dir=None, seed_override=None):
 
 def cmd_verify(path, out_dir=None, seed_override=None):
     sc = load_scenario(path)
-    if sc.K is None:
-        synth = _synthesize_for(sc)
-        K = synth.K
-    else:
-        K = sc.K
-        synth = _synthesize_for(sc)
-    warn = []
-    if sc.T_high > synth.T_bar:
-        warn.append(f"warning: over-bound sampling: T_high = {_g(sc.T_high)} "
-                    f"exceeds T_bar = {_g(synth.T_bar)}; decay is not "
-                    f"guaranteed")
-    seed = sc.seed if seed_override is None else seed_override
-    schedule = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, seed)
-    model = SystemModel(sc.A, sc.B)
-    result = simulate(model, sc.topologies, sc.signal, K, schedule,
-                      sc.x0_leader, sc.x0_followers, sc.output_dt)
+    # the certificate needs D and P, so a failed design is fatal here
+    synth, result, warn = _run_scenario(sc, seed_override, need_synthesis=True)
     rep = lyapunov_trace(result, synth.D, synth.P, synth)
 
     if out_dir:
@@ -223,17 +218,12 @@ def cmd_enumerate(model_path, followers, mu1=None, mu2=None):
     ms = load_model(model_path)
     m1 = ms.mu1 if mu1 is None else mu1
     m2 = ms.mu2 if mu2 is None else mu2
-    count = len(enumerate_admissible(followers))
-    res = worst_case_params(ms.A, ms.B, m1, m2, followers)
+    topologies = enumerate_admissible(followers)
+    res = worst_case_params(ms.A, ms.B, m1, m2, followers, topologies)
     lines = [f"model {ms.name}",
              f"followers {followers}",
-             f"admissible graphs {count}"]
-    lines += _matrix_lines("P", res.P)
-    lines += _matrix_lines("K", res.K)
-    for key in ("d_m", "d_M", "lam_m", "lam_M", "lam1", "alpha1", "alpha2",
-                "alpha3", "alpha4", "c1", "c2"):
-        lines.append(f"{key} {_g(getattr(res, key))}")
-    lines.append(f"T_bar {_g(res.T_bar)}")
+             f"admissible graphs {len(topologies)}"]
+    lines += _design_lines(res)
     return EXIT_OK, "\n".join(lines) + "\n", ""
 
 

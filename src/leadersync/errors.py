@@ -22,7 +22,7 @@ class NumericalOverflow(LeaderSyncError):
 
 
 class EigenFailure(LeaderSyncError):
-    """An eigenvalue iteration exhausted its sweep budget."""
+    """The LAPACK eigenvalue or singular-value solver did not converge."""
 
 
 class LyapunovSingular(LeaderSyncError):

@@ -4,17 +4,10 @@ Module-level constants so callers can override them before use. The
 defaults are the values the test suite pins.
 """
 
-# symmetric eigensolver (cyclic Jacobi)
-JACOBI_OFF_TOL = 1e-14      # stop when off(S) <= tol * ||S||_F
-JACOBI_MAX_SWEEPS = 100
+# symmetric eigenvalues
 SYM_INPUT_TOL = 1e-12       # relative asymmetry tolerated on input
 
-# general eigensolver (Hessenberg + shifted QR)
-QR_MAX_SWEEPS_PER_N = 100   # total sweep budget is this times n
-
 # singular values / rank
-SVD_OFF_TOL = 1e-14
-SVD_MAX_SWEEPS = 60
 RANK_REL_TOL = 1e-9         # sigma > tol * sigma_max counts toward rank
 
 # matrix exponential (scaling and squaring, order-7 Pade core)
@@ -39,8 +32,9 @@ GRID_DIV_TOL = 1e-12        # relative error allowed when snapping to the grid
 
 # simulation memory: bytes one simulate call may allocate for its
 # per-mode transition tables (modes x (longest gap in steps + 1) x d^2
-# doubles, d = followers x states) plus its output arrays; checked
-# before anything is allocated
+# doubles, d = followers x states) plus its output arrays, and bytes
+# gen_schedule may hold for its instants; checked before anything is
+# allocated
 SIM_MEMORY_BUDGET = 256 * 2**20
 
 # stabilizability test

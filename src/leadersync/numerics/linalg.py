@@ -1,11 +1,12 @@
 """Matrix operations: eigenvalues, exponentials, Lyapunov and Riccati solvers.
 
-Wrappers around the kernels that validate inputs, enforce the
-tolerances in ``config``, and raise typed errors.
+Wrappers that validate inputs, enforce the tolerances in ``config``,
+and raise typed errors. Eigenvalues and singular values come from
+LAPACK through ``numpy.linalg``; the exponential and the matrix sign
+iteration are the numpy kernels in ``kernels``.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -50,34 +51,41 @@ def _square(M, name="matrix"):
     return a
 
 
-def sym_eig_extremes(S):
-    """Minimum and maximum eigenvalues of a symmetric matrix."""
+def _symmetric(S):
+    """Symmetric part of S, which must be symmetric to within
+    config.SYM_INPUT_TOL relative to its largest entry."""
     a = _square(S, "S")
     asym = float(np.max(np.abs(a - a.T)))
     scale = float(np.max(np.abs(a)))
     if asym > config.SYM_INPUT_TOL * scale:
         raise InvalidMatrix(f"S is not symmetric: max asymmetry {asym:.3e}")
-    sym = 0.5 * (a + a.T)
-    vals, ok = kernels.jacobi_eigvals(sym, config.JACOBI_OFF_TOL,
-                                      config.JACOBI_MAX_SWEEPS)
-    if not ok:
-        raise EigenFailure("Jacobi iteration exhausted its sweep budget")
+    return 0.5 * (a + a.T)
+
+
+def _lapack(solver, a, **kwargs):
+    """Run a numpy.linalg solver, reporting its failure as EigenFailure."""
+    try:
+        return solver(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"LAPACK {solver.__name__} failed: {exc}") from exc
+
+
+def sym_eig_extremes(S):
+    """Minimum and maximum eigenvalues of a symmetric matrix."""
+    vals = _lapack(np.linalg.eigvalsh, _symmetric(S))
     return SymmetricSpectrum(float(vals[0]), float(vals[-1]))
 
 
+def sym_eig_min_vector(S):
+    """Smallest eigenvalue of a symmetric matrix and a unit eigenvector
+    for it."""
+    vals, vecs = _lapack(np.linalg.eigh, _symmetric(S))
+    return float(vals[0]), vecs[:, 0]
+
+
 def spectral_norm(M):
-    """Largest singular value, computed from the smaller Gram matrix."""
-    a = _as_matrix(M, "M")
-    if a.shape[0] <= a.shape[1]:
-        gram = a @ a.T
-    else:
-        gram = a.T @ a
-    gram = 0.5 * (gram + gram.T)
-    vals, ok = kernels.jacobi_eigvals(gram, config.JACOBI_OFF_TOL,
-                                      config.JACOBI_MAX_SWEEPS)
-    if not ok:
-        raise EigenFailure("Jacobi iteration exhausted its sweep budget")
-    return float(math.sqrt(max(float(vals[-1]), 0.0)))
+    """Largest singular value."""
+    return float(singular_values(M)[0])
 
 
 def kron(A, B):
@@ -97,25 +105,15 @@ def expm(M, t=1.0):
 
 def eigenvalues(M):
     """All eigenvalues of a real square matrix, sorted by (real, imag)."""
-    a = _square(M, "M")
-    n = a.shape[0]
-    if n > 16:
-        raise InvalidMatrix(f"eigenvalues supports n <= 16, got n = {n}")
-    w, ok = kernels.eig_qr(a, config.QR_MAX_SWEEPS_PER_N)
-    if not ok:
-        raise EigenFailure("QR iteration exhausted its sweep budget")
+    w = _lapack(np.linalg.eigvals, _square(M, "M")).astype(complex)
     order = np.lexsort((w.imag, w.real))
     return w[order]
 
 
 def singular_values(M):
-    """All singular values of a real matrix, sorted descending."""
-    a = _as_matrix(M, "M")
-    sig, ok = kernels.jacobi_singular_values(a, config.SVD_OFF_TOL,
-                                             config.SVD_MAX_SWEEPS)
-    if not ok:
-        raise EigenFailure("one-sided Jacobi exhausted its sweep budget")
-    return sig
+    """All min(rows, cols) singular values of a real matrix, sorted
+    descending."""
+    return _lapack(np.linalg.svd, _as_matrix(M, "M"), compute_uv=False)
 
 
 def check_stabilizable(A, B):

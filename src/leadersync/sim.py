@@ -134,13 +134,21 @@ def _check_memory(modes: int, L: int, d: int, n: int, Nm: int, n_open: int,
             f"sampling gap or the horizon, or raise grid_h or output_dt")
 
 
+# bytes gen_schedule holds per instant while it builds the schedule: a
+# list slot and a Python int per tick, then the float64 array and the
+# scaled copy it is multiplied into
+_SCHEDULE_BYTES_PER_INSTANT = 64
+
+
 def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
                  seed: int) -> SamplingSchedule:
     """Draw a deterministic aperiodic schedule covering the horizon.
 
     Each gap is l * grid_h with l drawn uniformly from
     {T_low/grid_h, ..., T_high/grid_h} by SplitMix64(seed). The same
-    arguments always reproduce the same instants bit for bit.
+    arguments always reproduce the same instants bit for bit. A horizon
+    that could need more instants than config.SIM_MEMORY_BUDGET bytes
+    hold raises InvalidSchedule before any is drawn.
     """
     if not grid_h > 0.0:
         raise InvalidSchedule(f"grid_h must be positive, got {grid_h}")
@@ -153,6 +161,17 @@ def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
         raise InvalidSchedule(f"horizon must be positive, got {horizon}")
     lo = _grid_ticks(T_low, grid_h, "T_low")
     hi = _grid_ticks(T_high, grid_h, "T_high")
+    # at most ceil(horizon / T_low) + 2 instants; bounded in floats so
+    # that an infinite horizon or an overflowing ratio is refused too
+    most = horizon / T_low + 3.0
+    need = most * _SCHEDULE_BYTES_PER_INSTANT
+    if not need <= config.SIM_MEMORY_BUDGET:
+        mib = 1 << 20
+        raise InvalidSchedule(
+            f"schedule may need {most:.0f} sampling instants "
+            f"({need / mib:.1f} MiB), above the budget of "
+            f"{config.SIM_MEMORY_BUDGET / mib:.0f} MiB; shorten the "
+            f"horizon or raise T_low")
     rng = SplitMix64(seed)
     ticks = [0]
     while ticks[-1] * grid_h < horizon:

@@ -10,7 +10,7 @@ from .errors import (CommonDNotFound, ContractionInfeasible,
                      DConstructionFailure, EnumerationTooLarge)
 from .graph import GroundedLaplacian, Topology, build_H, is_nonsingular_M, leader_reachable
 from .numerics.linalg import (_as_matrix, _square, solve_care, spectral_norm,
-                              sym_eig_extremes)
+                              sym_eig_extremes, sym_eig_min_vector)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,14 +52,26 @@ class ContractionParams:
     rho: float
 
 
-def _definiteness_margin(d: np.ndarray, mats) -> float:
-    """Smallest eigenvalue of D H + H^T D over the given matrices."""
+def _definiteness_margin(d: np.ndarray, mats, grad: bool = False):
+    """Smallest eigenvalue of D H + H^T D over the given matrices.
+
+    With grad, also returns a subgradient of that margin with respect
+    to u = log d at the graph attaining it: d lam_min / d u_i
+    = 2 d_i v_i (H v)_i for the unit eigenvector v of lam_min, exact
+    wherever lam_min is simple and attained by one graph.
+    """
     D = np.diag(d)
     margin = math.inf
     for H in mats:
         S = D @ H + H.T @ D
-        margin = min(margin, sym_eig_extremes(S).lambda_min)
-    return margin
+        if not grad:
+            margin = min(margin, sym_eig_extremes(S).lambda_min)
+            continue
+        lam, v = sym_eig_min_vector(S)
+        if lam < margin:
+            margin = lam
+            g = 2.0 * d * v * (H @ v)
+    return (margin, g) if grad else margin
 
 
 def construct_D(gl: GroundedLaplacian) -> np.ndarray:
@@ -121,30 +133,24 @@ def find_common_D(gls) -> np.ndarray:
         if _definiteness_margin(cand, mats) > 0.0:
             return cand
 
-    # projected ascent on log d; the objective is scale-invariant, so
-    # project back to max d = 1 after every step
+    # projected ascent on u = log d, kept at max u = 0 after every step.
+    # The objective is the margin at d = e^(u - max u); that projection
+    # divides the margin by e^(max u), so its subgradient is the
+    # helper's minus the margin at the argmax index of u
     u = np.log(candidates[-1])
     u -= np.max(u)
     best = np.exp(u)
-    best_margin = _definiteness_margin(best, mats)
+    margin, grad = _definiteness_margin(best, mats, grad=True)
+    best_margin = margin
     step = 0.25
-    eps = 1e-5
     for _ in range(500):
-        grad = np.zeros(n)
-        for i in range(n):
-            up = u.copy()
-            up[i] += eps
-            um = u.copy()
-            um[i] -= eps
-            f_up = _definiteness_margin(np.exp(up - np.max(up)), mats)
-            f_um = _definiteness_margin(np.exp(um - np.max(um)), mats)
-            grad[i] = (f_up - f_um) / (2.0 * eps)
+        grad[np.argmax(u)] -= margin
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0:
             break
         u = u + step * grad / gnorm
         u -= np.max(u)
-        margin = _definiteness_margin(np.exp(u), mats)
+        margin, grad = _definiteness_margin(np.exp(u), mats, grad=True)
         if margin > best_margin:
             best_margin = margin
             best = np.exp(u)
@@ -157,14 +163,52 @@ def find_common_D(gls) -> np.ndarray:
         "ascent search; one may still exist")
 
 
+def _ladder(a, b, mu1, mu2, pairs, D) -> SynthesisResult:
+    """Gain, sampling bound and every intermediate over (H, d) pairs:
+    each grounded Laplacian with the diagonal scaling that certifies
+    it. Extremes are taken over all pairs, so the bound holds for
+    every listed graph. Norms are spectral throughout, and Kronecker
+    factors use the product identity for their norms and extreme
+    eigenvalues."""
+    care = solve_care(a, b, mu1, mu2)
+    P = care.P
+    lam1 = min(_definiteness_margin(d, [H]) for H, d in pairs)
+    if not lam1 > 0.0:
+        raise DConstructionFailure(
+            f"D does not certify definiteness for every graph: "
+            f"lambda_min = {lam1:.3e}")
+    d_m = min(float(np.min(d)) for _, d in pairs)
+    d_M = max(float(np.max(d)) for _, d in pairs)
+    specP = sym_eig_extremes(P)
+    lam_m = d_m * specP.lambda_min
+    lam_M = d_M * specP.lambda_max
+
+    norm_A = spectral_norm(a)
+    norm_PBBP = spectral_norm(P @ b @ b.T @ P)
+    norm_BBP = spectral_norm(b @ b.T @ P)
+    alpha1 = mu1 * d_M / lam1
+    alpha2 = max(2.0 * alpha1 * spectral_norm(np.diag(d) @ H) * norm_PBBP
+                 for H, d in pairs)
+    alpha3 = alpha2 * alpha2 / (2.0 * d_m * mu2)
+    alpha4 = max((norm_A + alpha1 * spectral_norm(H) * norm_BBP) ** 2 / lam_m
+                 for H, _ in pairs)
+    c1 = d_m * mu2 / (2.0 * lam_M)
+    c2 = alpha3 * alpha4
+    T_bar = math.sqrt(c1 / c2)
+    K = alpha1 * (b.T @ P)
+    return SynthesisResult(
+        P=P, D=D, K=K, d_m=d_m, d_M=d_M, lam_m=lam_m, lam_M=lam_M,
+        lam1=lam1, alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
+        alpha4=alpha4, c1=c1, c2=c2, T_bar=T_bar, mu1=float(mu1),
+        mu2=float(mu2), care_residual=care.residual_norm)
+
+
 def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
     """Feedback gain K and maximum sampling interval T_bar.
 
     Evaluates the full parameter ladder for the given diagonal scaling
     over the listed grounded Laplacians; a static design is the
-    single-element list. Norms are spectral throughout, and Kronecker
-    factors use the product identity for their norms and extreme
-    eigenvalues.
+    single-element list.
     """
     if not (mu1 > 0.0 and mu2 > 0.0):
         raise ValueError(f"mu1 and mu2 must be positive, got {mu1}, {mu2}")
@@ -180,39 +224,7 @@ def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
         raise ValueError(f"D must have {N} entries, got {d.shape[0]}")
     if np.min(d) <= 0.0:
         raise ValueError("D entries must be strictly positive")
-
-    care = solve_care(a, b, mu1, mu2)
-    P = care.P
-
-    lam1 = _definiteness_margin(d, mats)
-    if not lam1 > 0.0:
-        raise DConstructionFailure(
-            f"D does not certify definiteness for every graph: "
-            f"lambda_min = {lam1:.3e}")
-    d_m = float(np.min(d))
-    d_M = float(np.max(d))
-    specP = sym_eig_extremes(P)
-    lam_m = d_m * specP.lambda_min
-    lam_M = d_M * specP.lambda_max
-
-    Dm = np.diag(d)
-    norm_A = spectral_norm(a)
-    norm_PBBP = spectral_norm(P @ b @ b.T @ P)
-    norm_BBP = spectral_norm(b @ b.T @ P)
-    alpha1 = mu1 * d_M / lam1
-    alpha2 = max(2.0 * alpha1 * spectral_norm(Dm @ H) * norm_PBBP for H in mats)
-    alpha3 = alpha2 * alpha2 / (2.0 * d_m * mu2)
-    alpha4 = max((norm_A + alpha1 * spectral_norm(H) * norm_BBP) ** 2 / lam_m
-                 for H in mats)
-    c1 = d_m * mu2 / (2.0 * lam_M)
-    c2 = alpha3 * alpha4
-    T_bar = math.sqrt(c1 / c2)
-    K = alpha1 * (b.T @ P)
-    return SynthesisResult(
-        P=P, D=d, K=K, d_m=d_m, d_M=d_M, lam_m=lam_m, lam_M=lam_M,
-        lam1=lam1, alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
-        alpha4=alpha4, c1=c1, c2=c2, T_bar=T_bar, mu1=float(mu1),
-        mu2=float(mu2), care_residual=care.residual_norm)
+    return _ladder(a, b, mu1, mu2, [(H, d) for H in mats], d)
 
 
 ENUMERATION_CAP = 3
@@ -236,52 +248,28 @@ def enumerate_admissible(N: int):
     return admissible
 
 
-def worst_case_params(A, B, mu1, mu2, N: int) -> SynthesisResult:
+def worst_case_params(A, B, mu1, mu2, N: int,
+                      topologies=None) -> SynthesisResult:
     """Graph-independent gain and sampling bound.
 
-    Enumerates every admissible digraph on N followers, constructs a
-    per-graph scaling, and aggregates the ladder extremes so the
-    result is valid for all of them. The aggregation is conservative:
-    the returned T_bar is at most every per-graph bound.
+    Enumerates every admissible digraph on N followers (or takes
+    topologies, that list as enumerate_admissible(N) returns it),
+    constructs a per-graph scaling, and aggregates the ladder extremes
+    so the result is valid for all of them. The aggregation is
+    conservative: the returned T_bar is at most every per-graph bound.
     """
     if not (mu1 > 0.0 and mu2 > 0.0):
         raise ValueError(f"mu1 and mu2 must be positive, got {mu1}, {mu2}")
     a = _square(A, "A")
     b = _as_matrix(B, "B")
-    topologies = enumerate_admissible(N)
-    care = solve_care(a, b, mu1, mu2)
-    P = care.P
-    specP = sym_eig_extremes(P)
-
+    if topologies is None:
+        topologies = enumerate_admissible(N)
     distinct = {}
     for t in topologies:
         gl = build_H(t)
         distinct.setdefault(gl.H.tobytes(), gl)
-    scalings = [(gl, construct_D(gl)) for gl in distinct.values()]
-
-    d_m = min(float(np.min(d)) for _, d in scalings)
-    d_M = max(float(np.max(d)) for _, d in scalings)
-    lam_m = min(float(np.min(d)) * specP.lambda_min for _, d in scalings)
-    lam_M = max(float(np.max(d)) * specP.lambda_max for _, d in scalings)
-    lam1 = min(_definiteness_margin(d, [gl.H]) for gl, d in scalings)
-    norm_A = spectral_norm(a)
-    norm_PBBP = spectral_norm(P @ b @ b.T @ P)
-    norm_BBP = spectral_norm(b @ b.T @ P)
-    alpha1 = mu1 * d_M / lam1
-    alpha2 = max(2.0 * alpha1 * spectral_norm(np.diag(d) @ gl.H) * norm_PBBP
-                 for gl, d in scalings)
-    alpha3 = alpha2 * alpha2 / (2.0 * d_m * mu2)
-    alpha4 = max((norm_A + alpha1 * spectral_norm(gl.H) * norm_BBP) ** 2 / lam_m
-                 for gl, _ in scalings)
-    c1 = d_m * mu2 / (2.0 * lam_M)
-    c2 = alpha3 * alpha4
-    T_bar = math.sqrt(c1 / c2)
-    K = alpha1 * (b.T @ P)
-    return SynthesisResult(
-        P=P, D=None, K=K, d_m=d_m, d_M=d_M, lam_m=lam_m, lam_M=lam_M,
-        lam1=lam1, alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
-        alpha4=alpha4, c1=c1, c2=c2, T_bar=T_bar, mu1=float(mu1),
-        mu2=float(mu2), care_residual=care.residual_norm)
+    pairs = [(gl.H, construct_D(gl)) for gl in distinct.values()]
+    return _ladder(a, b, mu1, mu2, pairs, None)
 
 
 def contraction_factor(beta1: float, beta2: float, h: float) -> ContractionParams:

@@ -34,19 +34,27 @@ def expm_taylor(M, t=1.0, tol=1e-16):
 
 
 def det_cofactor(M):
-    """Determinant by recursive cofactor expansion (small n only)."""
-    A = np.asarray(M, dtype=float)
-    n = A.shape[0]
+    """Determinant by recursive cofactor expansion (small n only).
+
+    The expansion runs on rows of Python floats instead of numpy
+    arrays, which only saves the indexing: every product and sum is the
+    same IEEE double operation in the same order, so the result is bit
+    for bit the one of the expansion on the array itself.
+    """
+    return _det_rows(np.asarray(M, dtype=float).tolist())
+
+
+def _det_rows(rows):
+    n = len(rows)
     if n == 1:
-        return float(A[0, 0])
+        return rows[0][0]
     if n == 2:
-        return float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     total = 0.0
-    idx = list(range(1, n))
+    rest = rows[1:]
     for j in range(n):
-        cols = [c for c in range(n) if c != j]
-        minor = A[np.ix_(idx, cols)]
-        total += ((-1.0) ** j) * A[0, j] * det_cofactor(minor)
+        minor = [r[:j] + r[j + 1:] for r in rest]
+        total += ((-1.0) ** j) * rows[0][j] * _det_rows(minor)
     return total
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -157,6 +158,30 @@ def test_simulate_refuses_table_over_memory_budget(workdir, capsys):
     # refused before the table was allocated
     assert peak < 32 * 2**20
     assert not (workdir / "huge_gap_trajectory.csv").exists()
+
+
+def test_simulate_refuses_schedule_over_memory_budget(workdir, capsys):
+    # 1e8 sampling gaps of one grid step: refused before any is drawn
+    sc = dataclasses.replace(static_demo(), name="long_run", T_low=0.001,
+                             grid_h=0.001, horizon=1e5, out_traj=None,
+                             out_sched=None)
+    path = workdir / "long_run.txt"
+    write_scenario(sc, path)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code = main(["simulate", "--scenario", str(path)])
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "configuration error" in err
+    assert "sampling instants" in err and "MiB" in err
+    assert peak < 8 * 2**20
+    assert elapsed < 10.0
+    assert not (workdir / "long_run_trajectory.csv").exists()
 
 
 # --------------------------------------------------------------- verify

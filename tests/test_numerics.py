@@ -125,6 +125,17 @@ def test_sym_eig_huge_scale_gap():
     assert math.isclose(spec.lambda_max, 1e150, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("wrapper, solver", [
+    (sym_eig_extremes, "eigvalsh"), (eigenvalues, "eigvals"),
+    (singular_values, "svd"), (spectral_norm, "svd")])
+def test_lapack_failure_is_typed(monkeypatch, wrapper, solver):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(EigenFailure, match="did not converge"):
+        wrapper(np.eye(3))
+
+
 # ---------------------------------------------------- norms and kron
 
 def test_spectral_norm_against_power_iteration():
@@ -196,6 +207,27 @@ def test_eigenvalues_sorted_lexicographically():
     M = np.diag([3.0, -1.0, 2.0])
     got = eigenvalues(M)
     assert np.allclose(got, [-1.0, 2.0, 3.0], atol=1e-12)
+
+
+def test_eigenvalues_beyond_sixteen():
+    # Q diag(blocks) Q^-1 with eight real eigenvalues and eight complex
+    # pairs, all at least 1 apart
+    rng = np.random.default_rng(42)
+    real = [-8.0, -6.0, -4.0, -2.0, 2.0, 4.0, 6.0, 8.0]
+    pairs = [(-7.0, 1.5), (-5.0, 2.5), (-3.0, 3.5), (-1.0, 1.0),
+             (1.0, 2.0), (3.0, 1.0), (5.0, 3.0), (7.0, 2.0)]
+    blocks = np.zeros((24, 24))
+    blocks[:8, :8] = np.diag(real)
+    for k, (re, im) in enumerate(pairs):
+        i = 8 + 2 * k
+        blocks[i:i + 2, i:i + 2] = [[re, im], [-im, re]]
+    Q = rng.standard_normal((24, 24)) + 6.0 * np.eye(24)
+    got = eigenvalues(Q @ blocks @ np.linalg.inv(Q))
+    want = np.array(real + [complex(re, s * im) for re, im in pairs
+                            for s in (-1.0, 1.0)])
+    want = want[np.lexsort((want.imag, want.real))]
+    assert got.shape == (24,)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 # --------------------------------------------------- singular values

@@ -137,6 +137,48 @@ def test_find_common_D_requires_input():
         find_common_D([])
 
 
+def _margin_fd(f, u, eps=1e-5):
+    """Central differences of f at u, one coordinate at a time."""
+    fd = np.empty(u.shape[0])
+    for i in range(u.shape[0]):
+        step = np.zeros(u.shape[0])
+        step[i] = eps
+        fd[i] = (f(u + step) - f(u - step)) / (2.0 * eps)
+    return fd
+
+
+def test_margin_subgradient_matches_central_differences():
+    rng = np.random.default_rng(303)
+    checked = 0
+    while checked < 30:
+        N = int(rng.integers(2, 7))
+        mats = [build_H(oracles.random_reachable_topology(N, rng)).H
+                for _ in range(int(rng.integers(1, 3)))]
+        u = rng.uniform(-1.5, -0.01, N)
+        k = int(rng.integers(N))
+        u[k] = 0.0
+        d = np.exp(u)
+        # lam_min simple, and attained by one graph, with room to spare
+        spectra = [np.linalg.eigvalsh(np.diag(d) @ H + H.T @ np.diag(d))
+                   for H in mats]
+        lows = sorted(float(w[0]) for w in spectra)
+        if min(float(w[1] - w[0]) for w in spectra) < 1e-3 or \
+                (len(lows) > 1 and lows[1] - lows[0] < 1e-3):
+            continue
+        margin, grad = _definiteness_margin(d, mats, grad=True)
+        assert math.isclose(margin, lows[0], rel_tol=1e-12, abs_tol=1e-14)
+        fd = _margin_fd(lambda x: _definiteness_margin(np.exp(x), mats), u)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6,
+                                   atol=1e-9 * np.max(np.abs(fd)))
+        # the ascent's objective, taken at the projection max d = 1
+        fd = _margin_fd(lambda x: _definiteness_margin(
+            np.exp(x - np.max(x)), mats), u)
+        grad[k] -= margin
+        np.testing.assert_allclose(grad, fd, rtol=1e-6,
+                                   atol=1e-9 * np.max(np.abs(fd)))
+        checked += 1
+
+
 # --------------------------------------------------------- synthesize
 
 def test_synthesize_scalar_ladder_by_hand():
