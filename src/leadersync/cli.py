@@ -7,7 +7,7 @@ configuration error, 4 I/O error.
 """
 
 import argparse
-import concurrent.futures
+import functools
 import os
 import sys
 
@@ -18,8 +18,9 @@ from .errors import (CommonDNotFound, EnumerationTooLarge, InvalidSchedule,
                      ScenarioError, UnreachableGraph)
 from .graph import build_H, leader_reachable
 from .scenario import Scenario, load_model, load_scenario
-from .sim import (SystemModel, gen_schedule, lyapunov_trace, simulate,
-                  write_schedule_csv, write_trajectory_csv)
+from .sim import (SystemModel, check_run_memory, gen_schedule,
+                  lyapunov_trace, simulate, write_schedule_csv,
+                  write_trajectory_csv)
 from .synthesis import (SynthesisResult, enumerate_admissible, find_common_D,
                         synthesize, worst_case_params)
 
@@ -143,6 +144,9 @@ def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
         warn.append(f"warning: over-bound sampling: T_high = {_g(sc.T_high)} "
                     f"exceeds T_bar = {_g(synth.T_bar)}; decay is not "
                     f"guaranteed")
+    check_run_memory(len(sc.topologies), sc.topologies[0].N, sc.A.shape[0],
+                     sc.B.shape[1], sc.T_low, sc.horizon, sc.grid_h,
+                     sc.output_dt)
     seed = sc.seed if seed_override is None else seed_override
     schedule = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, seed)
     result = simulate(SystemModel(sc.A, sc.B), sc.topologies, sc.signal, K,
@@ -227,45 +231,25 @@ def cmd_enumerate(model_path, followers, mu1=None, mu2=None):
     return EXIT_OK, "\n".join(lines) + "\n", ""
 
 
-def _run_one(kind, path, args):
-    try:
-        if kind == "synthesize":
-            return cmd_synthesize(path, args.out)
-        if kind == "simulate":
-            return cmd_simulate(path, args.out, args.seed)
-        return cmd_verify(path, args.out, args.seed)
-    except Exception as e:
-        code, msg = _map_exception(e)
-        return code, "", msg + "\n"
-
-
-def _scenario_command(kind, args) -> int:
-    paths = args.scenario
-    multi = len(paths) > 1
-    jobs = []
-    for path in paths:
-        sub_args = args
-        if multi and args.out:
-            sub_args = argparse.Namespace(**vars(args))
+def _commands(args) -> list:
+    """One call per scenario of a batch, in order, or the one
+    enumerate call. With --out, each scenario of a batch writes into
+    a subdirectory named after its file."""
+    if args.command == "enumerate":
+        return [functools.partial(cmd_enumerate, args.model, args.followers,
+                                  args.mu1, args.mu2)]
+    calls = []
+    for path in args.scenario:
+        out = args.out
+        if out and len(args.scenario) > 1:
             stem = os.path.splitext(os.path.basename(path))[0]
-            sub_args.out = os.path.join(args.out, stem)
-        jobs.append((path, sub_args))
-
-    if args.jobs > 1 and multi:
-        with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-            results = list(pool.map(
-                lambda pa: _run_one(kind, pa[0], pa[1]), jobs))
-    else:
-        results = [_run_one(kind, path, a) for path, a in jobs]
-
-    worst = EXIT_OK
-    for (code, out_text, err_text) in results:
-        if out_text:
-            sys.stdout.write(out_text)
-        if err_text:
-            sys.stderr.write(err_text)
-        worst = max(worst, code)
-    return worst
+            out = os.path.join(out, stem)
+        if args.command == "synthesize":
+            calls.append(functools.partial(cmd_synthesize, path, out))
+        else:
+            cmd = cmd_simulate if args.command == "simulate" else cmd_verify
+            calls.append(functools.partial(cmd, path, out, args.seed))
+    return calls
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel scenarios in batch mode")
+                       help="accepted for compatibility; scenarios always "
+                            "run one after another")
 
     add_scenario_opts(sub.add_parser(
         "synthesize", help="compute the gain and sampling bound"))
@@ -304,19 +289,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "enumerate":
+    worst = EXIT_OK
+    for call in _commands(args):
         try:
-            code, out_text, err_text = cmd_enumerate(
-                args.model, args.followers, args.mu1, args.mu2)
+            code, out_text, err_text = call()
         except Exception as e:
             code, msg = _map_exception(e)
             out_text, err_text = "", msg + "\n"
-        if out_text:
-            sys.stdout.write(out_text)
-        if err_text:
-            sys.stderr.write(err_text)
-        return code
-    return _scenario_command(args.command, args)
+        sys.stdout.write(out_text)
+        sys.stderr.write(err_text)
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

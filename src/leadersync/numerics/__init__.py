@@ -1,6 +1,6 @@
 """Dense numerics: eigensolvers, matrix exponential, Lyapunov and Riccati."""
 
-from . import config, kernels
+from . import config
 from .linalg import (CareSolution, SymmetricSpectrum, check_stabilizable,
                      eigenvalues, expm, kron, singular_values, solve_care,
                      solve_lyapunov, spectral_norm, sym_eig_extremes)
@@ -12,7 +12,6 @@ __all__ = [
     "config",
     "eigenvalues",
     "expm",
-    "kernels",
     "kron",
     "singular_values",
     "solve_care",

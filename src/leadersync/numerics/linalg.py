@@ -2,17 +2,19 @@
 
 Wrappers that validate inputs, enforce the tolerances in ``config``,
 and raise typed errors. Eigenvalues and singular values come from
-LAPACK through ``numpy.linalg``; the exponential and the matrix sign
-iteration are the numpy kernels in ``kernels``.
+LAPACK through ``numpy.linalg``; the exponential (scaling and squaring
+with an order-7 Pade core) and the matrix sign iteration are numpy
+code here.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from ..errors import (CareFailure, EigenFailure, InvalidMatrix, LyapunovSingular,
                       NotStabilizable, NumericalOverflow)
-from . import config, kernels
+from . import config
 
 
 @dataclass(frozen=True)
@@ -93,13 +95,40 @@ def kron(A, B):
     return np.kron(_as_matrix(A, "A"), _as_matrix(B, "B"))
 
 
+# order-7 Pade coefficients b0..b7 of e^x
+_PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
+          56.0, 1.0)
+
+
 def expm(M, t=1.0):
-    """Matrix exponential e^(M t) by scaling and squaring."""
-    a = _square(M, "M")
-    Mt = a * float(t)
-    E, ok = kernels.expm_pade7(Mt, config.EXPM_SCALED_NORM)
-    if not ok:
-        raise NumericalOverflow("matrix exponential overflowed the float range")
+    """Matrix exponential e^(M t) by scaling and squaring.
+
+    M t is scaled so its 1-norm is at most config.EXPM_SCALED_NORM, the
+    order-7 Pade approximant is taken, and the result is squared back.
+    """
+    overflow = "matrix exponential overflowed the float range"
+    a = _square(M, "M") * float(t)
+    nrm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(nrm):
+        raise NumericalOverflow(overflow)
+    s_pow = 0
+    if nrm > config.EXPM_SCALED_NORM:
+        s_pow = int(math.ceil(math.log2(nrm / config.EXPM_SCALED_NORM)))
+    A = a / (2.0 ** s_pow)
+    b0, b1, b2, b3, b4, b5, b6, b7 = _PADE7
+    eye = np.eye(a.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (b7 * A6 + b5 * A4 + b3 * A2 + b1 * eye)
+    V = b6 * A6 + b4 * A4 + b2 * A2 + b0 * eye
+    E = np.linalg.solve(V - U, V + U)
+    # an overflow is reported by the typed error, not by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s_pow):
+            E = E @ E
+    if not np.all(np.isfinite(E)):
+        raise NumericalOverflow(overflow)
     return E
 
 
@@ -118,12 +147,7 @@ def singular_values(M):
 
 def check_stabilizable(A, B):
     """True iff every eigenvalue of A with nonnegative real part is
-    controllable through B (rank test on the pencil [A - lambda I, B]).
-
-    Complex eigenvalues are handled through the real 2x blowup
-    [[Re, -Im], [Im, Re]], whose singular values come in duplicated
-    pairs, so the complex rank is half the real one.
-    """
+    controllable through B (rank test on the pencil [A - lambda I, B])."""
     a = _square(A, "A")
     b = _as_matrix(B, "B")
     n = a.shape[0]
@@ -133,17 +157,12 @@ def check_stabilizable(A, B):
     for lam in eigenvalues(a):
         if lam.real < -config.EIG_REAL_GUARD:
             continue
-        pencil = np.hstack([a - complex(lam) * eye, b.astype(complex)])
-        blowup = np.vstack([
-            np.hstack([pencil.real, -pencil.imag]),
-            np.hstack([pencil.imag, pencil.real]),
-        ])
-        sig = singular_values(blowup)
+        pencil = np.hstack([a - lam * eye, b])
+        sig = _lapack(np.linalg.svd, pencil, compute_uv=False)
         smax = float(sig[0])
         if smax == 0.0:
             return False
-        rank_real = int(np.sum(sig > config.RANK_REL_TOL * smax))
-        if rank_real // 2 < n:
+        if int(np.sum(sig > config.RANK_REL_TOL * smax)) < n:
             return False
     return True
 
@@ -176,6 +195,28 @@ def solve_lyapunov(M, Q):
     return X
 
 
+def _matrix_sign(W):
+    """Matrix sign of W by Newton iteration with determinant scaling,
+    stopped when the relative Frobenius change falls below
+    config.SIGN_CONV_TOL. A singular or non-finite iterate, or no
+    convergence within config.SIGN_MAX_ITER steps, raises CareFailure."""
+    n = W.shape[0]
+    X = W
+    for _ in range(config.SIGN_MAX_ITER):
+        ad = abs(np.linalg.det(X))
+        if not math.isfinite(ad) or ad == 0.0:
+            break
+        g = ad ** (-1.0 / n)
+        Xn = 0.5 * (g * X + (1.0 / g) * np.linalg.inv(X))
+        den = np.linalg.norm(Xn)
+        if not math.isfinite(den):
+            break
+        if np.linalg.norm(Xn - X) <= config.SIGN_CONV_TOL * den:
+            return Xn
+        X = Xn
+    raise CareFailure("matrix sign iteration did not converge")
+
+
 def solve_care(A, B, mu1, mu2):
     """Solve P A + A^T P - mu1 P B B^T P + mu2 I = 0 for the unique
     positive-definite P.
@@ -200,10 +241,7 @@ def solve_care(A, B, mu1, mu2):
     R = mu1 * (b @ b.T)
     eye = np.eye(n)
     W = np.block([[a, -R], [-mu2 * eye, -a.T]])
-    S, ok = kernels.matrix_sign_newton(W, config.SIGN_MAX_ITER,
-                                       config.SIGN_CONV_TOL)
-    if not ok:
-        raise CareFailure("matrix sign iteration did not converge")
+    S = _matrix_sign(W)
     lhs = np.vstack([S[:n, n:], S[n:, n:] + eye])
     rhs = -np.vstack([S[:n, :n] + eye, S[n:, :n]])
     P0, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)

@@ -104,9 +104,11 @@ def _grid_ticks(value, grid_h: float, what: str):
     """Snap a time, or an array of times, to its grid step count,
     rejecting off-grid values."""
     v = np.asarray(value, dtype=float)
-    k = np.rint(v / grid_h)
-    on_grid = np.abs(k * grid_h - v) <= \
-        config.GRID_DIV_TOL * np.maximum(1.0, np.abs(v))
+    # a ratio beyond the float range is off the grid, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.rint(v / grid_h)
+        on_grid = np.abs(k * grid_h - v) <= \
+            config.GRID_DIV_TOL * np.maximum(1.0, np.abs(v))
     if not np.all(on_grid):
         raise InvalidSchedule(
             f"{what} = {float(v[~on_grid].flat[0])} is not a whole number "
@@ -134,10 +136,53 @@ def _check_memory(modes: int, L: int, d: int, n: int, Nm: int, n_open: int,
             f"sampling gap or the horizon, or raise grid_h or output_dt")
 
 
+def _output_grid(horizon: float, grid_h: float, output_dt: float | None):
+    """Horizon and output pitch (default grid_h) in grid steps, and the
+    number of output rows at the pitch multiples and the horizon."""
+    hor = _grid_ticks(horizon, grid_h, "horizon")
+    out_dt = grid_h if output_dt is None else float(output_dt)
+    if not out_dt > 0.0:
+        raise InvalidSchedule(f"output_dt must be positive, got {out_dt}")
+    stride = _grid_ticks(out_dt, grid_h, "output_dt")
+    if stride < 1:
+        raise InvalidSchedule(f"output_dt = {out_dt} is below the grid pitch")
+    return hor, stride, hor // stride + 1 + int(hor % stride != 0)
+
+
 # bytes gen_schedule holds per instant while it builds the schedule: a
 # list slot and a Python int per tick, then the float64 array and the
 # scaled copy it is multiplied into
 _SCHEDULE_BYTES_PER_INSTANT = 64
+
+
+def _check_schedule_memory(T_low: float, horizon: float) -> None:
+    """Refuse a horizon that could need more sampling instants than
+    config.SIM_MEMORY_BUDGET bytes hold."""
+    # at most ceil(horizon / T_low) + 2 instants; bounded in floats so
+    # that an infinite horizon or an overflowing ratio is refused too
+    most = horizon / T_low + 3.0
+    need = most * _SCHEDULE_BYTES_PER_INSTANT
+    if not need <= config.SIM_MEMORY_BUDGET:
+        mib = 1 << 20
+        raise InvalidSchedule(
+            f"schedule may need {most:.0f} sampling instants "
+            f"({need / mib:.1f} MiB), above the budget of "
+            f"{config.SIM_MEMORY_BUDGET / mib:.0f} MiB; shorten the "
+            f"horizon or raise T_low")
+
+
+def check_run_memory(modes: int, N: int, n: int, m: int, T_low: float,
+                     horizon: float, grid_h: float,
+                     output_dt: float | None = None) -> None:
+    """The memory checks of gen_schedule and simulate that need no
+    schedule: the instants the horizon may need, then the output rows
+    at the output_dt multiples and the horizon with the tables of a
+    one-step run. Raises InvalidSchedule when either exceeds
+    config.SIM_MEMORY_BUDGET, so a run that gen_schedule or simulate
+    would refuse is refused before its schedule is drawn."""
+    _check_schedule_memory(T_low, horizon)
+    rows = _output_grid(horizon, grid_h, output_dt)[2]
+    _check_memory(modes, 0, N * n, n, N * m, 0, rows)
 
 
 def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
@@ -161,17 +206,7 @@ def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
         raise InvalidSchedule(f"horizon must be positive, got {horizon}")
     lo = _grid_ticks(T_low, grid_h, "T_low")
     hi = _grid_ticks(T_high, grid_h, "T_high")
-    # at most ceil(horizon / T_low) + 2 instants; bounded in floats so
-    # that an infinite horizon or an overflowing ratio is refused too
-    most = horizon / T_low + 3.0
-    need = most * _SCHEDULE_BYTES_PER_INSTANT
-    if not need <= config.SIM_MEMORY_BUDGET:
-        mib = 1 << 20
-        raise InvalidSchedule(
-            f"schedule may need {most:.0f} sampling instants "
-            f"({need / mib:.1f} MiB), above the budget of "
-            f"{config.SIM_MEMORY_BUDGET / mib:.0f} MiB; shorten the "
-            f"horizon or raise T_low")
+    _check_schedule_memory(T_low, horizon)
     rng = SplitMix64(seed)
     ticks = [0]
     while ticks[-1] * grid_h < horizon:
@@ -248,13 +283,7 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
         raise ValueError(f"x0_followers must be {N}x{n}, got {foll0.shape}")
 
     grid_h = schedule.grid_h
-    hor = _grid_ticks(schedule.horizon, grid_h, "horizon")
-    out_dt = grid_h if output_dt is None else float(output_dt)
-    if not out_dt > 0.0:
-        raise InvalidSchedule(f"output_dt must be positive, got {out_dt}")
-    stride = _grid_ticks(out_dt, grid_h, "output_dt")
-    if stride < 1:
-        raise InvalidSchedule(f"output_dt = {out_dt} is below the grid pitch")
+    hor, stride, grid_rows = _output_grid(schedule.horizon, grid_h, output_dt)
 
     ticks = _grid_ticks(schedule.instants, grid_h, "sampling instant")
     if ticks.size == 0 or ticks[0] != 0:
@@ -277,8 +306,7 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
 
     # output rows: the stride multiples, the horizon, every instant
     off_stride = used_ticks[used_ticks % stride != 0]
-    n_rows = (hor // stride + 1 + int(hor % stride != 0)
-              + int(np.count_nonzero(off_stride != hor)))
+    n_rows = grid_rows + int(np.count_nonzero(off_stride != hor))
     d = N * n
     L = int(steps.max()) if n_open else 0
     _check_memory(len(topologies), L, d, n, N * m, n_open, n_rows)

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import subprocess
 import sys
 import time
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leadersync import Topology, build_H, synthesize, write_scenario
 from leadersync.cli import main
@@ -184,6 +187,44 @@ def test_simulate_refuses_schedule_over_memory_budget(workdir, capsys):
     assert not (workdir / "long_run_trajectory.csv").exists()
 
 
+def test_simulate_refuses_output_rows_before_drawing_schedule(workdir,
+                                                              capsys):
+    # 4M gaps of one grid step fit the schedule budget, but 4M output
+    # rows do not: refused before a single instant is drawn
+    text = Path(STATIC).read_text()
+    text = text.replace("T_high 0.018", "T_high 0.001")
+    text = text.replace("horizon 30.0", "horizon 4000.0")
+    path = workdir / "long_rows.txt"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--scenario", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "configuration error" in err
+    assert "4000001 output rows" in err
+    assert peak < 16 * 2**20
+    assert not (workdir / "static_demo_trajectory.csv").exists()
+
+
+def test_times_beyond_the_grid_range_are_a_configuration_error(workdir,
+                                                                 capsys):
+    # 1e300 / 1e-10 overflows the float range: off the grid, not a numpy
+    # warning (the test settings turn warnings into errors)
+    text = Path(STATIC).read_text()
+    for key, value in (("T_low", "1e300"), ("T_high", "1e300"),
+                       ("grid_h", "1e-10"), ("horizon", "1e300")):
+        text = "\n".join(f"{key} {value}" if ln.startswith(key + " ")
+                         else ln for ln in text.splitlines()) + "\n"
+    path = workdir / "huge_times.txt"
+    path.write_text(text)
+    assert main(["simulate", "--scenario", str(path)]) == 3
+    assert "not a whole number of grid steps" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- verify
 
 def test_verify_passes_within_bound(workdir, capsys):
@@ -302,3 +343,52 @@ def test_module_entry_point(tmp_path, source_env):
         timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "T_bar 0.0185851" in proc.stdout
+
+
+# ----------------------------------------------------------------- fuzz
+
+FUZZ_BASE = Path(SWITCHING).read_text().replace("horizon 30.0",
+                                                "horizon 0.05")
+FUZZ_TOKENS = ["0", "1", "-1", "2", "4", "0.5", "0.001", "0.02", "1e-300",
+               "1e308", "-0.0", "nan", "inf", "x", "", "A", "B", "topology",
+               "phase", "period", "output_dt", "K", "D", "x5", "horizon"]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """The switching demo with a few tokens replaced, dropped or
+    inserted and lines duplicated. Replacements and insertions go
+    after the key, so most mutants parse and reach the numerics."""
+    lines = [ln.split(" ") for ln in FUZZ_BASE.splitlines()]
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(["replace", "replace", "drop", "insert",
+                                   "dup"]),
+                  st.integers(0, 10**6), st.integers(0, 10**6),
+                  st.sampled_from(FUZZ_TOKENS)),
+        min_size=1, max_size=3))
+    for op, i, j, tok in ops:
+        line = lines[i % len(lines)]
+        if op == "dup":
+            lines.insert(i % len(lines), list(line))
+        elif op == "insert":
+            line.insert(1 + j % (len(line) or 1), tok)
+        elif op == "drop":
+            if line:
+                del line[j % len(line)]
+        elif len(line) > 1:
+            line[1 + j % (len(line) - 1)] = tok
+    return "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(text=mutated_scenarios())
+def test_cli_never_raises_on_mutated_scenarios(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.txt"
+    path.write_text(text)
+    sink = io.StringIO()
+    for argv in (["verify", "--scenario", str(path)],
+                 ["enumerate", "--model", str(path), "--followers", "2"]):
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            code = main(argv)
+        assert isinstance(code, int) and 0 <= code <= 4, (argv, code)
