@@ -79,8 +79,13 @@ def leader_reachable(t: Topology) -> bool:
 def is_nonsingular_M(gl: GroundedLaplacian) -> bool:
     """True iff H is invertible with an elementwise nonnegative inverse
     (the defining property of a nonsingular M-matrix on Z-patterns)."""
+    return _all_nonsingular_M(gl.H)
+
+
+def _all_nonsingular_M(Hs) -> bool:
+    """is_nonsingular_M for every matrix of a (..., N, N) stack."""
     try:
-        inv = np.linalg.inv(gl.H)
+        inv = np.linalg.inv(Hs)
     except np.linalg.LinAlgError:
         return False
     if not np.all(np.isfinite(inv)):

@@ -19,10 +19,11 @@ from . import config
 
 @dataclass(frozen=True)
 class SymmetricSpectrum:
-    """Extreme eigenvalues of a symmetric matrix."""
+    """Extreme eigenvalues of a symmetric matrix: floats for one
+    matrix, arrays over the leading axes for a stack of them."""
 
-    lambda_min: float
-    lambda_max: float
+    lambda_min: float | np.ndarray
+    lambda_max: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,35 +34,41 @@ class CareSolution:
     residual_norm: float
 
 
-def _as_matrix(M, name="matrix"):
+def _as_matrix(M, name="matrix", stack=False):
+    """M as a finite float matrix; a scalar or a vector becomes one
+    column. With stack, a (..., rows, cols) stack of matrices is
+    accepted too."""
     a = np.asarray(M, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
         a = a.reshape(-1, 1)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+    if (a.ndim > 2 and not stack) or a.size == 0:
         raise InvalidMatrix(f"{name} must be a 2-D array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix(f"{name} contains non-finite entries")
     return a
 
 
-def _square(M, name="matrix"):
-    a = _as_matrix(M, name)
-    if a.shape[0] != a.shape[1]:
+def _square(M, name="matrix", stack=False):
+    a = _as_matrix(M, name, stack)
+    if a.shape[-2] != a.shape[-1]:
         raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
     return a
 
 
 def _symmetric(S):
-    """Symmetric part of S, which must be symmetric to within
-    config.SYM_INPUT_TOL relative to its largest entry."""
-    a = _square(S, "S")
-    asym = float(np.max(np.abs(a - a.T)))
-    scale = float(np.max(np.abs(a)))
-    if asym > config.SYM_INPUT_TOL * scale:
-        raise InvalidMatrix(f"S is not symmetric: max asymmetry {asym:.3e}")
-    return 0.5 * (a + a.T)
+    """Symmetric part of S, a matrix or a (..., n, n) stack of them.
+    Each matrix must be symmetric to within config.SYM_INPUT_TOL
+    relative to its own largest entry."""
+    a = _square(S, "S", stack=True)
+    at = a.swapaxes(-1, -2)
+    asym = np.max(np.abs(a - at), axis=(-2, -1))
+    bad = asym > config.SYM_INPUT_TOL * np.max(np.abs(a), axis=(-2, -1))
+    if np.any(bad):
+        raise InvalidMatrix(
+            f"S is not symmetric: max asymmetry {np.max(asym[bad]):.3e}")
+    return 0.5 * (a + at)
 
 
 def _lapack(solver, a, **kwargs):
@@ -72,22 +79,30 @@ def _lapack(solver, a, **kwargs):
         raise EigenFailure(f"LAPACK {solver.__name__} failed: {exc}") from exc
 
 
+def _per_matrix(x):
+    """A float for one matrix, the array of values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def sym_eig_extremes(S):
-    """Minimum and maximum eigenvalues of a symmetric matrix."""
+    """Minimum and maximum eigenvalues of a symmetric matrix, or of
+    each matrix of a (..., n, n) stack."""
     vals = _lapack(np.linalg.eigvalsh, _symmetric(S))
-    return SymmetricSpectrum(float(vals[0]), float(vals[-1]))
+    return SymmetricSpectrum(_per_matrix(vals[..., 0]),
+                             _per_matrix(vals[..., -1]))
 
 
 def sym_eig_min_vector(S):
     """Smallest eigenvalue of a symmetric matrix and a unit eigenvector
-    for it."""
+    for it, or both for each matrix of a (..., n, n) stack."""
     vals, vecs = _lapack(np.linalg.eigh, _symmetric(S))
-    return float(vals[0]), vecs[:, 0]
+    return _per_matrix(vals[..., 0]), vecs[..., :, 0]
 
 
 def spectral_norm(M):
-    """Largest singular value."""
-    return float(singular_values(M)[0])
+    """Largest singular value of a matrix, or of each matrix of a
+    (..., rows, cols) stack."""
+    return _per_matrix(singular_values(M)[..., 0])
 
 
 def kron(A, B):
@@ -141,8 +156,9 @@ def eigenvalues(M):
 
 def singular_values(M):
     """All min(rows, cols) singular values of a real matrix, sorted
-    descending."""
-    return _lapack(np.linalg.svd, _as_matrix(M, "M"), compute_uv=False)
+    descending, or of each matrix of a (..., rows, cols) stack."""
+    return _lapack(np.linalg.svd, _as_matrix(M, "M", stack=True),
+                   compute_uv=False)
 
 
 def check_stabilizable(A, B):

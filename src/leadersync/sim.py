@@ -17,7 +17,7 @@ from .errors import IncompleteTrace, InvalidSchedule
 from .graph import SwitchingSignal, build_H, signal_mode
 from .numerics import config
 from .numerics.linalg import _as_matrix, _square, expm, kron
-from .synthesis import SynthesisResult
+from .synthesis import SynthesisResult, _rho
 
 MASK64 = (1 << 64) - 1
 
@@ -507,8 +507,7 @@ def lyapunov_trace(result: SimulationResult, D, P,
     beta1 = synth.c1
     beta2 = synth.c2 * result.schedule.T_high ** 2
     h = result.schedule.T_low
-    r = beta2 / beta1
-    rho = (1.0 - r) * math.exp(-beta1 * h) + r
+    rho = _rho(beta1, beta2, h)
     feasible = beta2 < beta1
     threshold = rho if feasible else 1.0
     return ContractionReport(

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import (CommonDNotFound, ContractionInfeasible,
                      DConstructionFailure, EnumerationTooLarge)
-from .graph import GroundedLaplacian, Topology, build_H, is_nonsingular_M, leader_reachable
+from .graph import GroundedLaplacian, Topology, _all_nonsingular_M
 from .numerics.linalg import (_as_matrix, _square, solve_care, spectral_norm,
                               sym_eig_extremes, sym_eig_min_vector)
 
@@ -52,26 +52,23 @@ class ContractionParams:
     rho: float
 
 
-def _definiteness_margin(d: np.ndarray, mats, grad: bool = False):
-    """Smallest eigenvalue of D H + H^T D over the given matrices.
+def _definiteness_margin(d, mats, grad=False):
+    """Smallest eigenvalue of D H + H^T D over a stack of matrices H.
 
-    With grad, also returns a subgradient of that margin with respect
-    to u = log d at the graph attaining it: d lam_min / d u_i
-    = 2 d_i v_i (H v)_i for the unit eigenvector v of lam_min, exact
-    wherever lam_min is simple and attained by one graph.
+    d is one scaling for every matrix, shape (N,), or one per matrix,
+    shape (G, N). With grad and one d, also returns a subgradient of
+    that margin with respect to u = log d at the graph attaining it:
+    d lam_min / d u_i = 2 d_i v_i (H v)_i for the unit eigenvector v of
+    lam_min, exact wherever lam_min is simple and attained by one graph.
     """
-    D = np.diag(d)
-    margin = math.inf
-    for H in mats:
-        S = D @ H + H.T @ D
-        if not grad:
-            margin = min(margin, sym_eig_extremes(S).lambda_min)
-            continue
-        lam, v = sym_eig_min_vector(S)
-        if lam < margin:
-            margin = lam
-            g = 2.0 * d * v * (H @ v)
-    return (margin, g) if grad else margin
+    Hs = np.asarray(mats, dtype=float)
+    DH = np.asarray(d, dtype=float)[..., :, None] * Hs
+    S = DH + DH.swapaxes(-1, -2)
+    if not grad:
+        return float(np.min(sym_eig_extremes(S).lambda_min))
+    lams, vecs = sym_eig_min_vector(S)
+    k = int(np.argmin(lams))
+    return float(lams[k]), 2.0 * d * vecs[k] * (Hs[k] @ vecs[k])
 
 
 def construct_D(gl: GroundedLaplacian) -> np.ndarray:
@@ -82,22 +79,27 @@ def construct_D(gl: GroundedLaplacian) -> np.ndarray:
     Valid for any nonsingular M-matrix: both solves are elementwise
     positive and the scaled sum is a symmetric M-matrix.
     """
-    H = gl.H
-    if not is_nonsingular_M(gl):
+    return _scalings(gl.H[None])[0][0]
+
+
+def _scalings(Hs):
+    """construct_D for each grounded Laplacian of a (G, N, N) stack,
+    and the smallest definiteness margin over the stack. Any matrix
+    that fails raises DConstructionFailure."""
+    if not _all_nonsingular_M(Hs):
         raise DConstructionFailure("input is not a nonsingular M-matrix")
-    n = H.shape[0]
-    ones = np.ones(n)
-    w = np.linalg.solve(H, ones)
-    z = np.linalg.solve(H.T, ones)
+    ones = np.ones(Hs.shape[:-1] + (1,))
+    w = np.linalg.solve(Hs, ones)[..., 0]
+    z = np.linalg.solve(Hs.swapaxes(-1, -2), ones)[..., 0]
     if np.min(w) <= 0.0 or np.min(z) <= 0.0:
         raise DConstructionFailure("inverse row or column sums are not positive")
     d = z / w
-    d = d / np.max(d)
-    margin = _definiteness_margin(d, [H])
+    d = d / np.max(d, axis=-1, keepdims=True)
+    margin = _definiteness_margin(d, Hs)
     if not margin > 0.0:
         raise DConstructionFailure(
             f"definiteness verification failed: lambda_min = {margin:.3e}")
-    return d
+    return d, margin
 
 
 def find_common_D(gls) -> np.ndarray:
@@ -163,22 +165,22 @@ def find_common_D(gls) -> np.ndarray:
         "ascent search; one may still exist")
 
 
-def _ladder(a, b, mu1, mu2, pairs, D) -> SynthesisResult:
-    """Gain, sampling bound and every intermediate over (H, d) pairs:
-    each grounded Laplacian with the diagonal scaling that certifies
-    it. Extremes are taken over all pairs, so the bound holds for
-    every listed graph. Norms are spectral throughout, and Kronecker
-    factors use the product identity for their norms and extreme
-    eigenvalues."""
+def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D) -> SynthesisResult:
+    """Gain, sampling bound and every intermediate over a (G, N, N)
+    stack Hs of grounded Laplacians with the diagonal scalings ds that
+    certify them: one (N,) scaling for all, or (G, N), one per graph.
+    lam1 is the smallest margin lam_min(D H + H^T D) over the stack.
+    Extremes are taken over the stack, so the bound holds for every
+    graph in it. Norms are spectral throughout, and Kronecker factors
+    use the product identity for their norms and extreme eigenvalues."""
     care = solve_care(a, b, mu1, mu2)
     P = care.P
-    lam1 = min(_definiteness_margin(d, [H]) for H, d in pairs)
     if not lam1 > 0.0:
         raise DConstructionFailure(
             f"D does not certify definiteness for every graph: "
             f"lambda_min = {lam1:.3e}")
-    d_m = min(float(np.min(d)) for _, d in pairs)
-    d_M = max(float(np.max(d)) for _, d in pairs)
+    d_m = float(np.min(ds))
+    d_M = float(np.max(ds))
     specP = sym_eig_extremes(P)
     lam_m = d_m * specP.lambda_min
     lam_M = d_M * specP.lambda_max
@@ -186,12 +188,14 @@ def _ladder(a, b, mu1, mu2, pairs, D) -> SynthesisResult:
     norm_A = spectral_norm(a)
     norm_PBBP = spectral_norm(P @ b @ b.T @ P)
     norm_BBP = spectral_norm(b @ b.T @ P)
+    # each term below grows with its graph's norm, so the largest
+    # norm gives the largest term
+    norm_DH = float(np.max(spectral_norm(ds[..., :, None] * Hs)))
+    norm_H = float(np.max(spectral_norm(Hs)))
     alpha1 = mu1 * d_M / lam1
-    alpha2 = max(2.0 * alpha1 * spectral_norm(np.diag(d) @ H) * norm_PBBP
-                 for H, d in pairs)
+    alpha2 = 2.0 * alpha1 * norm_DH * norm_PBBP
     alpha3 = alpha2 * alpha2 / (2.0 * d_m * mu2)
-    alpha4 = max((norm_A + alpha1 * spectral_norm(H) * norm_BBP) ** 2 / lam_m
-                 for H, _ in pairs)
+    alpha4 = (norm_A + alpha1 * norm_H * norm_BBP) ** 2 / lam_m
     c1 = d_m * mu2 / (2.0 * lam_M)
     c2 = alpha3 * alpha4
     T_bar = math.sqrt(c1 / c2)
@@ -217,59 +221,98 @@ def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
     Hs = list(Hs)
     if not Hs:
         raise ValueError("at least one grounded Laplacian is required")
-    mats = [g.H for g in Hs]
-    N = mats[0].shape[0]
+    mats = np.array([g.H for g in Hs])
+    N = mats.shape[-1]
     d = np.asarray(D, dtype=float).reshape(-1)
     if d.shape[0] != N:
         raise ValueError(f"D must have {N} entries, got {d.shape[0]}")
     if np.min(d) <= 0.0:
         raise ValueError("D entries must be strictly positive")
-    return _ladder(a, b, mu1, mu2, [(H, d) for H in mats], d)
+    return _ladder(a, b, mu1, mu2, mats, d, _definiteness_margin(d, mats), d)
 
 
 ENUMERATION_CAP = 3
 
 
-def enumerate_admissible(N: int):
-    """Every digraph on one leader and N followers in which all
-    followers are reachable from the leader."""
+def _admissible_masks(N: int):
+    """The N*N follower-target edges (j, i), i >= 1, in bit order, and
+    the increasing bitmasks of the sets of them that leave every
+    follower reachable from the leader. Edges into the leader neither
+    reach build_H nor change reachability, so none is enumerated."""
     if N < 1:
         raise ValueError(f"follower count must be at least 1, got {N}")
     if N > ENUMERATION_CAP:
         raise EnumerationTooLarge(
             f"enumeration supports at most {ENUMERATION_CAP} followers, got {N}")
-    pairs = [(j, i) for j in range(N + 1) for i in range(N + 1) if j != i]
-    admissible = []
-    for bits in range(1 << len(pairs)):
-        edges = frozenset(pairs[k] for k in range(len(pairs)) if (bits >> k) & 1)
-        t = Topology(N, edges)
-        if leader_reachable(t):
-            admissible.append(t)
-    return admissible
+    pairs = [(j, i) for i in range(1, N + 1) for j in range(N + 1) if j != i]
+    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    # out[j]: the nodes that node j sends to, as a bitmask per edge set
+    out = np.zeros((N + 1, masks.size), dtype=np.int64)
+    for k, (j, i) in enumerate(pairs):
+        out[j] |= ((masks >> k) & 1) << i
+    # integer closure from the leader; a path needs at most N edges and
+    # each sweep over the nodes extends every path by at least one
+    reach = np.ones_like(masks)
+    for _ in range(N):
+        for j in range(N + 1):
+            reach |= np.where((reach >> j) & 1, out[j], 0)
+    return pairs, masks[reach == (1 << (N + 1)) - 1]
 
 
-def worst_case_params(A, B, mu1, mu2, N: int,
-                      topologies=None) -> SynthesisResult:
+def _edges(pairs, bits):
+    return [p for k, p in enumerate(pairs) if (bits >> k) & 1]
+
+
+def admissible_laplacians(N: int):
+    """Number of admissible digraphs on N followers and the (G, N, N)
+    stack of their distinct grounded Laplacians.
+
+    A set of follower-target edges fixes H and H fixes the set, so G
+    is the number of admissible sets. Each stands for 2^N digraphs, one
+    per set of edges into the leader, so the count is G << N.
+    """
+    pairs, masks = _admissible_masks(N)
+    Hs = np.zeros((masks.size, N, N), dtype=np.int64)
+    for k, (j, i) in enumerate(pairs):
+        bit = (masks >> k) & 1
+        Hs[:, i - 1, i - 1] += bit
+        if j:
+            Hs[:, i - 1, j - 1] -= bit
+    return masks.size << N, Hs.astype(float)
+
+
+def enumerate_admissible(N: int):
+    """Every digraph on one leader and N followers in which all
+    followers are reachable from the leader: each admissible set of
+    follower-target edges with each set of edges into the leader."""
+    pairs, masks = _admissible_masks(N)
+    into_leader = [(i, 0) for i in range(1, N + 1)]
+    return [Topology(N, frozenset(_edges(pairs, m) + _edges(into_leader, lm)))
+            for m in masks.tolist() for lm in range(1 << N)]
+
+
+def worst_case_params(A, B, mu1, mu2, N: int) -> SynthesisResult:
     """Graph-independent gain and sampling bound.
 
-    Enumerates every admissible digraph on N followers (or takes
-    topologies, that list as enumerate_admissible(N) returns it),
-    constructs a per-graph scaling, and aggregates the ladder extremes
-    so the result is valid for all of them. The aggregation is
-    conservative: the returned T_bar is at most every per-graph bound.
+    Runs the ladder once over the grounded Laplacians of every
+    admissible digraph on N followers, each with its own quotient
+    scaling, so the result is valid for all of them. The aggregation
+    is conservative: the returned T_bar is at most every per-graph
+    bound.
     """
     if not (mu1 > 0.0 and mu2 > 0.0):
         raise ValueError(f"mu1 and mu2 must be positive, got {mu1}, {mu2}")
     a = _square(A, "A")
     b = _as_matrix(B, "B")
-    if topologies is None:
-        topologies = enumerate_admissible(N)
-    distinct = {}
-    for t in topologies:
-        gl = build_H(t)
-        distinct.setdefault(gl.H.tobytes(), gl)
-    pairs = [(gl.H, construct_D(gl)) for gl in distinct.values()]
-    return _ladder(a, b, mu1, mu2, pairs, None)
+    _, Hs = admissible_laplacians(N)
+    ds, lam1 = _scalings(Hs)
+    return _ladder(a, b, mu1, mu2, Hs, ds, lam1, None)
+
+
+def _rho(beta1: float, beta2: float, h: float) -> float:
+    """(1 - beta2/beta1) e^(-beta1 h) + beta2/beta1, unchecked."""
+    ratio = beta2 / beta1
+    return (1.0 - ratio) * math.exp(-beta1 * h) + ratio
 
 
 def contraction_factor(beta1: float, beta2: float, h: float) -> ContractionParams:
@@ -284,10 +327,8 @@ def contraction_factor(beta1: float, beta2: float, h: float) -> ContractionParam
             f"beta2 = {beta2} must be strictly below beta1 = {beta1}")
     if not h > 0.0:
         raise ContractionInfeasible(f"h must be positive, got {h}")
-    ratio = beta2 / beta1
-    rho = (1.0 - ratio) * math.exp(-beta1 * h) + ratio
     return ContractionParams(beta1=float(beta1), beta2=float(beta2),
-                             h=float(h), rho=float(rho))
+                             h=float(h), rho=float(_rho(beta1, beta2, h)))
 
 
 def verify_comparison_lemma(beta1: float, beta2: float, schedule, W0: float,

@@ -150,6 +150,20 @@ def reachable_closure(N, edges):
     return all(R[0, i] for i in range(1, size))
 
 
+def enumerate_bruteforce(N):
+    """Every edge set on one leader and N followers, edges into the
+    leader included, in which all followers are reachable: a loop over
+    all 2^(N(N+1)) sets, each checked by reachable_closure."""
+    pairs = [(j, i) for j in range(N + 1) for i in range(N + 1) if j != i]
+    found = []
+    for bits in range(1 << len(pairs)):
+        edges = frozenset(pairs[k] for k in range(len(pairs))
+                          if (bits >> k) & 1)
+        if reachable_closure(N, edges):
+            found.append(edges)
+    return found
+
+
 def solve_gauss(A, b):
     """Linear solve by Gauss-Jordan elimination with partial pivoting."""
     M = np.hstack([np.asarray(A, dtype=float),

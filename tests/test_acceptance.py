@@ -182,13 +182,7 @@ def test_criterion_09_enumeration(capsys):
 
     from leadersync import enumerate_admissible
     tops = enumerate_admissible(2)
-    pairs = [(j, i) for j in range(3) for i in range(3) if j != i]
-    count = 0
-    for bits in range(1 << len(pairs)):
-        edges = {pairs[k] for k in range(len(pairs)) if (bits >> k) & 1}
-        if oracles.reachable_closure(2, edges):
-            count += 1
-    assert len(tops) == count
+    assert len(tops) == len(oracles.enumerate_bruteforce(2))
 
 
 def test_criterion_10_failure_paths(tmp_path, capsys):

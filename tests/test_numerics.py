@@ -125,6 +125,46 @@ def test_sym_eig_huge_scale_gap():
     assert math.isclose(spec.lambda_max, 1e150, rel_tol=1e-12)
 
 
+def test_stacked_wrappers_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(24)
+    S = rng.standard_normal((7, 4, 4))
+    S = S + S.swapaxes(1, 2)
+    M = rng.standard_normal((7, 3, 5))
+    spec = sym_eig_extremes(S)
+    assert spec.lambda_min.shape == spec.lambda_max.shape == (7,)
+    norms = spectral_norm(M)
+    sig = singular_values(M)
+    assert sig.shape == (7, 3)
+    for k in range(7):
+        one = sym_eig_extremes(S[k])
+        assert isinstance(one.lambda_min, float)
+        assert spec.lambda_min[k] == one.lambda_min
+        assert spec.lambda_max[k] == one.lambda_max
+        assert norms[k] == spectral_norm(M[k])
+        assert np.array_equal(sig[k], singular_values(M[k]))
+
+
+def test_stacked_wrappers_check_every_slice():
+    good = np.eye(2)
+    for bad in (np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                np.array([[1.0, np.inf], [np.inf, 1.0]])):
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            sym_eig_extremes(np.stack([good, bad]))
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            spectral_norm(np.stack([good, bad]))
+    with pytest.raises(InvalidMatrix, match="not symmetric"):
+        sym_eig_extremes(np.stack([good, [[1.0, 2.0], [0.0, 1.0]]]))
+    # symmetry is judged against each matrix's own scale: this slice is
+    # asymmetric for its size, though not beside a 1e6 neighbour
+    skew = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    with pytest.raises(InvalidMatrix, match="not symmetric"):
+        sym_eig_extremes(np.stack([1e6 * good, skew]))
+    with pytest.raises(InvalidMatrix):
+        sym_eig_extremes(np.zeros((0, 2, 2)))
+    with pytest.raises(InvalidMatrix, match="square"):
+        sym_eig_extremes(np.zeros((3, 2, 3)))
+
+
 @pytest.mark.parametrize("wrapper, solver", [
     (sym_eig_extremes, "eigvalsh"), (eigenvalues, "eigvals"),
     (singular_values, "svd"), (spectral_norm, "svd")])
@@ -134,6 +174,9 @@ def test_lapack_failure_is_typed(monkeypatch, wrapper, solver):
     monkeypatch.setattr(np.linalg, solver, fail)
     with pytest.raises(EigenFailure, match="did not converge"):
         wrapper(np.eye(3))
+    if wrapper is not eigenvalues:
+        with pytest.raises(EigenFailure, match="did not converge"):
+            wrapper(np.stack([np.eye(3), np.eye(3)]))
 
 
 # ---------------------------------------------------- norms and kron

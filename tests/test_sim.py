@@ -1,16 +1,17 @@
 import dataclasses
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from leadersync import (IncompleteTrace, InvalidSchedule, SamplingSchedule,
                         SwitchingSignal, SystemModel, Topology, build_H,
-                        gen_schedule, leader_trajectory, lyapunov_trace,
-                        simulate, synthesize, write_schedule_csv,
-                        write_trajectory_csv)
+                        contraction_factor, gen_schedule, leader_trajectory,
+                        lyapunov_trace, simulate, synthesize,
+                        write_schedule_csv, write_trajectory_csv)
 from leadersync.numerics import kron
-from leadersync.sim import SplitMix64
+from leadersync.sim import MASK64, SplitMix64
 
 import oracles
 
@@ -105,6 +106,28 @@ def test_gen_schedule_rejects_bad_arguments():
         gen_schedule(0.1, 0.2, 0.01, -1.0, 0)
     with pytest.raises(InvalidSchedule):
         gen_schedule(0.015, 0.2, 0.01, 1.0, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(grid_h=st.sampled_from([0.001, 0.004, 0.01, 0.05, 0.1]),
+       lo=st.integers(1, 25), spread=st.integers(0, 40),
+       horizon=st.floats(1e-4, 2.0), seed=st.integers(0, MASK64))
+def test_gen_schedule_gap_bounds_property(grid_h, lo, spread, horizon, seed):
+    hi = lo + spread
+    T_low, T_high = lo * grid_h, hi * grid_h
+    s = gen_schedule(T_low, T_high, grid_h, horizon, seed)
+    inst = s.instants
+    assert inst[0] == 0.0
+    assert np.all(np.diff(inst) > 0.0)
+    ticks = np.rint(inst / grid_h)
+    assert np.array_equal(ticks * grid_h, inst)
+    gaps = np.diff(ticks)
+    assert gaps.min() >= lo and gaps.max() <= hi
+    assert inst[-1] >= horizon
+    assert inst[-2] < horizon
+    again = gen_schedule(T_low, T_high, grid_h, horizon, seed)
+    assert np.array_equal(again.instants, inst)
+    assert again.seed == s.seed == seed
 
 
 # ------------------------------------------------------------ simulate
@@ -369,6 +392,17 @@ def test_lyapunov_trace_reports_over_bound_run():
     assert not rep.bound_feasible
     assert rep.rho_threshold == 1.0
     assert not rep.passed
+
+
+def test_lyapunov_trace_rho_is_the_contraction_factor():
+    synth = _synth_static()
+    sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 5)
+    res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
+                   X0L, X0F)
+    rep = lyapunov_trace(res, synth.D, synth.P, synth)
+    cf = contraction_factor(synth.c1, synth.c2 * 0.018 ** 2, 0.001)
+    assert rep.bound_feasible
+    assert rep.rho == rep.rho_threshold == cf.rho
 
 
 def test_lyapunov_trace_accepts_diagonal_matrix_D():

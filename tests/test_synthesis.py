@@ -9,7 +9,8 @@ from leadersync import (CommonDNotFound, ContractionInfeasible,
                         contraction_factor, enumerate_admissible,
                         find_common_D, leader_reachable, synthesize,
                         verify_comparison_lemma, worst_case_params)
-from leadersync.synthesis import _definiteness_margin
+from leadersync.synthesis import (_definiteness_margin, _scalings,
+                                  admissible_laplacians)
 
 import oracles
 
@@ -263,13 +264,23 @@ def test_enumerate_single_follower():
 
 def test_enumerate_two_followers_against_bruteforce():
     tops = enumerate_admissible(2)
-    pairs = [(j, i) for j in range(3) for i in range(3) if j != i]
-    count = 0
-    for bits in range(1 << len(pairs)):
-        edges = {pairs[k] for k in range(len(pairs)) if (bits >> k) & 1}
-        if oracles.reachable_closure(2, edges):
-            count += 1
+    count = len(oracles.enumerate_bruteforce(2))
     assert len(tops) == count == 32
+
+
+@pytest.mark.parametrize("N, count, distinct", [(1, 2, 1), (2, 32, 8),
+                                                (3, 2432, 304)])
+def test_enumeration_matches_closure_oracle(N, count, distinct):
+    oracle = oracles.enumerate_bruteforce(N)
+    assert len(oracle) == count
+    assert {t.edges for t in enumerate_admissible(N)} == set(oracle)
+    got_count, Hs = admissible_laplacians(N)
+    assert got_count == count
+    assert Hs.shape == (distinct, N, N) and Hs.dtype == np.float64
+    want = {build_H(Topology(N, e)).H.tobytes() for e in oracle}
+    got = {H.tobytes() for H in Hs}
+    assert len(want) == len(got) == distinct
+    assert got == want
 
 
 def test_enumerate_rejects_large_and_invalid():
@@ -286,6 +297,69 @@ def test_worst_case_single_follower_equals_static():
     assert np.allclose(res_w.K, res_s.K, rtol=1e-12)
     assert math.isclose(res_w.T_bar, res_s.T_bar, rel_tol=1e-12)
     assert res_w.D is None
+
+
+def _per_graph_worst_case(A, B, mu1, mu2, N):
+    """worst_case_params one graph at a time: construct_D and synthesize
+    on each distinct grounded Laplacian, extremes taken by min and max,
+    norms from numpy.linalg."""
+    distinct = {}
+    for t in enumerate_admissible(N):
+        gl = build_H(t)
+        distinct.setdefault(gl.H.tobytes(), gl)
+    runs = []
+    for gl in distinct.values():
+        d = construct_D(gl)
+        runs.append((gl.H, d, synthesize(A, B, mu1, mu2, d, [gl])))
+    P = runs[0][2].P
+    two = lambda M: np.linalg.norm(M, 2)
+    lam1 = min(r.lam1 for _, _, r in runs)
+    d_m = min(r.d_m for _, _, r in runs)
+    d_M = max(r.d_M for _, _, r in runs)
+    lamP = np.linalg.eigvalsh(P)
+    lam_m, lam_M = d_m * lamP[0], d_M * lamP[-1]
+    alpha1 = mu1 * d_M / lam1
+    alpha2 = max(2.0 * alpha1 * two(np.diag(d) @ H) * two(P @ B @ B.T @ P)
+                 for H, d, _ in runs)
+    alpha3 = alpha2 ** 2 / (2.0 * d_m * mu2)
+    alpha4 = max((two(A) + alpha1 * two(H) * two(B @ B.T @ P)) ** 2 / lam_m
+                 for H, _, _ in runs)
+    c1 = d_m * mu2 / (2.0 * lam_M)
+    c2 = alpha3 * alpha4
+    return dict(P=P, K=alpha1 * (B.T @ P), d_m=d_m, d_M=d_M, lam_m=lam_m,
+                lam_M=lam_M, lam1=lam1, alpha1=alpha1, alpha2=alpha2,
+                alpha3=alpha3, alpha4=alpha4, c1=c1, c2=c2,
+                T_bar=math.sqrt(c1 / c2), mu1=mu1, mu2=mu2,
+                care_residual=runs[0][2].care_residual)
+
+
+# the ascent-pair benchmark model carries the demo matrices; the ring
+# matrices add a second input
+A_RING = np.array([[-0.38, 0.72, 0.05, 0.0], [-0.68, 0.42, 0.0, 0.0],
+                   [0.0, 0.0, -0.38, 0.72], [0.0, 0.05, -0.68, 0.42]])
+B_RING = np.array([[0.26, 0.0], [0.31, 0.0], [0.0, 0.26], [0.0, 0.31]])
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("A, B", [(A_DEMO, B_DEMO), (A_RING, B_RING)],
+                         ids=["demo", "ring"])
+def test_worst_case_stacked_matches_per_graph(A, B, N):
+    res = worst_case_params(A, B, 1.0, 1.0, N)
+    want = _per_graph_worst_case(A, B, 1.0, 1.0, N)
+    assert res.D is None
+    for key, value in want.items():
+        np.testing.assert_allclose(getattr(res, key), value, rtol=1e-12,
+                                   atol=0.0, err_msg=key)
+
+
+def test_stacked_scalings_reject_a_bad_slice():
+    good = build_H(Topology(2, frozenset([(0, 1), (1, 2)]))).H
+    singular = build_H(Topology(2, frozenset([(0, 1)]))).H
+    not_M = np.array([[1.0, 2.0], [0.0, 1.0]])
+    assert _scalings(np.stack([good, good]))[1] > 0.0
+    for bad in (singular, not_M):
+        with pytest.raises(DConstructionFailure, match="M-matrix"):
+            _scalings(np.stack([good, bad, good]))
 
 
 def test_worst_case_bound_covers_every_graph():
