@@ -6,51 +6,23 @@ switching directed networks, simulates the closed loop exactly, and
 verifies the promised quadratic decay at runtime.
 """
 
-from .errors import (CareFailure, CommonDNotFound, ContractionInfeasible,
-                     DConstructionFailure, EigenFailure, EnumerationTooLarge,
-                     IncompleteTrace, InvalidMatrix, InvalidSchedule,
-                     InvalidTime, LeaderSyncError, LyapunovSingular,
-                     NotStabilizable, NumericalOverflow, ScenarioError,
-                     UnreachableGraph)
-from .graph import (GroundedLaplacian, SwitchingSignal, Topology, build_H,
-                    is_nonsingular_M, leader_reachable, signal_mode)
-from .numerics.linalg import (CareSolution, SymmetricSpectrum,
-                              check_stabilizable, eigenvalues, expm, kron,
-                              singular_values, solve_care, solve_lyapunov,
-                              spectral_norm, sym_eig_extremes)
-from .synthesis import (ContractionParams, SynthesisResult,
-                        construct_D, contraction_factor, enumerate_admissible,
-                        find_common_D, synthesize, verify_comparison_lemma,
-                        worst_case_params)
+from .errors import LeaderSyncError
+from .graph import SwitchingSignal, Topology, build_H
+from .synthesis import (SynthesisResult, contraction_factor, find_common_D,
+                        synthesize, worst_case_params)
 from .sim import (ContractionReport, SamplingSchedule, SimulationResult,
-                  SplitMix64, SystemModel, gen_schedule, leader_trajectory,
-                  lyapunov_trace, simulate, write_schedule_csv,
-                  write_trajectory_csv)
-from .scenario import (ModelSpec, Scenario, load_model, load_scenario,
-                       parse_model, parse_scenario, scenario_text,
-                       write_scenario)
-from .demos import static_demo, switching_demo, write_bundled
+                  SystemModel, gen_schedule, lyapunov_trace, simulate,
+                  write_schedule_csv, write_trajectory_csv)
+from .scenario import Scenario, load_scenario, parse_scenario, scenario_text
 from .cli import main
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CareFailure", "CareSolution", "CommonDNotFound",
-    "ContractionInfeasible", "ContractionParams", "ContractionReport",
-    "DConstructionFailure", "EigenFailure", "EnumerationTooLarge",
-    "GroundedLaplacian", "IncompleteTrace", "InvalidMatrix",
-    "InvalidSchedule", "InvalidTime", "LeaderSyncError", "LyapunovSingular",
-    "ModelSpec", "NotStabilizable", "NumericalOverflow", "SamplingSchedule",
-    "Scenario", "ScenarioError", "SimulationResult", "SplitMix64",
-    "SwitchingSignal", "SymmetricSpectrum", "SynthesisResult", "SystemModel",
-    "Topology", "UnreachableGraph", "build_H", "check_stabilizable",
-    "construct_D", "contraction_factor", "eigenvalues",
-    "enumerate_admissible", "expm", "find_common_D", "gen_schedule",
-    "is_nonsingular_M", "kron", "leader_reachable", "leader_trajectory",
-    "load_model", "load_scenario", "lyapunov_trace", "main", "parse_model",
-    "parse_scenario", "scenario_text", "signal_mode", "simulate",
-    "singular_values", "solve_care", "solve_lyapunov", "spectral_norm",
-    "static_demo", "switching_demo", "sym_eig_extremes", "synthesize",
-    "verify_comparison_lemma", "worst_case_params", "write_bundled",
-    "write_scenario", "write_schedule_csv", "write_trajectory_csv",
+    "ContractionReport", "LeaderSyncError", "SamplingSchedule", "Scenario",
+    "SimulationResult", "SwitchingSignal", "SynthesisResult", "SystemModel",
+    "Topology", "build_H", "contraction_factor", "find_common_D",
+    "gen_schedule", "load_scenario", "lyapunov_trace", "main",
+    "parse_scenario", "scenario_text", "simulate", "synthesize",
+    "worst_case_params", "write_schedule_csv", "write_trajectory_csv",
 ]

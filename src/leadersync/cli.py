@@ -17,7 +17,7 @@ from .errors import (CommonDNotFound, EnumerationTooLarge, InvalidSchedule,
                      InvalidTime, LeaderSyncError, NotStabilizable,
                      ScenarioError, UnreachableGraph)
 from .graph import build_H, leader_reachable
-from .scenario import Scenario, load_model, load_scenario
+from .scenario import Scenario, check_seed, load_model, load_scenario
 from .sim import (SystemModel, check_run_memory, gen_schedule,
                   lyapunov_trace, simulate, write_schedule_csv,
                   write_trajectory_csv)
@@ -129,8 +129,10 @@ def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
 
     A scenario that fixes K is simulated with it; its design is then
     computed only for the certificate and the T_bar warning, and a
-    design failure is fatal only when need_synthesis is set. Returns
-    (synthesis or None, simulation result, warning lines)."""
+    design failure is fatal only when need_synthesis is set. A seed
+    override outside the unsigned 64-bit range is refused first.
+    Returns (synthesis or None, simulation result, warning lines)."""
+    seed = sc.seed if seed_override is None else check_seed(seed_override)
     warn = []
     if sc.K is None or need_synthesis:
         synth = _synthesize_for(sc)
@@ -147,7 +149,6 @@ def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
     check_run_memory(len(sc.topologies), sc.topologies[0].N, sc.A.shape[0],
                      sc.B.shape[1], sc.T_low, sc.horizon, sc.grid_h,
                      sc.output_dt)
-    seed = sc.seed if seed_override is None else seed_override
     schedule = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, seed)
     result = simulate(SystemModel(sc.A, sc.B), sc.topologies, sc.signal, K,
                       schedule, sc.x0_leader, sc.x0_followers, sc.output_dt)
@@ -161,7 +162,7 @@ def cmd_simulate(path, out_dir=None, seed_override=None):
 
     V = None
     if synth is not None:
-        V = lyapunov_trace(result, synth.D, synth.P, synth).V
+        V = lyapunov_trace(result, synth).V
     traj, sched = _out_paths(sc, out_dir)
     write_trajectory_csv(traj, result, V)
     write_schedule_csv(sched, result)
@@ -185,7 +186,7 @@ def cmd_verify(path, out_dir=None, seed_override=None):
     sc = load_scenario(path)
     # the certificate needs D and P, so a failed design is fatal here
     synth, result, warn = _run_scenario(sc, seed_override, need_synthesis=True)
-    rep = lyapunov_trace(result, synth.D, synth.P, synth)
+    rep = lyapunov_trace(result, synth)
 
     if out_dir:
         traj, sched = _out_paths(sc, out_dir)

@@ -206,6 +206,14 @@ def _parse_model(single) -> ModelSpec:
     return ModelSpec(name=name, A=A, B=B, mu1=mus[0], mu2=mus[1])
 
 
+def check_seed(seed: int) -> int:
+    """seed itself when it is an unsigned 64-bit integer, the range
+    SplitMix64 takes without wrapping; ValueError otherwise."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
 def parse_model(text: str) -> ModelSpec:
     """Extract just the model block; other valid keys are ignored."""
     single, _multi, _followers = _collect(text)
@@ -314,10 +322,10 @@ def parse_scenario(text: str) -> Scenario:
     ln, toks = single["seed"]
     if len(toks) != 1:
         raise ScenarioError("seed: expected one value", line=ln)
-    seed = _int(toks[0], ln, "seed")
-    if seed < 0 or seed >= (1 << 64):
-        raise ScenarioError(
-            f"seed must be an unsigned 64-bit integer, got {seed}", line=ln)
+    try:
+        seed = check_seed(_int(toks[0], ln, "seed"))
+    except ValueError as e:
+        raise ScenarioError(str(e), line=ln) from None
 
     ln, toks = single["x0"]
     if len(toks) != n:
@@ -433,8 +441,3 @@ def scenario_text(sc: Scenario) -> str:
     if sc.K is not None:
         lines.append("K " + " ".join(_fmt(v) for v in sc.K.ravel()))
     return "\n".join(lines) + "\n"
-
-
-def write_scenario(sc: Scenario, path) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write(scenario_text(sc))

@@ -380,18 +380,6 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
         n_complete=n_complete, schedule=schedule)
 
 
-def leader_trajectory(A, x0, times) -> np.ndarray:
-    """Exact autonomous states e^(A t) x0 at each requested time."""
-    a = _square(A, "A")
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != a.shape[0]:
-        raise ValueError(f"x0 must have {a.shape[0]} entries")
-    out = np.empty((len(times), a.shape[0]))
-    for k, t in enumerate(times):
-        out[k] = expm(a, float(t)) @ x
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ContractionReport:
     """Runtime check of the per-interval quadratic decay.
@@ -439,28 +427,23 @@ class ContractionReport:
         return self.interval_violations == 0 and self.ratios_ok
 
 
-def lyapunov_trace(result: SimulationResult, D, P,
+def lyapunov_trace(result: SimulationResult,
                    synth: SynthesisResult) -> ContractionReport:
-    """Evaluate the quadratic certificate along a simulated run.
+    """Evaluate the design's quadratic certificate along a simulated run.
 
-    Checks two properties the synthesized bound implies when every
-    gap is at most T_high: inside each interval the dense values of V
-    never exceed V at the interval's opening instant (slack
-    INTERVAL_SLACK), and across each complete interval V contracts by
-    at least the factor rho (see ContractionReport). The monitor is
-    observational: violations are reported, never raised.
+    V uses the scaling D and the Riccati solution P of synth. Checks
+    two properties the synthesized bound implies when every gap is at
+    most T_high: inside each interval the dense values of V never
+    exceed V at the interval's opening instant (slack INTERVAL_SLACK),
+    and across each complete interval V contracts by at least the
+    factor rho (see ContractionReport). The monitor is observational:
+    violations are reported, never raised.
     """
-    d_vec = np.asarray(D, dtype=float)
-    if d_vec.ndim == 2:
-        d_vec = np.diag(d_vec)
-    d_vec = d_vec.reshape(-1)
-    N = result.errors.shape[1]
-    n = result.errors.shape[2]
-    if d_vec.shape[0] != N:
-        raise ValueError(f"D must have {N} entries, got {d_vec.shape[0]}")
-    Pm = _square(P, "P")
-    if Pm.shape[0] != n:
-        raise ValueError(f"P must be {n}x{n}")
+    _, N, n = result.errors.shape
+    if synth.D is None or synth.D.shape != (N,):
+        raise ValueError(f"the design's D must have {N} entries")
+    if synth.P.shape != (n, n):
+        raise ValueError(f"the design's P must be {n}x{n}")
 
     bidx = np.asarray(result.boundary_idx, dtype=np.int64)
     if bidx.shape[0] != result.instants.shape[0]:
@@ -478,7 +461,7 @@ def lyapunov_trace(result: SimulationResult, D, P,
             f"sampling instant {result.instants[k]} is missing from "
             f"the dense output times")
 
-    W = kron(np.diag(d_vec), Pm)
+    W = kron(np.diag(synth.D), synth.P)
     flat = result.errors.reshape(result.errors.shape[0], N * n)
     V = np.einsum("ki,ij,kj->k", flat, W, flat)
     V_samples = V[bidx]

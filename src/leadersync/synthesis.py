@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import (CommonDNotFound, ContractionInfeasible,
                      DConstructionFailure, EnumerationTooLarge)
-from .graph import GroundedLaplacian, Topology, _all_nonsingular_M
+from .graph import GroundedLaplacian, _all_nonsingular_M
 from .numerics.linalg import (_as_matrix, _square, solve_care, spectral_norm,
                               sym_eig_extremes, sym_eig_min_vector)
 
@@ -259,10 +259,6 @@ def _admissible_masks(N: int):
     return pairs, masks[reach == (1 << (N + 1)) - 1]
 
 
-def _edges(pairs, bits):
-    return [p for k, p in enumerate(pairs) if (bits >> k) & 1]
-
-
 def admissible_laplacians(N: int):
     """Number of admissible digraphs on N followers and the (G, N, N)
     stack of their distinct grounded Laplacians.
@@ -279,16 +275,6 @@ def admissible_laplacians(N: int):
         if j:
             Hs[:, i - 1, j - 1] -= bit
     return masks.size << N, Hs.astype(float)
-
-
-def enumerate_admissible(N: int):
-    """Every digraph on one leader and N followers in which all
-    followers are reachable from the leader: each admissible set of
-    follower-target edges with each set of edges into the leader."""
-    pairs, masks = _admissible_masks(N)
-    into_leader = [(i, 0) for i in range(1, N + 1)]
-    return [Topology(N, frozenset(_edges(pairs, m) + _edges(into_leader, lm)))
-            for m in masks.tolist() for lm in range(1 << N)]
 
 
 def worst_case_params(A, B, mu1, mu2, N: int) -> SynthesisResult:
@@ -329,29 +315,3 @@ def contraction_factor(beta1: float, beta2: float, h: float) -> ContractionParam
         raise ContractionInfeasible(f"h must be positive, got {h}")
     return ContractionParams(beta1=float(beta1), beta2=float(beta2),
                              h=float(h), rho=float(_rho(beta1, beta2, h)))
-
-
-def verify_comparison_lemma(beta1: float, beta2: float, schedule, W0: float,
-                            rel_slack: float = 1e-12) -> bool:
-    """Propagate the extremal held-term scalar system
-    dW/dt = -beta1 W + beta2 W(t_s) across the schedule and check each
-    per-interval ratio W(t_{s+1}) / W(t_s) against the closed-form
-    decay factor. True iff every ratio matches within rel_slack."""
-    if not (beta1 > 0.0 and beta2 > 0.0) or beta2 >= beta1:
-        raise ContractionInfeasible(
-            f"need 0 < beta2 < beta1, got beta1 = {beta1}, beta2 = {beta2}")
-    if W0 < 0.0:
-        raise ValueError(f"W0 must be nonnegative, got {W0}")
-    if W0 == 0.0:
-        return True
-    gaps = np.diff(np.asarray(schedule.instants, dtype=float))
-    W = float(W0)
-    for T in gaps:
-        rho_s = contraction_factor(beta1, beta2, float(T)).rho
-        held = (beta2 / beta1) * W
-        W_next = (W - held) * math.exp(-beta1 * float(T)) + held
-        ratio = W_next / W
-        if abs(ratio - rho_s) > rel_slack * rho_s:
-            return False
-        W = W_next
-    return True

@@ -7,6 +7,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+STATIC = str(SCENARIO_DIR / "static.txt")
+SWITCHING = str(SCENARIO_DIR / "switching.txt")
 
 
 @pytest.fixture

@@ -238,3 +238,38 @@ def propagate_linear(E, x0, total):
     for _ in range(total):
         out.append(E @ out[-1])
     return np.array(out)
+
+
+def leader_trajectory(A, x0, times):
+    """Leader states e^(A t) x0 at each requested time, one call of the
+    package's expm per time."""
+    from leadersync.numerics.linalg import expm
+
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    return np.array([expm(A, float(t)) @ x for t in times])
+
+
+def verify_comparison_lemma(beta1, beta2, schedule, W0, rel_slack=1e-12):
+    """Propagate the extremal held-term scalar system
+    dW/dt = -beta1 W + beta2 W(t_s) across the schedule and check each
+    per-interval ratio W(t_{s+1}) / W(t_s) against the package's
+    contraction_factor. True iff every ratio matches within rel_slack."""
+    from leadersync.errors import ContractionInfeasible
+    from leadersync.synthesis import contraction_factor
+
+    if not (beta1 > 0.0 and beta2 > 0.0) or beta2 >= beta1:
+        raise ContractionInfeasible(
+            f"need 0 < beta2 < beta1, got beta1 = {beta1}, beta2 = {beta2}")
+    if W0 < 0.0:
+        raise ValueError(f"W0 must be nonnegative, got {W0}")
+    if W0 == 0.0:
+        return True
+    W = float(W0)
+    for T in np.diff(np.asarray(schedule.instants, dtype=float)):
+        rho_s = contraction_factor(beta1, beta2, float(T)).rho
+        held = (beta2 / beta1) * W
+        W_next = (W - held) * math.exp(-beta1 * float(T)) + held
+        if abs(W_next / W - rho_s) > rel_slack * rho_s:
+            return False
+        W = W_next
+    return True

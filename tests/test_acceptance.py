@@ -6,28 +6,22 @@ pass, while the final-error threshold is an expected failure kept
 strict so any change in behavior is flagged (see the test docstring).
 """
 
-import dataclasses
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leadersync import (SamplingSchedule, SwitchingSignal, SystemModel,
-                        Topology, build_H, gen_schedule, lyapunov_trace,
-                        simulate, solve_care, synthesize,
-                        verify_comparison_lemma, worst_case_params)
+from leadersync import (SamplingSchedule, SystemModel, Topology, build_H,
+                        gen_schedule, load_scenario, lyapunov_trace,
+                        simulate, synthesize, worst_case_params)
 from leadersync.cli import main
-from leadersync.demos import static_demo, switching_demo
-from leadersync.numerics import expm, kron, spectral_norm, sym_eig_extremes
+from leadersync.numerics.linalg import (expm, kron, solve_care,
+                                        spectral_norm, sym_eig_extremes)
+from leadersync.synthesis import admissible_laplacians, construct_D
 
 import oracles
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-STATIC = str(SCENARIO_DIR / "static.txt")
-SWITCHING = str(SCENARIO_DIR / "switching.txt")
+from conftest import STATIC, SWITCHING
 
 A_DEMO = np.array([[-0.38, 0.72], [-0.68, 0.42]])
 B_DEMO = np.array([[0.26], [0.31]])
@@ -44,7 +38,7 @@ def _run(sc, synth):
     res = simulate(SystemModel(sc.A, sc.B), sc.topologies, sc.signal,
                    synth.K, sched, sc.x0_leader, sc.x0_followers,
                    sc.output_dt)
-    return res, lyapunov_trace(res, synth.D, synth.P, synth)
+    return res, lyapunov_trace(res, synth)
 
 
 def test_criterion_01_riccati_reproduction():
@@ -58,13 +52,13 @@ def test_criterion_01_riccati_reproduction():
 
 
 def test_criterion_02_static_synthesis():
-    res = _design(static_demo())
+    res = _design(load_scenario(STATIC))
     assert abs(res.T_bar - 0.0186) <= 5e-4
     assert np.max(np.abs(res.K - np.array([[0.8874, 1.2195]]))) <= 5e-4
 
 
 def test_criterion_03_switching_synthesis():
-    sc = switching_demo()
+    sc = load_scenario(SWITCHING)
     res = _design(sc)
     assert np.array_equal(res.D, np.ones(4))
     assert abs(res.T_bar - 0.0167) <= 5e-4
@@ -72,7 +66,7 @@ def test_criterion_03_switching_synthesis():
 
 
 def test_criterion_04_decay_and_runtime():
-    sc = static_demo()
+    sc = load_scenario(STATIC)
     synth = _design(sc)
     t0 = time.perf_counter()
     res, rep = _run(sc, synth)
@@ -87,7 +81,7 @@ def test_criterion_04_decay_and_runtime():
     "error to reach 1e-3 by t = 30; it lands near 5e-2 and would need "
     "roughly a three times longer window"))
 def test_criterion_04_final_error_threshold():
-    sc = static_demo()
+    sc = load_scenario(STATIC)
     synth = _design(sc)
     res, _ = _run(sc, synth)
     final = float(np.max(np.linalg.norm(res.errors[-1], axis=1)))
@@ -95,7 +89,7 @@ def test_criterion_04_final_error_threshold():
 
 
 def test_criterion_05_contraction_monitoring():
-    for sc in (static_demo(), switching_demo()):
+    for sc in (load_scenario(STATIC), load_scenario(SWITCHING)):
         synth = _design(sc)
         res, rep = _run(sc, synth)
         assert rep.interval_violations == 0
@@ -122,13 +116,12 @@ def test_criterion_06_comparison_lemma_oracle():
         sched = SamplingSchedule(instants=instants, T_low=T, T_high=T,
                                  grid_h=T, seed=0,
                                  horizon=float(instants[-1]))
-        assert verify_comparison_lemma(b1, b2, sched,
-                                       float(rng.uniform(0.1, 10.0)))
+        assert oracles.verify_comparison_lemma(b1, b2, sched,
+                                               float(rng.uniform(0.1, 10.0)))
 
 
 def test_criterion_07_scaling_construction_soundness():
     rng = np.random.default_rng(707)
-    from leadersync import construct_D
     for _ in range(1000):
         N = int(rng.integers(1, 7))
         t = oracles.random_reachable_topology(N, rng)
@@ -180,9 +173,8 @@ def test_criterion_09_enumeration(capsys):
     assert ("T_bar %.6g" % res.T_bar) in out
     assert ("  %.6g %.6g" % (res.K[0, 0], res.K[0, 1])) in out
 
-    from leadersync import enumerate_admissible
-    tops = enumerate_admissible(2)
-    assert len(tops) == len(oracles.enumerate_bruteforce(2))
+    count, _ = admissible_laplacians(2)
+    assert count == len(oracles.enumerate_bruteforce(2))
 
 
 def test_criterion_10_failure_paths(tmp_path, capsys):

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leadersync import Topology, build_H, synthesize, write_scenario
+import leadersync
+from leadersync import (Topology, build_H, load_scenario, scenario_text,
+                        synthesize)
 from leadersync.cli import main
-from leadersync.demos import static_demo
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-STATIC = str(SCENARIO_DIR / "static.txt")
-SWITCHING = str(SCENARIO_DIR / "switching.txt")
+from conftest import STATIC, SWITCHING
 
 UNREACHABLE = """\
 name unreach
@@ -61,11 +60,11 @@ def workdir(tmp_path, monkeypatch):
 
 
 def _overbound_path(tmp_path):
-    sc = static_demo()
+    sc = load_scenario(STATIC)
     sc = dataclasses.replace(sc, name="overbound", T_low=1.488,
                              T_high=1.488, out_traj=None, out_sched=None)
     path = tmp_path / "overbound.txt"
-    write_scenario(sc, path)
+    path.write_text(scenario_text(sc))
     return str(path)
 
 
@@ -122,6 +121,22 @@ def test_simulate_seed_override_changes_schedule(workdir, capsys):
            (workdir / "b" / "static_demo_schedule.csv").read_bytes()
 
 
+def test_seed_override_outside_64_bits_is_a_configuration_error(workdir,
+                                                                capsys):
+    path = workdir / "short.txt"
+    path.write_text(Path(STATIC).read_text().replace("horizon 30.0",
+                                                     "horizon 0.1"))
+    for seed in (-1, 1 << 64):
+        assert main(["simulate", "--scenario", str(path), "--out", "bad",
+                     "--seed", str(seed)]) == 3
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "unsigned 64-bit" in err
+        assert not (workdir / "bad").exists()
+    assert main(["simulate", "--scenario", str(path), "--out", "top",
+                 "--seed", str((1 << 64) - 1)]) == 0
+    assert (workdir / "top" / "static_demo_schedule.csv").exists()
+
+
 def test_simulate_over_bound_warns(workdir, capsys):
     path = _overbound_path(workdir)
     assert main(["simulate", "--scenario", path]) == 0
@@ -165,11 +180,11 @@ def test_simulate_refuses_table_over_memory_budget(workdir, capsys):
 
 def test_simulate_refuses_schedule_over_memory_budget(workdir, capsys):
     # 1e8 sampling gaps of one grid step: refused before any is drawn
-    sc = dataclasses.replace(static_demo(), name="long_run", T_low=0.001,
-                             grid_h=0.001, horizon=1e5, out_traj=None,
-                             out_sched=None)
+    sc = dataclasses.replace(load_scenario(STATIC), name="long_run",
+                             T_low=0.001, grid_h=0.001, horizon=1e5,
+                             out_traj=None, out_sched=None)
     path = workdir / "long_run.txt"
-    write_scenario(sc, path)
+    path.write_text(scenario_text(sc))
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
@@ -331,6 +346,29 @@ def test_enumerate_weight_overrides(workdir, capsys):
 def test_enumerate_too_many_followers(workdir, capsys):
     assert main(["enumerate", "--model", STATIC, "--followers", "4"]) == 2
     assert "enumeration refused" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- public surface
+
+def test_public_surface():
+    assert sorted(leadersync.__all__) == sorted([
+        "Topology", "SwitchingSignal", "build_H", "find_common_D",
+        "synthesize", "worst_case_params", "contraction_factor",
+        "SystemModel", "gen_schedule", "simulate", "lyapunov_trace",
+        "write_trajectory_csv", "write_schedule_csv",
+        "load_scenario", "parse_scenario", "scenario_text", "main",
+        "Scenario", "SynthesisResult", "SamplingSchedule",
+        "SimulationResult", "ContractionReport", "LeaderSyncError"])
+    for name in leadersync.__all__:
+        assert getattr(leadersync, name) is not None
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "ls.lyapunov_trace(run, design)" in code
+    exec(compile(code, "README.md", "exec"), {})
 
 
 # ------------------------------------------------------------ subprocess

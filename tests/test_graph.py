@@ -1,11 +1,13 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from leadersync import (GroundedLaplacian, InvalidTime, SwitchingSignal,
-                        Topology, build_H, is_nonsingular_M, leader_reachable,
-                        signal_mode)
+from leadersync.errors import InvalidTime
+from leadersync.graph import (GroundedLaplacian, SwitchingSignal, Topology,
+                              build_H, is_nonsingular_M, leader_reachable,
+                              signal_mode)
 
 import oracles
 
@@ -146,6 +148,42 @@ def test_signal_mode_events():
     assert signal_mode(sig, 3.9) == 0
     assert signal_mode(sig, 4.0) == 2
     assert signal_mode(sig, 1e9) == 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(modes=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+       times=st.lists(st.floats(min_value=0.0, max_value=1e12,
+                                exclude_min=True),
+                      min_size=5, max_size=5, unique=True))
+def test_signal_mode_events_are_right_continuous(modes, times):
+    times = [0.0] + sorted(times)[:len(modes) - 1]
+    sig = SwitchingSignal(mode_count=4, events=tuple(zip(times, modes)))
+    assert signal_mode(sig, 0.0) == modes[0]
+    for k in range(1, len(modes)):
+        assert signal_mode(sig, times[k]) == modes[k]
+        assert signal_mode(sig, np.nextafter(times[k], -np.inf)) == \
+            modes[k - 1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(phases=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 64)),
+                       min_size=1, max_size=6),
+       exponent=st.integers(-8, 8))
+def test_signal_mode_periodic_is_right_continuous(phases, exponent):
+    # durations k * 2^exponent, so every boundary is an exact float
+    unit = 2.0 ** exponent
+    durations = [k * unit for _, k in phases]
+    sig = SwitchingSignal(mode_count=4, period=sum(durations),
+                          phases=tuple((m, d) for (m, _), d in
+                                       zip(phases, durations)))
+    # the boundaries of the first three periods and the mode after each
+    bounds = np.cumsum([0.0] + durations * 3).tolist()
+    order = [m for m, _ in phases] * 4
+    for j, t in enumerate(bounds):
+        assert signal_mode(sig, t) == order[j]
+        if j:
+            assert signal_mode(sig, float(np.nextafter(t, -np.inf))) == \
+                order[j - 1]
 
 
 def test_signal_mode_negative_time():

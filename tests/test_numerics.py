@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from leadersync import (CareFailure, EigenFailure, InvalidMatrix,
-                        LyapunovSingular, NotStabilizable, NumericalOverflow,
-                        check_stabilizable, eigenvalues, expm, kron,
-                        singular_values, solve_care, solve_lyapunov,
-                        spectral_norm, sym_eig_extremes)
+from leadersync.errors import (EigenFailure, InvalidMatrix, LyapunovSingular,
+                               NotStabilizable, NumericalOverflow)
+from leadersync.numerics.linalg import (check_stabilizable, eigenvalues, expm,
+                                        kron, singular_values, solve_care,
+                                        solve_lyapunov, spectral_norm,
+                                        sym_eig_extremes)
 
 import oracles
 

@@ -1,13 +1,15 @@
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from leadersync import (ScenarioError, load_scenario, parse_model,
-                        parse_scenario, scenario_text, write_scenario)
-from leadersync.demos import static_demo, switching_demo
+from leadersync import (Scenario, SwitchingSignal, Topology, load_scenario,
+                        parse_scenario, scenario_text)
+from leadersync.errors import ScenarioError
+from leadersync.scenario import parse_model
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+from conftest import STATIC, SWITCHING
 
 TINY = """\
 name tiny
@@ -42,31 +44,29 @@ def _mutate(remove=None, append=None, replace=None):
 # ---------------------------------------------------------- round trips
 
 def test_static_demo_text_round_trip():
-    sc = static_demo()
+    sc = load_scenario(STATIC)
     assert parse_scenario(scenario_text(sc)) == sc
 
 
 def test_switching_demo_text_round_trip():
-    sc = switching_demo()
+    sc = load_scenario(SWITCHING)
     assert parse_scenario(scenario_text(sc)) == sc
 
 
 def test_file_round_trip(tmp_path):
-    sc = switching_demo()
+    sc = load_scenario(SWITCHING)
     path = tmp_path / "sc.txt"
-    write_scenario(sc, path)
+    path.write_text(scenario_text(sc))
     assert load_scenario(path) == sc
 
 
 def test_bundled_files_are_canonical():
-    assert (SCENARIO_DIR / "static.txt").read_text() == \
-        scenario_text(static_demo())
-    assert (SCENARIO_DIR / "switching.txt").read_text() == \
-        scenario_text(switching_demo())
+    for path in (STATIC, SWITCHING):
+        assert Path(path).read_text() == scenario_text(load_scenario(path))
 
 
 def test_optional_fields_round_trip():
-    sc = static_demo()
+    sc = load_scenario(STATIC)
     text = scenario_text(sc)
     assert "out_traj" in text
     assert sc.D is None and sc.K is None
@@ -76,6 +76,76 @@ def test_optional_fields_round_trip():
     assert np.allclose(parsed.K, [[0.8, 1.2]])
     assert parsed.output_dt == 0.01
     assert parse_scenario(scenario_text(parsed)) == parsed
+
+
+# finite floats, with -0.0 and subnormals named so every run has them
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-310]),
+                     st.floats(min_value=0.0, max_value=1e300,
+                               exclude_min=True))
+TOKEN = st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True)
+
+
+def _matrix(draw, rows, cols):
+    return np.array(draw(st.lists(FINITE, min_size=rows * cols,
+                                  max_size=rows * cols))).reshape(rows, cols)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios of every shape the format allows: static,
+    periodic and event signals, each optional key present or not."""
+    n, m, N = draw(st.integers(1, 3)), draw(st.integers(1, 2)), \
+        draw(st.integers(1, 4))
+    pairs = [(j, i) for j in range(N + 1) for i in range(N + 1) if j != i]
+    kind = draw(st.sampled_from(["static", "periodic", "event"]))
+    modes = 1 if kind == "static" else draw(st.integers(1, 3))
+    topologies = tuple(
+        Topology(N, frozenset(draw(st.lists(st.sampled_from(pairs)))))
+        for _ in range(modes))
+    mode = st.integers(0, modes - 1)
+    if kind == "static":
+        signal = SwitchingSignal.static()
+    elif kind == "periodic":
+        phases = draw(st.lists(st.tuples(mode, POSITIVE), min_size=1,
+                               max_size=4))
+        total = 0.0
+        for _, duration in phases:
+            total += duration
+        signal = SwitchingSignal(mode_count=modes, period=total,
+                                 phases=tuple(phases))
+    else:
+        times = draw(st.lists(POSITIVE, max_size=4, unique=True))
+        events = [(0.0, draw(mode))] + [(t, draw(mode)) for t in
+                                        sorted(times)]
+        signal = SwitchingSignal(mode_count=modes, events=tuple(events))
+    T_low, T_high = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2)))
+
+    def optional(strategy):
+        return draw(strategy) if draw(st.booleans()) else None
+
+    D = optional(st.lists(POSITIVE, min_size=N, max_size=N))
+    return Scenario(
+        name=draw(TOKEN), A=_matrix(draw, n, n), B=_matrix(draw, n, m),
+        mu1=draw(POSITIVE), mu2=draw(POSITIVE), topologies=topologies,
+        signal=signal, T_low=T_low, T_high=T_high, grid_h=draw(POSITIVE),
+        seed=draw(st.integers(0, (1 << 64) - 1)), horizon=draw(POSITIVE),
+        x0_leader=_matrix(draw, 1, n).reshape(n),
+        x0_followers=_matrix(draw, N, n), output_dt=optional(POSITIVE),
+        out_traj=optional(TOKEN), out_sched=optional(TOKEN),
+        D=None if D is None else np.array(D),
+        K=_matrix(draw, m, n) if draw(st.booleans()) else None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(sc=scenarios())
+def test_scenario_text_round_trip_property(sc):
+    text = scenario_text(sc)
+    back = parse_scenario(text)
+    assert back == sc
+    # the text keeps what == cannot see, such as the sign of -0.0
+    assert scenario_text(back) == text
 
 
 def test_tiny_parses_and_tolerates_comments():

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from leadersync import (IncompleteTrace, InvalidSchedule, SamplingSchedule,
-                        SwitchingSignal, SystemModel, Topology, build_H,
-                        contraction_factor, gen_schedule, leader_trajectory,
+from leadersync import (SamplingSchedule, SwitchingSignal, SystemModel,
+                        Topology, build_H, contraction_factor, gen_schedule,
                         lyapunov_trace, simulate, synthesize,
                         write_schedule_csv, write_trajectory_csv)
-from leadersync.numerics import kron
+from leadersync.errors import IncompleteTrace, InvalidSchedule
+from leadersync.numerics.linalg import kron
 from leadersync.sim import MASK64, SplitMix64
 
 import oracles
@@ -343,12 +343,12 @@ def test_simulate_rejects_off_grid_schedules():
 # --------------------------------------------------- leader_trajectory
 
 def test_leader_trajectory_basics():
-    out = leader_trajectory(A2, X0L, [0.0])
+    out = oracles.leader_trajectory(A2, X0L, [0.0])
     assert np.allclose(out[0], X0L, rtol=0, atol=0)
-    out = leader_trajectory(np.zeros((2, 2)), X0L, [0.0, 1.0, 5.0])
+    out = oracles.leader_trajectory(np.zeros((2, 2)), X0L, [0.0, 1.0, 5.0])
     assert np.allclose(out, np.tile(X0L, (3, 1)))
     ts = [0.0, 0.37, 1.4]
-    out = leader_trajectory(A2, X0L, ts)
+    out = oracles.leader_trajectory(A2, X0L, ts)
     for k, t in enumerate(ts):
         assert np.allclose(out[k], oracles.expm_taylor(A2 * t) @ X0L,
                            rtol=1e-10, atol=1e-14)
@@ -361,7 +361,7 @@ def test_lyapunov_trace_consensus_is_vacuous():
     sched = gen_schedule(0.001, 0.018, 0.001, 0.2, 3)
     res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
                    X0L, np.tile(X0L, (4, 1)))
-    rep = lyapunov_trace(res, synth.D, synth.P, synth)
+    rep = lyapunov_trace(res, synth)
     assert np.all(rep.V == 0.0)
     assert np.all(np.isnan(rep.ratios))
     assert rep.interval_violations == 0
@@ -373,7 +373,7 @@ def test_lyapunov_trace_contracts_within_bound():
     sched = gen_schedule(0.001, 0.018, 0.001, 2.0, 7)
     res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
-    rep = lyapunov_trace(res, synth.D, synth.P, synth)
+    rep = lyapunov_trace(res, synth)
     assert rep.bound_feasible
     assert rep.rho_threshold < 1.0
     assert np.all(np.diff(rep.V_samples) <= 1e-12)
@@ -388,7 +388,7 @@ def test_lyapunov_trace_reports_over_bound_run():
     sched = gen_schedule(T, T, 0.001, 30.0, 0)
     res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
-    rep = lyapunov_trace(res, synth.D, synth.P, synth)
+    rep = lyapunov_trace(res, synth)
     assert not rep.bound_feasible
     assert rep.rho_threshold == 1.0
     assert not rep.passed
@@ -399,22 +399,20 @@ def test_lyapunov_trace_rho_is_the_contraction_factor():
     sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 5)
     res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
-    rep = lyapunov_trace(res, synth.D, synth.P, synth)
+    rep = lyapunov_trace(res, synth)
     cf = contraction_factor(synth.c1, synth.c2 * 0.018 ** 2, 0.001)
     assert rep.bound_feasible
     assert rep.rho == rep.rho_threshold == cf.rho
 
 
-def test_lyapunov_trace_accepts_diagonal_matrix_D():
+def test_lyapunov_trace_rejects_a_design_of_another_size():
     synth = _synth_static()
     sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 5)
     res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
-    a = lyapunov_trace(res, synth.D, synth.P, synth)
-    b = lyapunov_trace(res, np.diag(synth.D), synth.P, synth)
-    assert np.array_equal(a.V, b.V)
-    with pytest.raises(ValueError):
-        lyapunov_trace(res, np.ones(3), synth.P, synth)
+    for D in (np.ones(3), None):
+        with pytest.raises(ValueError, match="4 entries"):
+            lyapunov_trace(res, dataclasses.replace(synth, D=D))
 
 
 def test_lyapunov_trace_rejects_sparse_outputs():
@@ -424,11 +422,11 @@ def test_lyapunov_trace_rejects_sparse_outputs():
                    X0L, X0F)
     broken = dataclasses.replace(res, boundary_idx=res.boundary_idx[:-1])
     with pytest.raises(IncompleteTrace):
-        lyapunov_trace(broken, synth.D, synth.P, synth)
+        lyapunov_trace(broken, synth)
     shifted = dataclasses.replace(
         res, instants=res.instants + 0.5)
     with pytest.raises(IncompleteTrace):
-        lyapunov_trace(shifted, synth.D, synth.P, synth)
+        lyapunov_trace(shifted, synth)
 
 
 # --------------------------------------------------------- CSV writers
@@ -460,7 +458,7 @@ def test_trajectory_csv_carries_V(tmp_path):
     sched = gen_schedule(0.001, 0.018, 0.001, 0.2, 3)
     res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
-    rep = lyapunov_trace(res, synth.D, synth.P, synth)
+    rep = lyapunov_trace(res, synth)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, res, V=rep.V)
     lines = path.read_text().splitlines()

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from leadersync import (CommonDNotFound, ContractionInfeasible,
-                        DConstructionFailure, EnumerationTooLarge,
-                        SamplingSchedule, Topology, build_H, construct_D,
-                        contraction_factor, enumerate_admissible,
-                        find_common_D, leader_reachable, synthesize,
-                        verify_comparison_lemma, worst_case_params)
+from leadersync import (SamplingSchedule, Topology, build_H,
+                        contraction_factor, find_common_D, synthesize,
+                        worst_case_params)
+from leadersync.errors import (CommonDNotFound, ContractionInfeasible,
+                               DConstructionFailure, EnumerationTooLarge)
 from leadersync.synthesis import (_definiteness_margin, _scalings,
-                                  admissible_laplacians)
+                                  admissible_laplacians, construct_D)
 
 import oracles
 
@@ -254,18 +253,21 @@ def test_synthesize_rejects_bad_inputs():
 
 # -------------------------------------------------------- enumeration
 
+def _bruteforce_topologies(N):
+    return [Topology(N, e) for e in oracles.enumerate_bruteforce(N)]
+
+
 def test_enumerate_single_follower():
-    tops = enumerate_admissible(1)
-    assert len(tops) == 2
+    tops = _bruteforce_topologies(1)
+    assert len(tops) == admissible_laplacians(1)[0] == 2
     Hs = {build_H(t).H.tobytes() for t in tops}
     assert len(Hs) == 1
     assert np.array_equal(build_H(tops[0]).H, [[1.0]])
 
 
 def test_enumerate_two_followers_against_bruteforce():
-    tops = enumerate_admissible(2)
-    count = len(oracles.enumerate_bruteforce(2))
-    assert len(tops) == count == 32
+    count, _ = admissible_laplacians(2)
+    assert count == len(oracles.enumerate_bruteforce(2)) == 32
 
 
 @pytest.mark.parametrize("N, count, distinct", [(1, 2, 1), (2, 32, 8),
@@ -273,7 +275,6 @@ def test_enumerate_two_followers_against_bruteforce():
 def test_enumeration_matches_closure_oracle(N, count, distinct):
     oracle = oracles.enumerate_bruteforce(N)
     assert len(oracle) == count
-    assert {t.edges for t in enumerate_admissible(N)} == set(oracle)
     got_count, Hs = admissible_laplacians(N)
     assert got_count == count
     assert Hs.shape == (distinct, N, N) and Hs.dtype == np.float64
@@ -285,9 +286,9 @@ def test_enumeration_matches_closure_oracle(N, count, distinct):
 
 def test_enumerate_rejects_large_and_invalid():
     with pytest.raises(EnumerationTooLarge):
-        enumerate_admissible(4)
+        admissible_laplacians(4)
     with pytest.raises(ValueError):
-        enumerate_admissible(0)
+        admissible_laplacians(0)
 
 
 def test_worst_case_single_follower_equals_static():
@@ -304,7 +305,7 @@ def _per_graph_worst_case(A, B, mu1, mu2, N):
     on each distinct grounded Laplacian, extremes taken by min and max,
     norms from numpy.linalg."""
     distinct = {}
-    for t in enumerate_admissible(N):
+    for t in _bruteforce_topologies(N):
         gl = build_H(t)
         distinct.setdefault(gl.H.tobytes(), gl)
     runs = []
@@ -364,7 +365,7 @@ def test_stacked_scalings_reject_a_bad_slice():
 
 def test_worst_case_bound_covers_every_graph():
     res_w = worst_case_params(A_DEMO, B_DEMO, 1.0, 1.0, 2)
-    for t in enumerate_admissible(2):
+    for t in _bruteforce_topologies(2):
         gl = build_H(t)
         d = construct_D(gl)
         res = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, d, [gl])
@@ -418,16 +419,18 @@ def test_comparison_lemma_uniform_schedules():
         b2 = b1 * float(rng.uniform(0.05, 0.95))
         T = float(rng.uniform(0.05, 1.0))
         sched = _uniform_schedule(T, 20)
-        assert verify_comparison_lemma(b1, b2, sched, float(rng.uniform(0.1, 10.0)))
+        assert oracles.verify_comparison_lemma(b1, b2, sched,
+                                               float(rng.uniform(0.1, 10.0)))
 
 
 def test_comparison_lemma_vacuous_start():
-    assert verify_comparison_lemma(1.0, 0.5, _uniform_schedule(0.1, 5), 0.0)
+    assert oracles.verify_comparison_lemma(1.0, 0.5,
+                                           _uniform_schedule(0.1, 5), 0.0)
 
 
 def test_comparison_lemma_rejects_bad_params():
     sched = _uniform_schedule(0.1, 5)
     with pytest.raises(ContractionInfeasible):
-        verify_comparison_lemma(1.0, 1.5, sched, 1.0)
+        oracles.verify_comparison_lemma(1.0, 1.5, sched, 1.0)
     with pytest.raises(ValueError):
-        verify_comparison_lemma(1.0, 0.5, sched, -1.0)
+        oracles.verify_comparison_lemma(1.0, 0.5, sched, -1.0)
