@@ -16,13 +16,13 @@ import numpy as np
 from .errors import (CommonDNotFound, EnumerationTooLarge, InvalidSchedule,
                      InvalidTime, LeaderSyncError, NotStabilizable,
                      ScenarioError, UnreachableGraph)
-from .graph import build_H, leader_reachable
+from .graph import admissible_laplacians, build_H, leader_reachable
 from .scenario import Scenario, check_seed, load_model, load_scenario
 from .sim import (SystemModel, check_run_memory, gen_schedule,
                   lyapunov_trace, simulate, write_schedule_csv,
                   write_trajectory_csv)
-from .synthesis import (SynthesisResult, admissible_laplacians, find_common_D,
-                        synthesize, worst_case_params)
+from .synthesis import (SynthesisResult, find_common_D, synthesize,
+                        worst_case_params)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -76,9 +76,9 @@ def _synthesize_for(sc: Scenario) -> SynthesisResult:
             raise UnreachableGraph(
                 f"graph mode {p}: some follower has no directed path "
                 f"from the leader")
-    gls = [build_H(t) for t in sc.topologies]
-    d = sc.D if sc.D is not None else find_common_D(gls)
-    return synthesize(sc.A, sc.B, sc.mu1, sc.mu2, d, gls)
+    Hs = [build_H(t) for t in sc.topologies]
+    d = sc.D if sc.D is not None else find_common_D(Hs)
+    return synthesize(sc.A, sc.B, sc.mu1, sc.mu2, d, Hs)
 
 
 def _design_lines(res: SynthesisResult) -> list:
@@ -261,18 +261,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "runtime decay verification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_scenario_opts(p):
+    def add_scenario_opts(p, seed=True):
         p.add_argument("--scenario", nargs="+", required=True,
                        help="scenario file(s)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the scenario seed")
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; scenarios always "
                             "run one after another")
 
     add_scenario_opts(sub.add_parser(
-        "synthesize", help="compute the gain and sampling bound"))
+        "synthesize", help="compute the gain and sampling bound"), seed=False)
     add_scenario_opts(sub.add_parser(
         "simulate", help="integrate the closed loop and write CSV"))
     add_scenario_opts(sub.add_parser(

@@ -1,12 +1,11 @@
 """Leader-rooted directed graphs, grounded Laplacians, and switching signals."""
 
-from collections import deque
 from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
-from .errors import InvalidTime
+from .errors import EnumerationTooLarge, InvalidTime
 from .numerics import config
 
 
@@ -33,57 +32,86 @@ class Topology:
                 raise ValueError(f"self-loop ({j}, {i}) is not allowed")
 
 
-@dataclass(frozen=True, eq=False)
-class GroundedLaplacian:
-    """Follower-block matrix H with in-degree diagonal and -1 in-edges."""
-
-    H: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.H, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"H must be square, got shape {a.shape}")
-        a.flags.writeable = False
-        object.__setattr__(self, "H", a)
+ENUMERATION_CAP = 3
 
 
-def build_H(t: Topology) -> GroundedLaplacian:
-    """Grounded Laplacian: h_ii counts all in-edges of follower i
-    (leader included), h_ij = -1 for each follower in-edge (j, i)."""
-    H = np.zeros((t.N, t.N))
+def _adjacency(t: Topology) -> np.ndarray:
+    """0/1 adjacency on nodes 0..N: a[j, i] = 1 for each edge (j, i)."""
+    a = np.zeros((t.N + 1, t.N + 1))
     for j, i in t.edges:
-        if i == 0:
-            continue
-        H[i - 1, i - 1] += 1.0
-        if j >= 1:
-            H[i - 1, j - 1] -= 1.0
-    return GroundedLaplacian(H)
+        a[j, i] = 1.0
+    return a
+
+
+def _grounded(adj) -> np.ndarray:
+    """Grounded Laplacian of a 0/1 adjacency, or of each of a
+    (..., N+1, N+1) stack: h_ii counts every in-edge of follower i,
+    the leader's included, and h_ij = -1 for each follower in-edge
+    (j, i). Edges into node 0 never enter."""
+    a = np.asarray(adj, dtype=float)
+    N = a.shape[-1] - 1
+    H = np.zeros(a.shape[:-2] + (N, N))
+    H[..., range(N), range(N)] = a[..., 1:].sum(axis=-2)
+    # an adjacency's diagonal is 0; subtracting, not negating, keeps
+    # the zero entries +0.0
+    return H - a[..., 1:, 1:].swapaxes(-1, -2)
+
+
+def _reachable(adj) -> np.ndarray:
+    """True where every node of a 0/1 adjacency, or of each of a
+    (..., N+1, N+1) stack, has a directed path from node 0. A path
+    needs at most N edges and each product extends every path by one."""
+    a = np.asarray(adj, dtype=float)
+    reach = np.zeros(a.shape[:-2] + (1, a.shape[-1]))
+    reach[..., 0, 0] = 1.0
+    for _ in range(a.shape[-1] - 1):
+        reach = np.minimum(reach + reach @ a, 1.0)
+    return np.all(reach[..., 0, :] > 0.0, axis=-1)
+
+
+def build_H(t: Topology) -> np.ndarray:
+    """Read-only grounded Laplacian of a topology: h_ii counts all
+    in-edges of follower i (leader included), h_ij = -1 for each
+    follower in-edge (j, i)."""
+    H = _grounded(_adjacency(t))
+    H.flags.writeable = False
+    return H
 
 
 def leader_reachable(t: Topology) -> bool:
     """True iff every follower has a directed path from node 0."""
-    out = {k: [] for k in range(t.N + 1)}
-    for j, i in t.edges:
-        out[j].append(i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        for nxt in out[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == t.N + 1
+    return bool(_reachable(_adjacency(t)))
 
 
-def is_nonsingular_M(gl: GroundedLaplacian) -> bool:
-    """True iff H is invertible with an elementwise nonnegative inverse
-    (the defining property of a nonsingular M-matrix on Z-patterns)."""
-    return _all_nonsingular_M(gl.H)
+def admissible_laplacians(N: int):
+    """Number of admissible digraphs on N followers and the (G, N, N)
+    stack of their distinct grounded Laplacians.
+
+    Bit k of a set's index stands for the k-th follower-target edge
+    (j, i), i >= 1, ordered by target, then source; the sets that leave
+    every follower reachable from the leader are kept in increasing
+    index order. A set fixes H and H fixes the set, so G is the number
+    of admissible sets. Edges into the leader neither reach H nor
+    change reachability, so none is enumerated; each set stands for
+    2^N digraphs, one per set of them, and the count is G << N.
+    """
+    if N < 1:
+        raise ValueError(f"follower count must be at least 1, got {N}")
+    if N > ENUMERATION_CAP:
+        raise EnumerationTooLarge(
+            f"enumeration supports at most {ENUMERATION_CAP} followers, got {N}")
+    tgt, src = np.nonzero(~np.eye(N + 1, dtype=bool)[1:])
+    bits = (np.arange(1 << tgt.size)[:, None] >> np.arange(tgt.size)) & 1
+    adj = np.zeros((bits.shape[0], N + 1, N + 1))
+    adj[:, src, tgt + 1] = bits
+    adj = adj[_reachable(adj)]
+    return adj.shape[0] << N, _grounded(adj)
 
 
 def _all_nonsingular_M(Hs) -> bool:
-    """is_nonsingular_M for every matrix of a (..., N, N) stack."""
+    """True iff every matrix of a (..., N, N) stack is invertible with
+    an elementwise nonnegative inverse (the defining property of a
+    nonsingular M-matrix on Z-patterns)."""
     try:
         inv = np.linalg.inv(Hs)
     except np.linalg.LinAlgError:

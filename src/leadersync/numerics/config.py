@@ -1,7 +1,7 @@
 """Numerical tolerances and iteration budgets.
 
-Module-level constants so callers can override them before use. The
-defaults are the values the test suite pins.
+Fixed module-level values: nothing in the package or its tests
+changes them, and the test suite pins them.
 """
 
 # symmetric eigenvalues

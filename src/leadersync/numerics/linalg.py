@@ -105,11 +105,6 @@ def spectral_norm(M):
     return _per_matrix(singular_values(M)[..., 0])
 
 
-def kron(A, B):
-    """Kronecker product with block (i, j) equal to a_ij * B."""
-    return np.kron(_as_matrix(A, "A"), _as_matrix(B, "B"))
-
-
 # order-7 Pade coefficients b0..b7 of e^x
 _PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
           56.0, 1.0)

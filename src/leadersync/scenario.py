@@ -24,6 +24,7 @@ Keys:
   K <m*n floats>                     optional explicit gain (skips synthesis)
 """
 
+import dataclasses
 from dataclasses import dataclass
 import math
 import re
@@ -69,34 +70,17 @@ class Scenario:
     K: np.ndarray | None = None
 
     def __eq__(self, other):
+        """Field by field; an array field equals only an equal array."""
         if not isinstance(other, Scenario):
             return NotImplemented
-
-        def same(a, b):
+        for f in dataclasses.fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
             if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return (a is not None and b is not None
-                        and np.array_equal(np.asarray(a), np.asarray(b)))
-            return a == b
-
-        return (same(self.A, other.A) and same(self.B, other.B)
-                and same(self.x0_leader, other.x0_leader)
-                and same(self.x0_followers, other.x0_followers)
-                and ((self.D is None) == (other.D is None))
-                and (self.D is None or same(self.D, other.D))
-                and ((self.K is None) == (other.K is None))
-                and (self.K is None or same(self.K, other.K))
-                and self.name == other.name
-                and self.mu1 == other.mu1 and self.mu2 == other.mu2
-                and self.topologies == other.topologies
-                and self.signal == other.signal
-                and self.T_low == other.T_low
-                and self.T_high == other.T_high
-                and self.grid_h == other.grid_h
-                and self.seed == other.seed
-                and self.horizon == other.horizon
-                and self.output_dt == other.output_dt
-                and self.out_traj == other.out_traj
-                and self.out_sched == other.out_sched)
+                if a is None or b is None or not np.array_equal(a, b):
+                    return False
+            elif a != b:
+                return False
+        return True
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import IncompleteTrace, InvalidSchedule
 from .graph import SwitchingSignal, build_H, signal_mode
 from .numerics import config
-from .numerics.linalg import _as_matrix, _square, expm, kron
+from .numerics.linalg import _as_matrix, _square, expm
 from .synthesis import SynthesisResult, _rho
 
 MASK64 = (1 << 64) - 1
@@ -311,12 +311,12 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
     L = int(steps.max()) if n_open else 0
     _check_memory(len(topologies), L, d, n, N * m, n_open, n_rows)
 
-    Hs = [build_H(t).H for t in topologies]
+    Hs = [build_H(t) for t in topologies]
     Fs = np.empty((len(Hs), d, d))
     Gs = np.empty((len(Hs), d, d))
     I_N = np.eye(N)
     for p, H in enumerate(Hs):
-        top = np.hstack([kron(I_N, model.A), -kron(H, model.B @ Km)])
+        top = np.hstack([np.kron(I_N, model.A), -np.kron(H, model.B @ Km)])
         M = np.vstack([top, np.zeros((d, 2 * d))])
         E = expm(M, grid_h)
         Fs[p] = E[:d, :d]
@@ -369,7 +369,7 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
     u_held = np.empty((n_open, N * m))
     for p, H in enumerate(Hs):
         sel = mode_idx == p
-        u_held[sel] = -(X[:n_open][sel] @ kron(H, Km).T)
+        u_held[sel] = -(X[:n_open][sel] @ np.kron(H, Km).T)
 
     return SimulationResult(
         times=out_ticks.astype(float) * grid_h, leader=leader,
@@ -461,7 +461,7 @@ def lyapunov_trace(result: SimulationResult,
             f"sampling instant {result.instants[k]} is missing from "
             f"the dense output times")
 
-    W = kron(np.diag(synth.D), synth.P)
+    W = np.kron(np.diag(synth.D), synth.P)
     flat = result.errors.reshape(result.errors.shape[0], N * n)
     V = np.einsum("ki,ij,kj->k", flat, W, flat)
     V_samples = V[bidx]

@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from .errors import (CommonDNotFound, ContractionInfeasible,
-                     DConstructionFailure, EnumerationTooLarge)
-from .graph import GroundedLaplacian, _all_nonsingular_M
+                     DConstructionFailure)
+from .graph import _all_nonsingular_M, admissible_laplacians
 from .numerics.linalg import (_as_matrix, _square, solve_care, spectral_norm,
                               sym_eig_extremes, sym_eig_min_vector)
 
@@ -71,7 +71,7 @@ def _definiteness_margin(d, mats, grad=False):
     return float(lams[k]), 2.0 * d * vecs[k] * (Hs[k] @ vecs[k])
 
 
-def construct_D(gl: GroundedLaplacian) -> np.ndarray:
+def construct_D(H) -> np.ndarray:
     """Positive diagonal scaling d with D H + H^T D positive definite.
 
     Quotient construction d_i = z_i / w_i from w = H^{-1} 1 and
@@ -79,7 +79,7 @@ def construct_D(gl: GroundedLaplacian) -> np.ndarray:
     Valid for any nonsingular M-matrix: both solves are elementwise
     positive and the scaled sum is a symmetric M-matrix.
     """
-    return _scalings(gl.H[None])[0][0]
+    return _scalings(_square(H, "H")[None])[0][0]
 
 
 def _scalings(Hs):
@@ -102,8 +102,9 @@ def _scalings(Hs):
     return d, margin
 
 
-def find_common_D(gls) -> np.ndarray:
-    """Positive diagonal scaling valid for every given grounded Laplacian.
+def find_common_D(Hs) -> np.ndarray:
+    """Positive diagonal scaling valid for every grounded Laplacian of
+    a list or a (G, N, N) stack.
 
     Candidate order: the identity, each per-matrix construct_D, their
     elementwise geometric mean, then 500 steps of projected gradient
@@ -111,10 +112,9 @@ def find_common_D(gls) -> np.ndarray:
     The search is incomplete; exhausting it raises CommonDNotFound,
     which does not prove that no scaling exists.
     """
-    gls = list(gls)
-    if not gls:
+    mats = [_square(H, "H") for H in Hs]
+    if not mats:
         raise ValueError("at least one grounded Laplacian is required")
-    mats = [g.H for g in gls]
     n = mats[0].shape[0]
     for H in mats:
         if H.shape != (n, n):
@@ -122,9 +122,9 @@ def find_common_D(gls) -> np.ndarray:
 
     candidates = [np.ones(n)]
     per_graph = []
-    for g in gls:
+    for H in mats:
         try:
-            per_graph.append(construct_D(g))
+            per_graph.append(construct_D(H))
         except DConstructionFailure:
             continue
     candidates.extend(per_graph)
@@ -211,17 +211,16 @@ def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
     """Feedback gain K and maximum sampling interval T_bar.
 
     Evaluates the full parameter ladder for the given diagonal scaling
-    over the listed grounded Laplacians; a static design is the
-    single-element list.
+    over the grounded Laplacians of a list or a (G, N, N) stack; a
+    static design is the single-element list.
     """
     if not (mu1 > 0.0 and mu2 > 0.0):
         raise ValueError(f"mu1 and mu2 must be positive, got {mu1}, {mu2}")
     a = _square(A, "A")
     b = _as_matrix(B, "B")
-    Hs = list(Hs)
-    if not Hs:
+    mats = np.array([_square(H, "H") for H in Hs])
+    if not mats.size:
         raise ValueError("at least one grounded Laplacian is required")
-    mats = np.array([g.H for g in Hs])
     N = mats.shape[-1]
     d = np.asarray(D, dtype=float).reshape(-1)
     if d.shape[0] != N:
@@ -229,52 +228,6 @@ def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
     if np.min(d) <= 0.0:
         raise ValueError("D entries must be strictly positive")
     return _ladder(a, b, mu1, mu2, mats, d, _definiteness_margin(d, mats), d)
-
-
-ENUMERATION_CAP = 3
-
-
-def _admissible_masks(N: int):
-    """The N*N follower-target edges (j, i), i >= 1, in bit order, and
-    the increasing bitmasks of the sets of them that leave every
-    follower reachable from the leader. Edges into the leader neither
-    reach build_H nor change reachability, so none is enumerated."""
-    if N < 1:
-        raise ValueError(f"follower count must be at least 1, got {N}")
-    if N > ENUMERATION_CAP:
-        raise EnumerationTooLarge(
-            f"enumeration supports at most {ENUMERATION_CAP} followers, got {N}")
-    pairs = [(j, i) for i in range(1, N + 1) for j in range(N + 1) if j != i]
-    masks = np.arange(1 << len(pairs), dtype=np.int64)
-    # out[j]: the nodes that node j sends to, as a bitmask per edge set
-    out = np.zeros((N + 1, masks.size), dtype=np.int64)
-    for k, (j, i) in enumerate(pairs):
-        out[j] |= ((masks >> k) & 1) << i
-    # integer closure from the leader; a path needs at most N edges and
-    # each sweep over the nodes extends every path by at least one
-    reach = np.ones_like(masks)
-    for _ in range(N):
-        for j in range(N + 1):
-            reach |= np.where((reach >> j) & 1, out[j], 0)
-    return pairs, masks[reach == (1 << (N + 1)) - 1]
-
-
-def admissible_laplacians(N: int):
-    """Number of admissible digraphs on N followers and the (G, N, N)
-    stack of their distinct grounded Laplacians.
-
-    A set of follower-target edges fixes H and H fixes the set, so G
-    is the number of admissible sets. Each stands for 2^N digraphs, one
-    per set of edges into the leader, so the count is G << N.
-    """
-    pairs, masks = _admissible_masks(N)
-    Hs = np.zeros((masks.size, N, N), dtype=np.int64)
-    for k, (j, i) in enumerate(pairs):
-        bit = (masks >> k) & 1
-        Hs[:, i - 1, i - 1] += bit
-        if j:
-            Hs[:, i - 1, j - 1] -= bit
-    return masks.size << N, Hs.astype(float)
 
 
 def worst_case_params(A, B, mu1, mu2, N: int) -> SynthesisResult:

@@ -150,6 +150,20 @@ def reachable_closure(N, edges):
     return all(R[0, i] for i in range(1, size))
 
 
+def grounded_laplacian(N, edges):
+    """Grounded Laplacian by a loop over the edges: h_ii counts every
+    in-edge (j, i) of follower i, the leader's included, and h_ij is
+    -1 for each follower in-edge; edges into the leader are skipped."""
+    H = np.zeros((N, N))
+    for j, i in edges:
+        if i == 0:
+            continue
+        H[i - 1, i - 1] += 1.0
+        if j >= 1:
+            H[i - 1, j - 1] -= 1.0
+    return H
+
+
 def enumerate_bruteforce(N):
     """Every edge set on one leader and N followers, edges into the
     leader included, in which all followers are reachable: a loop over

@@ -16,9 +16,10 @@ from leadersync import (SamplingSchedule, SystemModel, Topology, build_H,
                         gen_schedule, load_scenario, lyapunov_trace,
                         simulate, synthesize, worst_case_params)
 from leadersync.cli import main
-from leadersync.numerics.linalg import (expm, kron, solve_care,
-                                        spectral_norm, sym_eig_extremes)
-from leadersync.synthesis import admissible_laplacians, construct_D
+from leadersync.graph import admissible_laplacians
+from leadersync.numerics.linalg import (expm, solve_care, spectral_norm,
+                                        sym_eig_extremes)
+from leadersync.synthesis import construct_D
 
 import oracles
 from conftest import STATIC, SWITCHING
@@ -28,9 +29,9 @@ B_DEMO = np.array([[0.26], [0.31]])
 
 
 def _design(sc):
-    gls = [build_H(t) for t in sc.topologies]
-    return synthesize(sc.A, sc.B, sc.mu1, sc.mu2, np.ones(gls[0].H.shape[0]),
-                      gls)
+    Hs = [build_H(t) for t in sc.topologies]
+    return synthesize(sc.A, sc.B, sc.mu1, sc.mu2, np.ones(Hs[0].shape[0]),
+                      Hs)
 
 
 def _run(sc, synth):
@@ -125,9 +126,9 @@ def test_criterion_07_scaling_construction_soundness():
     for _ in range(1000):
         N = int(rng.integers(1, 7))
         t = oracles.random_reachable_topology(N, rng)
-        gl = build_H(t)
-        d = construct_D(gl)
-        S = np.diag(d) @ gl.H + gl.H.T @ np.diag(d)
+        H = build_H(t)
+        d = construct_D(H)
+        S = np.diag(d) @ H + H.T @ np.diag(d)
         assert np.linalg.eigvalsh(S)[0] > 0.0
 
 
@@ -157,7 +158,7 @@ def test_criterion_08_numerics_oracles():
                              int(rng.integers(1, 5))))
         M = rng.normal(size=(int(rng.integers(1, 5)),
                              int(rng.integers(1, 5))))
-        got = spectral_norm(kron(H, M))
+        got = spectral_norm(np.kron(H, M))
         want = spectral_norm(H) * spectral_norm(M)
         assert abs(got - want) <= 1e-9 * max(1.0, want)
 
@@ -165,8 +166,8 @@ def test_criterion_08_numerics_oracles():
 def test_criterion_09_enumeration(capsys):
     assert main(["enumerate", "--model", STATIC, "--followers", "1"]) == 0
     out = capsys.readouterr().out
-    gl = build_H(Topology(1, frozenset([(0, 1)])))
-    res = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.array([1.0]), [gl])
+    H = build_H(Topology(1, frozenset([(0, 1)])))
+    res = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.array([1.0]), [H])
     resw = worst_case_params(A_DEMO, B_DEMO, 1.0, 1.0, 1)
     assert np.allclose(resw.K, res.K, rtol=1e-12)
     assert resw.T_bar == pytest.approx(res.T_bar, rel=1e-12)

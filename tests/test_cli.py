@@ -137,6 +137,19 @@ def test_seed_override_outside_64_bits_is_a_configuration_error(workdir,
     assert (workdir / "top" / "static_demo_schedule.csv").exists()
 
 
+def test_synthesize_has_no_seed_option(workdir, capsys):
+    # a design draws no schedule, so a seed would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "--scenario", STATIC, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--seed" not in out and "--jobs" in out
+
+
 def test_simulate_over_bound_warns(workdir, capsys):
     path = _overbound_path(workdir)
     assert main(["simulate", "--scenario", path]) == 0
@@ -324,10 +337,10 @@ def test_enumerate_single_follower_matches_static_design(workdir, capsys):
     assert main(["enumerate", "--model", STATIC, "--followers", "1"]) == 0
     out = capsys.readouterr().out
     assert "admissible graphs 2" in out
-    gl = build_H(Topology(1, frozenset([(0, 1)])))
+    H = build_H(Topology(1, frozenset([(0, 1)])))
     res = synthesize(np.array([[-0.38, 0.72], [-0.68, 0.42]]),
                      np.array([[0.26], [0.31]]), 1.0, 1.0,
-                     np.array([1.0]), [gl])
+                     np.array([1.0]), [H])
     assert ("T_bar %.6g" % res.T_bar) in out
     assert ("  %.6g %.6g" % (res.K[0, 0], res.K[0, 1])) in out
 
@@ -336,10 +349,10 @@ def test_enumerate_weight_overrides(workdir, capsys):
     assert main(["enumerate", "--model", STATIC, "--followers", "1",
                  "--mu1", "2.0", "--mu2", "0.5"]) == 0
     out = capsys.readouterr().out
-    gl = build_H(Topology(1, frozenset([(0, 1)])))
+    H = build_H(Topology(1, frozenset([(0, 1)])))
     res = synthesize(np.array([[-0.38, 0.72], [-0.68, 0.42]]),
                      np.array([[0.26], [0.31]]), 2.0, 0.5,
-                     np.array([1.0]), [gl])
+                     np.array([1.0]), [H])
     assert ("T_bar %.6g" % res.T_bar) in out
 
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from leadersync.errors import InvalidTime
-from leadersync.graph import (GroundedLaplacian, SwitchingSignal, Topology,
-                              build_H, is_nonsingular_M, leader_reachable,
-                              signal_mode)
+from leadersync.graph import (SwitchingSignal, Topology, _all_nonsingular_M,
+                              build_H, leader_reachable, signal_mode)
 
 import oracles
 
@@ -27,7 +26,7 @@ def test_topology_validation():
 
 
 def test_build_H_demo_graphs():
-    H1 = build_H(Topology(4, EDGES_1)).H
+    H1 = build_H(Topology(4, EDGES_1))
     expected1 = np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 2.0, -1.0, 0.0],
@@ -35,7 +34,7 @@ def test_build_H_demo_graphs():
         [0.0, -1.0, 0.0, 1.0]])
     assert np.array_equal(H1, expected1)
 
-    H2 = build_H(Topology(4, EDGES_2)).H
+    H2 = build_H(Topology(4, EDGES_2))
     expected2 = np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
@@ -45,22 +44,40 @@ def test_build_H_demo_graphs():
 
 
 def test_build_H_ignores_edges_into_leader():
-    a = build_H(Topology(2, frozenset([(0, 1), (0, 2)]))).H
-    b = build_H(Topology(2, frozenset([(0, 1), (0, 2), (1, 0), (2, 0)]))).H
+    a = build_H(Topology(2, frozenset([(0, 1), (0, 2)])))
+    b = build_H(Topology(2, frozenset([(0, 1), (0, 2), (1, 0), (2, 0)])))
     assert np.array_equal(a, b)
 
 
 def test_build_H_counts_parallel_inputs():
-    H = build_H(Topology(2, frozenset([(0, 1), (2, 1), (0, 2)]))).H
+    H = build_H(Topology(2, frozenset([(0, 1), (2, 1), (0, 2)])))
     assert H[0, 0] == 2.0
     assert H[0, 1] == -1.0
     assert H[1, 1] == 1.0
 
 
+def _random_edges(N, rng, p):
+    return {(j, i) for j in range(N + 1) for i in range(N + 1)
+            if j != i and rng.random() < p}
+
+
+def test_build_H_matches_edge_loop_oracle():
+    rng = np.random.default_rng(203)
+    for _ in range(300):
+        N = int(rng.integers(1, 17))
+        # edges into the leader included, which H must ignore
+        edges = _random_edges(N, rng, float(rng.uniform(0.05, 0.6)))
+        H = build_H(Topology(N, frozenset(edges)))
+        want = oracles.grounded_laplacian(N, edges)
+        assert H.dtype == np.float64 and H.shape == (N, N)
+        assert H.tobytes() == want.tobytes()
+
+
 def test_grounded_laplacian_immutable():
-    gl = build_H(Topology(2, frozenset([(0, 1), (1, 2)])))
+    H = build_H(Topology(2, frozenset([(0, 1), (1, 2)])))
+    assert isinstance(H, np.ndarray)
     with pytest.raises(ValueError):
-        gl.H[0, 0] = 99.0
+        H[0, 0] = 99.0
 
 
 def test_leader_reachable_demo_and_counterexample():
@@ -75,31 +92,30 @@ def test_leader_reachable_matches_closure_oracle():
     rng = np.random.default_rng(201)
     for _ in range(200):
         N = int(rng.integers(1, 7))
-        edges = set()
-        for j in range(N + 1):
-            for i in range(N + 1):
-                if j != i and rng.random() < 0.25:
-                    edges.add((j, i))
+        edges = _random_edges(N, rng, 0.25)
         t = Topology(N, frozenset(edges))
         assert leader_reachable(t) == oracles.reachable_closure(N, edges)
+
+
+def test_leader_reachable_on_a_16_follower_chain():
+    # the leader feeds follower 1 only, so follower 16 is 16 edges away
+    chain = {(0, 1)} | {(i, i + 1) for i in range(1, 16)}
+    assert leader_reachable(Topology(16, frozenset(chain | {(16, 1)})))
+    assert not leader_reachable(Topology(16, frozenset(chain - {(15, 16)})))
+    assert not leader_reachable(
+        Topology(16, frozenset(chain - {(8, 9)} | {(16, 0)})))
 
 
 def test_nonsingular_M_iff_reachable():
     rng = np.random.default_rng(202)
     for _ in range(120):
         N = int(rng.integers(1, 7))
-        edges = set()
-        for j in range(N + 1):
-            for i in range(N + 1):
-                if j != i and rng.random() < 0.3:
-                    edges.add((j, i))
-        t = Topology(N, frozenset(edges))
-        gl = build_H(t)
-        assert is_nonsingular_M(gl) == leader_reachable(t)
+        t = Topology(N, frozenset(_random_edges(N, rng, 0.3)))
+        assert _all_nonsingular_M(build_H(t)) == leader_reachable(t)
 
 
 def test_nonsingular_M_rejects_generic_matrix():
-    assert not is_nonsingular_M(GroundedLaplacian(np.zeros((2, 2))))
+    assert not _all_nonsingular_M(np.zeros((2, 2)))
 
 
 def test_switching_signal_validation():

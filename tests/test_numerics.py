@@ -7,7 +7,7 @@ import pytest
 from leadersync.errors import (EigenFailure, InvalidMatrix, LyapunovSingular,
                                NotStabilizable, NumericalOverflow)
 from leadersync.numerics.linalg import (check_stabilizable, eigenvalues, expm,
-                                        kron, singular_values, solve_care,
+                                        singular_values, solve_care,
                                         solve_lyapunov, spectral_norm,
                                         sym_eig_extremes)
 
@@ -200,15 +200,9 @@ def test_kron_norm_product_identity():
     for _ in range(40):
         H = rng.standard_normal((int(rng.integers(1, 5)),) * 2)
         M = rng.standard_normal((int(rng.integers(1, 5)),) * 2)
-        lhs = spectral_norm(kron(H, M))
+        lhs = spectral_norm(np.kron(H, M))
         rhs = spectral_norm(H) * spectral_norm(M)
         assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-12)
-
-
-def test_kron_matches_numpy():
-    A = np.arange(4.0).reshape(2, 2)
-    B = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(kron(A, B), np.kron(A, B))
 
 
 # ------------------------------------------------- general eigenvalues

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -264,3 +265,47 @@ def test_model_validation():
         parse_scenario(_mutate(replace=("B", "B 1 1  0.26")))
     with pytest.raises(ScenarioError, match="name"):
         parse_scenario(_mutate(replace=("name", "name two tokens")))
+
+
+def _one_entry_changed(a):
+    b = np.array(a, dtype=float)
+    b.flat[0] += 1.0
+    return b
+
+
+def test_scenario_differs_in_each_field():
+    sc = load_scenario(STATIC)
+    top = sc.topologies[0]
+    # move the edge (4, 3) to (4, 1)
+    other_top = Topology(top.N, (top.edges - {(4, 3)}) | {(4, 1)})
+    changed = {
+        "name": "other_demo",
+        "A": _one_entry_changed(sc.A),
+        "B": _one_entry_changed(sc.B),
+        "mu1": 2.0,
+        "mu2": 2.0,
+        "topologies": (other_top,),
+        "signal": SwitchingSignal(mode_count=1, period=1.0,
+                                  phases=((0, 1.0),)),
+        "T_low": 0.002,
+        "T_high": 0.017,
+        "grid_h": 0.0005,
+        "seed": 8,
+        "horizon": 31.0,
+        "x0_leader": _one_entry_changed(sc.x0_leader),
+        "x0_followers": _one_entry_changed(sc.x0_followers),
+        "output_dt": 0.01,
+        "out_traj": "other_trajectory.csv",
+        "out_sched": "other_schedule.csv",
+        "D": np.ones(4),
+        "K": np.array([[0.5, 0.5]]),
+    }
+    assert sorted(changed) == sorted(f.name for f in
+                                     dataclasses.fields(Scenario))
+    assert sc.D is None and sc.K is None
+    assert sc == dataclasses.replace(sc)
+    for name, value in changed.items():
+        copy = dataclasses.replace(sc, **{name: value})
+        assert copy != sc and sc != copy, name
+        assert not copy == sc, name
+    assert (sc == "text") is False

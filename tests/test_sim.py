@@ -10,7 +10,6 @@ from leadersync import (SamplingSchedule, SwitchingSignal, SystemModel,
                         lyapunov_trace, simulate, synthesize,
                         write_schedule_csv, write_trajectory_csv)
 from leadersync.errors import IncompleteTrace, InvalidSchedule
-from leadersync.numerics.linalg import kron
 from leadersync.sim import MASK64, SplitMix64
 
 import oracles
@@ -35,8 +34,7 @@ def _schedule(instants, grid_h, horizon=None):
 
 
 def _synth_static():
-    gl = build_H(TOP)
-    return synthesize(A2, B2, 1.0, 1.0, np.ones(4), [gl])
+    return synthesize(A2, B2, 1.0, 1.0, np.ones(4), [build_H(TOP)])
 
 
 # ---------------------------------------------------------- SplitMix64
@@ -154,12 +152,12 @@ def test_simulate_zero_gain_is_block_autonomous():
 
 def test_simulate_matches_held_input_oracle():
     K = np.array([[0.887356, 1.21952]])
-    H = build_H(TOP).H
+    H = build_H(TOP)
     sched = _schedule([0.0, 0.3], 0.1)
     res = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched,
                    X0L, X0F)
     d = 8
-    top = np.hstack([kron(np.eye(4), A2), -kron(H, B2 @ K)])
+    top = np.hstack([np.kron(np.eye(4), A2), -np.kron(H, B2 @ K)])
     M = np.vstack([top, np.zeros((d, 2 * d))])
     x0 = (X0F - X0L[None, :]).reshape(-1)
     for k, t in enumerate(res.times):
@@ -167,7 +165,7 @@ def test_simulate_matches_held_input_oracle():
         want = (Ebig[:d, :d] + Ebig[:d, d:]) @ x0
         assert np.allclose(res.errors[k].reshape(-1), want,
                            rtol=1e-9, atol=1e-12)
-    assert np.allclose(res.u_held[0], (-(kron(H, K) @ x0)).reshape(4, 1))
+    assert np.allclose(res.u_held[0], (-(np.kron(H, K) @ x0)).reshape(4, 1))
 
 
 def test_simulate_errors_ignore_leader_origin():
@@ -209,7 +207,7 @@ def test_simulate_pure_path_matches_jit():
     opens = ticks[ticks < hor]
     steps = np.minimum(np.append(opens[1:], hor), hor) - opens
     top = np.hstack([np.kron(np.eye(4), A2),
-                     -np.kron(build_H(TOP).H, B2 @ K)])
+                     -np.kron(build_H(TOP), B2 @ K)])
     E = oracles.expm_taylor(np.vstack([top, np.zeros((d, 2 * d))]), h)
     x0 = (X0F - X0L[None, :]).reshape(-1)
     err = oracles.propagate_grid(E[None, :d, :d], E[None, :d, d:],
@@ -247,7 +245,7 @@ def test_simulate_matches_step_by_step_oracle():
     steps = np.minimum(ticks[1:], hor) - ticks[:-1]
 
     d = 6
-    Hs = [build_H(t).H for t in (t_a, t_b)]
+    Hs = [build_H(t) for t in (t_a, t_b)]
     Fs, Gs = np.empty((2, d, d)), np.empty((2, d, d))
     for p, H in enumerate(Hs):
         top = np.hstack([np.kron(np.eye(3), A2), -np.kron(H, B2 @ K)])
@@ -281,9 +279,9 @@ def test_simulate_mode_chosen_at_interval_opening():
                    X0L, x0f)
     assert list(res.modes) == [0, 0, 1]
     # the third interval's held input must come from the second graph
-    H_b = build_H(t_b).H
+    H_b = build_H(t_b)
     xs = res.errors[res.boundary_idx[2]].reshape(-1)
-    assert np.allclose(res.u_held[2], (-(kron(H_b, K) @ xs)).reshape(2, 1))
+    assert np.allclose(res.u_held[2], (-(np.kron(H_b, K) @ xs)).reshape(2, 1))
 
 
 def test_simulate_truncates_at_horizon():

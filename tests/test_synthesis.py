@@ -7,9 +7,11 @@ from leadersync import (SamplingSchedule, Topology, build_H,
                         contraction_factor, find_common_D, synthesize,
                         worst_case_params)
 from leadersync.errors import (CommonDNotFound, ContractionInfeasible,
-                               DConstructionFailure, EnumerationTooLarge)
+                               DConstructionFailure, EnumerationTooLarge,
+                               InvalidMatrix)
+from leadersync.graph import admissible_laplacians
 from leadersync.synthesis import (_definiteness_margin, _scalings,
-                                  admissible_laplacians, construct_D)
+                                  construct_D)
 
 import oracles
 
@@ -56,8 +58,8 @@ def test_construct_D_matches_independent_solves():
     for _ in range(30):
         N = int(rng.integers(2, 7))
         t = oracles.random_reachable_topology(N, rng)
-        H = build_H(t).H
-        d = construct_D(build_H(t))
+        H = build_H(t)
+        d = construct_D(H)
         w = oracles.solve_gauss(H, np.ones(N))
         z = oracles.solve_gauss(H.T, np.ones(N))
         expected = z / w
@@ -70,12 +72,12 @@ def test_construct_D_certifies_definiteness():
     for _ in range(100):
         N = int(rng.integers(1, 7))
         t = oracles.random_reachable_topology(N, rng)
-        gl = build_H(t)
-        d = construct_D(gl)
+        H = build_H(t)
+        d = construct_D(H)
         assert d.max() == 1.0
         assert d.min() > 0.0
         D = np.diag(d)
-        S = D @ gl.H + gl.H.T @ D
+        S = D @ H + H.T @ D
         lo, _hi = oracles.sym_extremes_bisect(S)
         assert lo > 0.0
 
@@ -88,22 +90,22 @@ def test_construct_D_rejects_unreachable():
 # ------------------------------------------------------ find_common_D
 
 def test_find_common_D_prefers_identity():
-    gls = [build_H(Topology(4, EDGES_1)), build_H(Topology(4, EDGES_2))]
-    assert np.array_equal(find_common_D(gls), np.ones(4))
+    Hs = [build_H(Topology(4, EDGES_1)), build_H(Topology(4, EDGES_2))]
+    assert np.array_equal(find_common_D(Hs), np.ones(4))
 
 
 def test_find_common_D_quotient_stage():
-    gl = build_H(Topology(4, EDGES_SKEW))
-    assert _definiteness_margin(np.ones(4), [gl.H]) <= 0.0
-    d = find_common_D([gl])
-    assert _definiteness_margin(d, [gl.H]) > 0.0
-    assert np.allclose(d, construct_D(gl), rtol=1e-13)
+    H = build_H(Topology(4, EDGES_SKEW))
+    assert _definiteness_margin(np.ones(4), [H]) <= 0.0
+    d = find_common_D([H])
+    assert _definiteness_margin(d, [H]) > 0.0
+    assert np.allclose(d, construct_D(H), rtol=1e-13)
 
 
 def test_find_common_D_geometric_mean_stage():
     g1 = build_H(Topology(5, EDGES_GEO_1))
     g2 = build_H(Topology(5, EDGES_GEO_2))
-    mats = [g1.H, g2.H]
+    mats = [g1, g2]
     assert _definiteness_margin(np.ones(5), mats) <= 0.0
     assert _definiteness_margin(construct_D(g1), mats) <= 0.0
     assert _definiteness_margin(construct_D(g2), mats) <= 0.0
@@ -114,7 +116,7 @@ def test_find_common_D_geometric_mean_stage():
 def test_find_common_D_ascent_stage():
     g1 = build_H(Topology(5, EDGES_ASC_1))
     g2 = build_H(Topology(5, EDGES_ASC_2))
-    mats = [g1.H, g2.H]
+    mats = [g1, g2]
     d1, d2 = construct_D(g1), construct_D(g2)
     geo = np.exp(0.5 * (np.log(d1) + np.log(d2)))
     geo = geo / geo.max()
@@ -127,9 +129,9 @@ def test_find_common_D_ascent_stage():
 def test_find_common_D_unsatisfiable():
     # a follower with no in-edges at all zeroes a diagonal entry of
     # D H + H^T D for every positive D
-    gl = build_H(Topology(2, frozenset([(0, 1)])))
+    H = build_H(Topology(2, frozenset([(0, 1)])))
     with pytest.raises(CommonDNotFound):
-        find_common_D([gl])
+        find_common_D([H])
 
 
 def test_find_common_D_requires_input():
@@ -152,7 +154,7 @@ def test_margin_subgradient_matches_central_differences():
     checked = 0
     while checked < 30:
         N = int(rng.integers(2, 7))
-        mats = [build_H(oracles.random_reachable_topology(N, rng)).H
+        mats = [build_H(oracles.random_reachable_topology(N, rng))
                 for _ in range(int(rng.integers(1, 3)))]
         u = rng.uniform(-1.5, -0.01, N)
         k = int(rng.integers(N))
@@ -200,8 +202,8 @@ def test_synthesize_scalar_ladder_by_hand():
 
 
 def test_synthesize_static_demo_values():
-    gl = build_H(Topology(4, EDGES_1))
-    res = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.ones(4), [gl])
+    H = build_H(Topology(4, EDGES_1))
+    res = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.ones(4), [H])
     assert np.allclose(res.P, [[7.21375344, -3.68967041],
                                [-3.68967041, 6.3387696]], atol=1e-7)
     assert np.allclose(res.K, [[0.887356, 1.21952]], atol=1e-5)
@@ -210,8 +212,8 @@ def test_synthesize_static_demo_values():
 
 
 def test_synthesize_switching_demo_values():
-    gls = [build_H(Topology(4, EDGES_1)), build_H(Topology(4, EDGES_2))]
-    res = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.ones(4), gls)
+    Hs = [build_H(Topology(4, EDGES_1)), build_H(Topology(4, EDGES_2))]
+    res = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.ones(4), Hs)
     assert np.allclose(res.K, [[0.948302, 1.30328]], atol=1e-5)
     assert math.isclose(res.T_bar, 0.016696, abs_tol=1e-5)
 
@@ -221,10 +223,10 @@ def test_synthesize_ladder_internal_consistency():
     for _ in range(10):
         N = int(rng.integers(2, 5))
         t = oracles.random_reachable_topology(N, rng)
-        gl = build_H(t)
-        d = construct_D(gl)
+        H = build_H(t)
+        d = construct_D(H)
         A, B = oracles.random_stabilizable(int(rng.integers(1, 4)), 1, rng)
-        res = synthesize(A, B, 1.0, 1.0, d, [gl])
+        res = synthesize(A, B, 1.0, 1.0, d, [H])
         assert res.T_bar == pytest.approx(math.sqrt(res.c1 / res.c2))
         assert res.alpha3 == pytest.approx(
             res.alpha2 ** 2 / (2.0 * res.d_m * res.mu2))
@@ -234,21 +236,39 @@ def test_synthesize_ladder_internal_consistency():
 
 
 def test_synthesize_rejects_uncertified_scaling():
-    gl = build_H(Topology(4, EDGES_SKEW))
+    H = build_H(Topology(4, EDGES_SKEW))
     with pytest.raises(DConstructionFailure):
-        synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.ones(4), [gl])
+        synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.ones(4), [H])
 
 
 def test_synthesize_rejects_bad_inputs():
-    gl = build_H(Topology(4, EDGES_1))
+    H = build_H(Topology(4, EDGES_1))
     with pytest.raises(ValueError):
-        synthesize(A_DEMO, B_DEMO, -1.0, 1.0, np.ones(4), [gl])
+        synthesize(A_DEMO, B_DEMO, -1.0, 1.0, np.ones(4), [H])
     with pytest.raises(ValueError):
-        synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.ones(3), [gl])
+        synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.ones(3), [H])
     with pytest.raises(ValueError):
-        synthesize(A_DEMO, B_DEMO, 1.0, 1.0, -np.ones(4), [gl])
+        synthesize(A_DEMO, B_DEMO, 1.0, 1.0, -np.ones(4), [H])
     with pytest.raises(ValueError):
         synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.ones(4), [])
+
+
+def test_design_entry_points_take_arrays_and_stacks():
+    Hs = [build_H(Topology(4, EDGES_1)), build_H(Topology(4, EDGES_2))]
+    stack = np.stack(Hs)
+    d = find_common_D(Hs)
+    assert np.array_equal(find_common_D(stack), d)
+    want = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, d, Hs)
+    got = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, d, stack)
+    assert got.T_bar == want.T_bar and np.array_equal(got.K, want.K)
+    assert np.array_equal(construct_D(Hs[0].tolist()), construct_D(Hs[0]))
+    wide = np.ones((2, 3))
+    with pytest.raises(InvalidMatrix, match="H must be square"):
+        construct_D(wide)
+    with pytest.raises(InvalidMatrix, match="H must be square"):
+        find_common_D([Hs[0], wide])
+    with pytest.raises(InvalidMatrix, match="H must be square"):
+        synthesize(A_DEMO, B_DEMO, 1.0, 1.0, d, [wide])
 
 
 # -------------------------------------------------------- enumeration
@@ -260,9 +280,9 @@ def _bruteforce_topologies(N):
 def test_enumerate_single_follower():
     tops = _bruteforce_topologies(1)
     assert len(tops) == admissible_laplacians(1)[0] == 2
-    Hs = {build_H(t).H.tobytes() for t in tops}
+    Hs = {build_H(t).tobytes() for t in tops}
     assert len(Hs) == 1
-    assert np.array_equal(build_H(tops[0]).H, [[1.0]])
+    assert np.array_equal(build_H(tops[0]), [[1.0]])
 
 
 def test_enumerate_two_followers_against_bruteforce():
@@ -278,7 +298,7 @@ def test_enumeration_matches_closure_oracle(N, count, distinct):
     got_count, Hs = admissible_laplacians(N)
     assert got_count == count
     assert Hs.shape == (distinct, N, N) and Hs.dtype == np.float64
-    want = {build_H(Topology(N, e)).H.tobytes() for e in oracle}
+    want = {oracles.grounded_laplacian(N, e).tobytes() for e in oracle}
     got = {H.tobytes() for H in Hs}
     assert len(want) == len(got) == distinct
     assert got == want
@@ -293,8 +313,8 @@ def test_enumerate_rejects_large_and_invalid():
 
 def test_worst_case_single_follower_equals_static():
     res_w = worst_case_params(A_DEMO, B_DEMO, 1.0, 1.0, 1)
-    gl = build_H(Topology(1, frozenset([(0, 1)])))
-    res_s = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.array([1.0]), [gl])
+    H = build_H(Topology(1, frozenset([(0, 1)])))
+    res_s = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.array([1.0]), [H])
     assert np.allclose(res_w.K, res_s.K, rtol=1e-12)
     assert math.isclose(res_w.T_bar, res_s.T_bar, rel_tol=1e-12)
     assert res_w.D is None
@@ -306,12 +326,12 @@ def _per_graph_worst_case(A, B, mu1, mu2, N):
     norms from numpy.linalg."""
     distinct = {}
     for t in _bruteforce_topologies(N):
-        gl = build_H(t)
-        distinct.setdefault(gl.H.tobytes(), gl)
+        H = build_H(t)
+        distinct.setdefault(H.tobytes(), H)
     runs = []
-    for gl in distinct.values():
-        d = construct_D(gl)
-        runs.append((gl.H, d, synthesize(A, B, mu1, mu2, d, [gl])))
+    for H in distinct.values():
+        d = construct_D(H)
+        runs.append((H, d, synthesize(A, B, mu1, mu2, d, [H])))
     P = runs[0][2].P
     two = lambda M: np.linalg.norm(M, 2)
     lam1 = min(r.lam1 for _, _, r in runs)
@@ -354,8 +374,8 @@ def test_worst_case_stacked_matches_per_graph(A, B, N):
 
 
 def test_stacked_scalings_reject_a_bad_slice():
-    good = build_H(Topology(2, frozenset([(0, 1), (1, 2)]))).H
-    singular = build_H(Topology(2, frozenset([(0, 1)]))).H
+    good = build_H(Topology(2, frozenset([(0, 1), (1, 2)])))
+    singular = build_H(Topology(2, frozenset([(0, 1)])))
     not_M = np.array([[1.0, 2.0], [0.0, 1.0]])
     assert _scalings(np.stack([good, good]))[1] > 0.0
     for bad in (singular, not_M):
@@ -366,9 +386,9 @@ def test_stacked_scalings_reject_a_bad_slice():
 def test_worst_case_bound_covers_every_graph():
     res_w = worst_case_params(A_DEMO, B_DEMO, 1.0, 1.0, 2)
     for t in _bruteforce_topologies(2):
-        gl = build_H(t)
-        d = construct_D(gl)
-        res = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, d, [gl])
+        H = build_H(t)
+        d = construct_D(H)
+        res = synthesize(A_DEMO, B_DEMO, 1.0, 1.0, d, [H])
         assert res_w.T_bar <= res.T_bar + 1e-12
 
 
