@@ -155,6 +155,21 @@ def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
     return synth, result, warn
 
 
+def _float_range_warning(result, *per_row) -> list:
+    """One warning line when the leader state or a per-row array (the
+    error norms, V; None is skipped) of a run stops being finite,
+    naming the first output time at which it does. The squares in the
+    norms and in V overflow once the state passes about 1e154."""
+    bad = ~np.isfinite(result.leader).all(axis=1)
+    for a in per_row:
+        if a is not None:
+            bad |= ~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
+    if not bad.any():
+        return []
+    t = result.times[int(np.argmax(bad))]
+    return [f"warning: the state left the float range at t = {_g(t)}"]
+
+
 def cmd_simulate(path, out_dir=None, seed_override=None):
     sc = load_scenario(path)
     synth, result, warn = _run_scenario(sc, seed_override, need_synthesis=False)
@@ -167,7 +182,9 @@ def cmd_simulate(path, out_dir=None, seed_override=None):
     write_trajectory_csv(traj, result, V)
     write_schedule_csv(sched, result)
 
-    norms = np.linalg.norm(result.errors, axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(result.errors, axis=2)
+    warn += _float_range_warning(result, norms, V)
     burn = 0.5 * sc.horizon
     late = norms[result.times >= burn]
     lines.append(f"intervals {result.modes.shape[0]} "
@@ -187,6 +204,7 @@ def cmd_verify(path, out_dir=None, seed_override=None):
     # the certificate needs D and P, so a failed design is fatal here
     synth, result, warn = _run_scenario(sc, seed_override, need_synthesis=True)
     rep = lyapunov_trace(result, synth)
+    warn += _float_range_warning(result, rep.V)
 
     if out_dir:
         traj, sched = _out_paths(sc, out_dir)

@@ -119,9 +119,10 @@ def _grid_ticks(value, grid_h: float, what: str):
 def _check_memory(modes: int, L: int, d: int, n: int, Nm: int, n_open: int,
                   n_rows: int) -> None:
     """Refuse a run whose transition tables (modes x (L + 1) blocks of
-    d x d, plus L + 1 leader blocks of n x n) and output arrays would
-    together exceed config.SIM_MEMORY_BUDGET bytes."""
-    table = 8 * (L + 1) * (modes * d * d + n * n)
+    d x d, plus L + 1 leader blocks and L + 1 input-gain blocks of
+    n x n) and output arrays would together exceed
+    config.SIM_MEMORY_BUDGET bytes."""
+    table = 8 * (L + 1) * (modes * d * d + 2 * n * n)
     outputs = 8 * (n_rows * (4 + n + 2 * d) + n_open * Nm
                    + (n_open + 1) * (d + n))
     budget = config.SIM_MEMORY_BUDGET
@@ -243,6 +244,45 @@ class SimulationResult:
     schedule: SamplingSchedule
 
 
+def _transition_tables(model: SystemModel, K: np.ndarray, Hs: np.ndarray,
+                       grid_h: float, L: int):
+    """Phi[p, l], the error transition over l = 0..L grid steps of a
+    held input in graph mode p, and Lead[l] = E^l, the leader's.
+
+    Every agent shares A, B and K, so one Van Loan exponential of the
+    agent, expm([[A, B], [0, 0]] grid_h) with top row [E, Gamma], gives
+    the one-step blocks of the network: F = I kron E and
+    G_p = -H_p kron (Gamma K). With Psi_l = E Psi_{l-1} + Gamma
+    (Psi_0 = 0) the input gain accumulated over l held steps,
+    Phi[p, l] = F^l + sum_{j<l} F^j G_p = I kron E^l - H_p kron (Psi_l K),
+    written block by block into one table.
+    """
+    N, n, m = Hs.shape[1], model.n, model.m
+    d = N * n
+    vl = np.zeros((n + m, n + m))
+    vl[:n, :n] = model.A
+    vl[:n, n:] = model.B
+    top = expm(vl, grid_h)[:n]
+    E, negGammaK = top[:, :n], top[:, n:] @ -K
+    # the small recursions, with negPsiK[l] = -Psi_l K
+    Lead = np.empty((L + 1, n, n))
+    negPsiK = np.empty((L + 1, n, n))
+    Lead[0] = np.eye(n)
+    negPsiK[0] = 0.0
+    for l in range(1, L + 1):
+        Lead[l] = E @ Lead[l - 1]
+        negPsiK[l] = E @ negPsiK[l - 1] + negGammaK
+    # one table-sized allocation; a zero entry of H_p leaves its block
+    # zero, so only the nonzero entries are written
+    Phi = np.zeros((Hs.shape[0], L + 1, d, d))
+    blocks = Phi.reshape(Hs.shape[0], L + 1, N, n, N, n)
+    for p, i, j in zip(*np.nonzero(Hs)):
+        np.multiply(Hs[p, i, j], negPsiK, out=blocks[p, :, i, :, j, :])
+    for i in range(N):
+        blocks[:, :, i, :, i, :] += Lead
+    return Phi, Lead
+
+
 def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
              schedule: SamplingSchedule, x0_leader, x0_followers,
              output_dt: float | None = None) -> SimulationResult:
@@ -251,16 +291,20 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
     On each interval the active graph is the one the switching signal
     selects at the interval's opening instant and the input is the
     error feedback frozen there, so the error state l grid steps after
-    the opening is Phi[p, l] times the opening state, with
-    Phi[p, l] = F^l + sum_{j<l} F^j G built once per mode from the
-    one-step blocks F, G of the held-input dynamics. The leader uses
-    the powers of its own one-step transition the same way. Outputs
+    the opening is Phi[p, l] times the opening state. Since every agent
+    shares A, B and K, the table Phi[p, 0..L] (L the longest interval
+    in grid steps) is assembled as I kron E^l - H_p kron (Psi_l K) from
+    one (n + m) x (n + m) Van Loan exponential of the agent, and the
+    leader advances by the same powers E^l (see _transition_tables).
+    The run then costs one matrix-vector product per interval plus one
+    matrix product per (mode, offset) group of output rows. Outputs
     are taken at every multiple of output_dt (default grid_h), at
     every sampling instant, and at the horizon.
 
     The transition tables and the output arrays are sized before any
     of them is allocated; a run that would need more than
-    config.SIM_MEMORY_BUDGET bytes raises InvalidSchedule.
+    config.SIM_MEMORY_BUDGET bytes raises InvalidSchedule. A diverging
+    run raises no numpy warning: its states become inf or NaN.
     """
     topologies = list(topologies)
     if len(topologies) != signal.mode_count:
@@ -311,65 +355,51 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
     L = int(steps.max()) if n_open else 0
     _check_memory(len(topologies), L, d, n, N * m, n_open, n_rows)
 
-    Hs = [build_H(t) for t in topologies]
-    Fs = np.empty((len(Hs), d, d))
-    Gs = np.empty((len(Hs), d, d))
-    I_N = np.eye(N)
-    for p, H in enumerate(Hs):
-        top = np.hstack([np.kron(I_N, model.A), -np.kron(H, model.B @ Km)])
-        M = np.vstack([top, np.zeros((d, 2 * d))])
-        E = expm(M, grid_h)
-        Fs[p] = E[:d, :d]
-        Gs[p] = E[:d, d:]
-    E_lead = expm(model.A, grid_h)
-
-    # Phi[p, l] advances the error l steps from an opening state in
-    # mode p; Lead[l] advances the leader l steps
-    Phi = np.empty((len(Hs), L + 1, d, d))
-    Phi[:, 0] = np.eye(d)
-    Lead = np.empty((L + 1, n, n))
-    Lead[0] = np.eye(n)
-    for l in range(1, L + 1):
-        Phi[:, l] = Fs @ Phi[:, l - 1] + Gs
-        Lead[l] = E_lead @ Lead[l - 1]
-
-    # states at every opening instant and at the horizon
-    X = np.empty((n_open + 1, d))
-    Y = np.empty((n_open + 1, n))
-    X[0] = (foll0 - lead0[None, :]).reshape(-1)
-    Y[0] = lead0
-    for s, (p, l) in enumerate(zip(mode_idx.tolist(), steps.tolist())):
-        X[s + 1] = Phi[p, l] @ X[s]
-        Y[s + 1] = Lead[l] @ Y[s]
-
+    # output rows: the knot (opening instant or horizon) each follows,
+    # and the grid steps past it
     out_ticks = np.union1d(np.arange(0, hor + 1, stride),
                            np.append(used_ticks, hor))
     knots = np.append(starts, hor)
     seg = np.searchsorted(knots, out_ticks, side="right") - 1
     offset = out_ticks - knots[seg]
-    err = np.empty((n_rows, d))
-    leader = np.empty((n_rows, n))
     at_knot = offset == 0
-    err[at_knot] = X[seg[at_knot]]
-    leader[at_knot] = Y[seg[at_knot]]
     # every other row is one product per (mode, offset) group
     inner = np.flatnonzero(~at_knot)
     key = mode_idx[seg[inner]] * (L + 1) + offset[inner]
     order = np.argsort(key, kind="stable")
-    cuts = np.flatnonzero(np.diff(key[order])) + 1
-    for rows in np.split(inner[order], cuts):
-        if rows.size == 0:
-            continue
-        p, l = int(mode_idx[seg[rows[0]]]), int(offset[rows[0]])
-        err[rows] = X[seg[rows]] @ Phi[p, l].T
-        leader[rows] = Y[seg[rows]] @ Lead[l].T
+    groups = np.split(inner[order], np.flatnonzero(np.diff(key[order])) + 1)
 
-    errors = err.reshape(n_rows, N, n)
-    followers = errors + leader[:, None, :]
-    u_held = np.empty((n_open, N * m))
-    for p, H in enumerate(Hs):
-        sel = mode_idx == p
-        u_held[sel] = -(X[:n_open][sel] @ np.kron(H, Km).T)
+    Hs = np.array([build_H(t) for t in topologies])
+    # a diverging run ends in non-finite states, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        Phi, Lead = _transition_tables(model, Km, Hs, grid_h, L)
+
+        # states at every opening instant and at the horizon
+        X = np.empty((n_open + 1, d))
+        Y = np.empty((n_open + 1, n))
+        X[0] = (foll0 - lead0[None, :]).reshape(-1)
+        Y[0] = lead0
+        for s, (p, l) in enumerate(zip(mode_idx.tolist(), steps.tolist())):
+            X[s + 1] = Phi[p, l] @ X[s]
+            Y[s + 1] = Lead[l] @ Y[s]
+
+        err = np.empty((n_rows, d))
+        leader = np.empty((n_rows, n))
+        err[at_knot] = X[seg[at_knot]]
+        leader[at_knot] = Y[seg[at_knot]]
+        for rows in groups:
+            if rows.size == 0:
+                continue
+            p, l = int(mode_idx[seg[rows[0]]]), int(offset[rows[0]])
+            err[rows] = X[seg[rows]] @ Phi[p, l].T
+            leader[rows] = Y[seg[rows]] @ Lead[l].T
+
+        errors = err.reshape(n_rows, N, n)
+        followers = errors + leader[:, None, :]
+        u_held = np.empty((n_open, N * m))
+        for p, H in enumerate(Hs):
+            sel = mode_idx == p
+            u_held[sel] = -(X[:n_open][sel] @ np.kron(H, Km).T)
 
     return SimulationResult(
         times=out_ticks.astype(float) * grid_h, leader=leader,
@@ -431,13 +461,15 @@ def lyapunov_trace(result: SimulationResult,
                    synth: SynthesisResult) -> ContractionReport:
     """Evaluate the design's quadratic certificate along a simulated run.
 
-    V uses the scaling D and the Riccati solution P of synth. Checks
-    two properties the synthesized bound implies when every gap is at
-    most T_high: inside each interval the dense values of V never
-    exceed V at the interval's opening instant (slack INTERVAL_SLACK),
-    and across each complete interval V contracts by at least the
-    factor rho (see ContractionReport). The monitor is observational:
-    violations are reported, never raised.
+    V = sum_i D_i e_i' P e_i, the value of e' (D kron P) e, is taken
+    agent by agent from the scaling D and the Riccati solution P of
+    synth. Checks two properties the synthesized bound implies when
+    every gap is at most T_high: inside each interval the dense values
+    of V never exceed V at the interval's opening instant (slack
+    INTERVAL_SLACK), and across each complete interval V contracts by
+    at least the factor rho (see ContractionReport). The monitor is
+    observational: violations are reported, never raised, and a
+    diverging run gives inf or NaN values of V, not numpy warnings.
     """
     _, N, n = result.errors.shape
     if synth.D is None or synth.D.shape != (N,):
@@ -461,31 +493,31 @@ def lyapunov_trace(result: SimulationResult,
             f"sampling instant {result.instants[k]} is missing from "
             f"the dense output times")
 
-    W = np.kron(np.diag(synth.D), synth.P)
-    flat = result.errors.reshape(result.errors.shape[0], N * n)
-    V = np.einsum("ki,ij,kj->k", flat, W, flat)
-    V_samples = V[bidx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = result.errors
+        V = np.einsum("kia,kia->ki", e @ synth.P, e) @ synth.D
+        V_samples = V[bidx]
 
-    # largest V from each sampling instant up to the next (or the end)
-    violations = 0
-    worst = 0.0
-    if bidx.size:
-        seg_max = np.maximum.reduceat(V, bidx)
-        positive = V_samples > 0.0
-        excess = np.where(seg_max > 0.0, math.inf, 0.0)
-        excess[positive] = ((seg_max[positive] - V_samples[positive])
-                            / V_samples[positive])
-        violations = int(np.count_nonzero(excess > config.INTERVAL_SLACK))
-        # NaN excesses are skipped, as a running max() would skip them
-        worst = float(np.fmax.reduce(excess))
-        if math.isnan(worst):
-            worst = 0.0
+        # largest V from each sampling instant up to the next (or the end)
+        violations = 0
+        worst = 0.0
+        if bidx.size:
+            seg_max = np.maximum.reduceat(V, bidx)
+            positive = V_samples > 0.0
+            excess = np.where(seg_max > 0.0, math.inf, 0.0)
+            excess[positive] = ((seg_max[positive] - V_samples[positive])
+                                / V_samples[positive])
+            violations = int(np.count_nonzero(excess > config.INTERVAL_SLACK))
+            # NaN excesses are skipped, as a running max() would skip them
+            worst = float(np.fmax.reduce(excess))
+            if math.isnan(worst):
+                worst = 0.0
 
-    V0 = V_samples[:result.n_complete]
-    V1 = V_samples[1:result.n_complete + 1]
-    ratios = np.full(result.n_complete, math.nan)
-    positive = V0 > 0.0
-    ratios[positive] = V1[positive] / V0[positive]
+        V0 = V_samples[:result.n_complete]
+        V1 = V_samples[1:result.n_complete + 1]
+        ratios = np.full(result.n_complete, math.nan)
+        positive = V0 > 0.0
+        ratios[positive] = V1[positive] / V0[positive]
 
     beta1 = synth.c1
     beta2 = synth.c2 * result.schedule.T_high ** 2
@@ -503,11 +535,6 @@ def lyapunov_trace(result: SimulationResult,
 CSV_BLOCK_ROWS = 64
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
-
-
 def write_trajectory_csv(path, result: SimulationResult, V=None) -> None:
     """One row per output time: leader state, every follower state,
     per-follower error norms, and the monitored quadratic V (NaN when
@@ -520,7 +547,8 @@ def write_trajectory_csv(path, result: SimulationResult, V=None) -> None:
     cols += [f"err_norm_{i}" for i in range(1, N + 1)]
     cols.append("V")
     vcol = np.full(n_out, math.nan) if V is None else np.asarray(V, dtype=float)
-    norms = np.linalg.norm(result.errors, axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(result.errors, axis=2)
     followers = result.followers.reshape(n_out, N * n)
     with open(path, "w", newline="\n") as f:
         f.write(",".join(cols) + "\n")
@@ -538,10 +566,15 @@ def write_trajectory_csv(path, result: SimulationResult, V=None) -> None:
 def write_schedule_csv(path, result: SimulationResult) -> None:
     """One row per simulated interval: index, opening instant,
     scheduled gap, and the graph mode in force."""
-    sched = result.schedule.instants
+    k = result.modes.shape[0]
+    sched = result.schedule.instants[:k + 1]
+    gaps = np.diff(sched)
     with open(path, "w", newline="\n") as f:
         f.write("s,t_s,T_s,mode\n")
-        for s in range(result.modes.shape[0]):
-            f.write(",".join([
-                str(s), _fmt(sched[s]), _fmt(sched[s + 1] - sched[s]),
-                str(int(result.modes[s]))]) + "\n")
+        # formatted from Python floats and ints, a block of rows per write
+        for lo in range(0, k, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, k)
+            rows = zip(range(lo, hi), sched[lo:hi].tolist(),
+                       gaps[lo:hi].tolist(), result.modes[lo:hi].tolist())
+            f.write("".join([f"{s},{t!r},{gap!r},{p}\n"
+                             for s, t, gap, p in rows]))

@@ -396,6 +396,30 @@ def test_module_entry_point(tmp_path, source_env):
     assert "T_bar 0.0185851" in proc.stdout
 
 
+def test_diverging_run_warns_once_without_numpy_warnings(tmp_path,
+                                                         source_env):
+    # gaps of 3 s, about 160 times T_bar: the states grow past 1e220,
+    # so the error norms and V overflow before the horizon
+    sc = dataclasses.replace(load_scenario(STATIC), name="diverge",
+                             T_low=3.0, T_high=3.0, horizon=1200.0,
+                             output_dt=3.0, out_traj=None, out_sched=None)
+    path = tmp_path / "diverge.txt"
+    path.write_text(scenario_text(sc))
+    for command, want in (("simulate", 0), ("verify", 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "leadersync", command,
+             "--scenario", str(path), "--out", str(tmp_path / command)],
+            capture_output=True, text=True, cwd=tmp_path, env=source_env,
+            timeout=300)
+        assert proc.returncode == want, proc.stderr
+        assert proc.stderr.count(
+            "warning: the state left the float range at t = ") == 1
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "over-bound sampling" in proc.stderr
+    assert "verdict FAIL" in proc.stdout
+
+
 # ----------------------------------------------------------------- fuzz
 
 FUZZ_BASE = Path(SWITCHING).read_text().replace("horizon 30.0",

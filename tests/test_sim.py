@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from leadersync import (SamplingSchedule, SwitchingSignal, SystemModel,
-                        Topology, build_H, contraction_factor, gen_schedule,
-                        lyapunov_trace, simulate, synthesize,
-                        write_schedule_csv, write_trajectory_csv)
+                        Topology, build_H, contraction_factor, find_common_D,
+                        gen_schedule, load_scenario, lyapunov_trace, simulate,
+                        synthesize, write_schedule_csv, write_trajectory_csv)
+import leadersync.sim
 from leadersync.errors import IncompleteTrace, InvalidSchedule
 from leadersync.sim import MASK64, SplitMix64
 
 import oracles
+from conftest import SWITCHING
 
 A2 = np.array([[-0.38, 0.72], [-0.68, 0.42]])
 B2 = np.array([[0.26], [0.31]])
@@ -194,9 +196,9 @@ def test_simulate_bitwise_deterministic():
         assert np.array_equal(fa, fb)
 
 
-def test_simulate_pure_path_matches_jit():
-    # the pure path is the step-by-step loop of tests/oracles.py; the
-    # default path is simulate's per-mode transition table
+def test_simulate_table_matches_van_loan_oracle():
+    # simulate's factored transition table against the grid stepped one
+    # product at a time with the full 2d x 2d Van Loan blocks
     sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 11)
     K = np.array([[0.887356, 1.21952]])
     res = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F)
@@ -266,6 +268,95 @@ def test_simulate_matches_step_by_step_oracle():
     for s in range(n_open):
         want_u = -(np.kron(Hs[modes[s]], K) @ err[ticks[s]])
         np.testing.assert_allclose(res.u_held[s].reshape(-1), want_u, **tol)
+
+
+@st.composite
+def small_runs(draw):
+    """A random small network run: dimensions, a seed for the matrices
+    and states, lattice gaps, a horizon inside the last gap, a graph
+    mode per interval and an output stride."""
+    N, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 2))
+    modes = draw(st.integers(1, 2))
+    pair = st.tuples(st.integers(0, N), st.integers(1, N)).filter(
+        lambda e: e[0] != e[1])
+    tops = [Topology(N, frozenset(draw(st.lists(pair, max_size=2 * N))))
+            for _ in range(modes)]
+    gaps = draw(st.lists(st.integers(1, 8), min_size=1, max_size=10))
+    cut = draw(st.integers(0, gaps[-1] - 1))
+    mode_seq = draw(st.lists(st.integers(0, modes - 1), min_size=len(gaps),
+                             max_size=len(gaps)))
+    return dict(N=N, n=n, m=m, tops=tops, gaps=gaps, cut=cut,
+                mode_seq=mode_seq, stride=draw(st.integers(1, 4)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(run=small_runs())
+def test_simulate_matches_van_loan_oracle_on_random_systems(run):
+    N, n, m, h = run["N"], run["n"], run["m"], 0.05
+    rng = np.random.default_rng(run["seed"])
+    A, B = rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, m))
+    K = rng.uniform(-1, 1, (m, n))
+    x0l, x0f = rng.uniform(-3, 3, n), rng.uniform(-3, 3, (N, n))
+    ticks = np.concatenate([[0], np.cumsum(run["gaps"])])
+    hor = int(ticks[-1]) - run["cut"]
+    modes = run["mode_seq"]
+    sig = SwitchingSignal(mode_count=len(run["tops"]),
+                          events=tuple(zip(ticks[:-1] * h, modes)))
+    res = simulate(SystemModel(A=A, B=B), run["tops"], sig, K,
+                   _schedule(ticks * h, h, horizon=hor * h), x0l, x0f,
+                   output_dt=run["stride"] * h)
+    assert list(res.modes) == modes
+
+    # the full 2d x 2d Van Loan block of each mode, stepped on the grid
+    d = N * n
+    Hs = [build_H(t) for t in run["tops"]]
+    Fs, Gs = np.empty((len(Hs), d, d)), np.empty((len(Hs), d, d))
+    for p, H in enumerate(Hs):
+        top = np.hstack([np.kron(np.eye(N), A), -np.kron(H, B @ K)])
+        E = oracles.expm_taylor(np.vstack([top, np.zeros((d, 2 * d))]), h)
+        Fs[p], Gs[p] = E[:d, :d], E[:d, d:]
+    steps = np.minimum(ticks[1:], hor) - ticks[:-1]
+    err = oracles.propagate_grid(Fs, Gs, modes, steps,
+                                 (x0f - x0l[None, :]).reshape(-1))
+    lead = oracles.propagate_linear(oracles.expm_taylor(A, h), x0l, hor)
+
+    got_ticks = np.rint(res.times / h).astype(int)
+    want_ticks = sorted(set(range(0, hor + 1, run["stride"]))
+                        | set(ticks[:-1].tolist()) | {hor})
+    assert list(got_ticks) == want_ticks
+    x_max = np.max(np.abs(np.vstack([x0f, x0l])))
+    tol = dict(rtol=1e-10, atol=1e-12 * x_max)
+    np.testing.assert_allclose(res.errors.reshape(-1, d), err[got_ticks],
+                               **tol)
+    np.testing.assert_allclose(res.leader, lead[got_ticks], **tol)
+    for s, p in enumerate(modes):
+        want_u = -(np.kron(Hs[p], K) @ err[ticks[s]])
+        np.testing.assert_allclose(res.u_held[s].reshape(-1), want_u, **tol)
+
+
+def test_simulate_makes_one_expm_of_the_agent_size(monkeypatch):
+    # the table comes from one (n + m) Van Loan exponential of the
+    # agent, whatever the follower and mode counts
+    sizes = []
+    real = leadersync.sim.expm
+
+    def counting(M, t=1.0):
+        sizes.append(np.shape(M))
+        return real(M, t)
+
+    monkeypatch.setattr(leadersync.sim, "expm", counting)
+    sched = _schedule([0.0, 0.3, 0.5, 0.9], 0.1)
+    K = [[0.5, 0.4]]
+    simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F)
+    assert sizes == [(3, 3)]
+    sizes.clear()
+    t_b = Topology(4, frozenset([(0, 1), (0, 2), (0, 3), (0, 4)]))
+    sig = SwitchingSignal(mode_count=2, events=((0.0, 0), (0.4, 1)))
+    res = simulate(MODEL, [TOP, t_b], sig, K, sched, X0L, X0F)
+    assert list(res.modes) == [0, 0, 1]
+    assert sizes == [(3, 3)]
 
 
 def test_simulate_mode_chosen_at_interval_opening():
@@ -403,6 +494,51 @@ def test_lyapunov_trace_rho_is_the_contraction_factor():
     assert rep.rho == rep.rho_threshold == cf.rho
 
 
+def _ring_run():
+    """16 followers of 4 states on a leader-fed ring, designed and run
+    for 0.5 s."""
+    A = np.array([[-0.38, 0.72, 0.05, 0.0], [-0.68, 0.42, 0.0, 0.0],
+                  [0.0, 0.0, -0.38, 0.72], [0.0, 0.05, -0.68, 0.42]])
+    B = np.array([[0.26, 0.0], [0.31, 0.0], [0.0, 0.26], [0.0, 0.31]])
+    N = 16
+    edges = [(0, i) for i in range(1, N + 1)]
+    edges += [(i, i + 1) for i in range(1, N)] + [(N, 1)]
+    top = Topology(N, frozenset(edges))
+    Hs = [build_H(top)]
+    synth = synthesize(A, B, 1.0, 1.0, find_common_D(Hs), Hs)
+    rng = np.random.default_rng(3)
+    res = simulate(SystemModel(A=A, B=B), [top], SwitchingSignal.static(),
+                   synth.K, gen_schedule(0.001, 0.04, 0.001, 0.5, 9),
+                   rng.uniform(-3, 3, 4), rng.uniform(-3, 3, (N, 4)))
+    return res, synth
+
+
+def _switching_demo_run():
+    sc = load_scenario(SWITCHING)
+    Hs = [build_H(t) for t in sc.topologies]
+    synth = synthesize(sc.A, sc.B, sc.mu1, sc.mu2, find_common_D(Hs), Hs)
+    res = simulate(SystemModel(A=sc.A, B=sc.B), sc.topologies, sc.signal,
+                   synth.K, gen_schedule(sc.T_low, sc.T_high, sc.grid_h,
+                                         sc.horizon, sc.seed),
+                   sc.x0_leader, sc.x0_followers, sc.output_dt)
+    return res, synth
+
+
+@pytest.mark.parametrize("make_run", [_switching_demo_run, _ring_run])
+def test_lyapunov_trace_V_is_the_kronecker_quadratic(make_run):
+    res, synth = make_run()
+    x = res.errors.reshape(res.errors.shape[0], -1)
+    # the design's D, which is uniform on both runs, and one whose
+    # entries all differ
+    N = synth.D.shape[0]
+    for D in (synth.D, np.linspace(0.5, 2.0, N)):
+        W = np.kron(np.diag(D), synth.P)
+        want = np.sum((x @ W) * x, axis=1)
+        got = lyapunov_trace(res, dataclasses.replace(synth, D=D)).V
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_lyapunov_trace_rejects_a_design_of_another_size():
     synth = _synth_static()
     sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 5)
@@ -462,6 +598,20 @@ def test_trajectory_csv_carries_V(tmp_path):
     lines = path.read_text().splitlines()
     got = np.array([float(l.split(",")[-1]) for l in lines[1:]])
     assert np.array_equal(got, rep.V)
+
+
+def test_schedule_csv_matches_per_row_reference(tmp_path):
+    # each row formats the opening instant and the scheduled gap as the
+    # shortest round-trip repr of the float64 values
+    res, _ = _switching_demo_run()
+    path = tmp_path / "sched.csv"
+    write_schedule_csv(path, res)
+    inst = res.schedule.instants
+    want = "s,t_s,T_s,mode\n" + "".join(
+        f"{s},{float(inst[s])!r},{float(inst[s + 1] - inst[s])!r},"
+        f"{int(res.modes[s])}\n" for s in range(res.modes.shape[0]))
+    assert path.read_text() == want
+    assert set(res.modes.tolist()) == {0, 1}
 
 
 def test_schedule_csv_layout(tmp_path):
