@@ -182,8 +182,7 @@ def cmd_simulate(path, out_dir=None, seed_override=None):
     write_trajectory_csv(traj, result, V)
     write_schedule_csv(sched, result)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(result.errors, axis=2)
+    norms = result.error_norms
     warn += _float_range_warning(result, norms, V)
     burn = 0.5 * sc.horizon
     late = norms[result.times >= burn]

@@ -1,7 +1,7 @@
 """Leader-rooted directed graphs, grounded Laplacians, and switching signals."""
 
 from dataclasses import dataclass, field
-import math
+import itertools
 
 import numpy as np
 
@@ -179,23 +179,42 @@ class SwitchingSignal:
         return cls(mode_count=1, events=((0.0, 0),))
 
 
-def signal_mode(s: SwitchingSignal, t: float) -> int:
-    """Active mode at time t; right-continuous at switch instants."""
-    if t < 0.0:
-        raise InvalidTime(f"signal queried at negative time {t}")
+def signal_mode(s: SwitchingSignal, t):
+    """Active mode at time t; right-continuous at switch instants.
+
+    t may be a float or an array of times: a float gives an int, an
+    array an int64 array of its shape. Each time takes one binary
+    search, over the accumulated phase ends of a periodic signal (by
+    its offset tau = t - floor(t / period) * period into the period)
+    or over the event times, so a whole schedule's modes cost one call.
+    A negative or NaN time, or one too many periods past 0 for a float,
+    raises InvalidTime.
+    """
+    ts = np.asarray(t, dtype=float)
+    bad = ~(ts >= 0.0)
+    if bad.any():
+        raise InvalidTime(
+            f"signal queried at time {float(ts[bad].flat[0])}; times must "
+            f"be nonnegative")
     if s.period is not None:
-        tau = t - math.floor(t / s.period) * s.period
-        acc = 0.0
-        for mode, duration in s.phases:
-            acc += duration
-            if tau < acc:
-                return mode
-        # float shortfall: the phase sums can land one ulp short of the period
-        return s.phases[-1][0]
-    mode = s.events[0][1]
-    for tm, m in s.events:
-        if tm <= t:
-            mode = m
-        else:
-            break
-    return mode
+        # a count of periods past the float range has no offset
+        with np.errstate(over="ignore"):
+            cycles = np.floor(ts / s.period)
+        far = ~np.isfinite(cycles)
+        if far.any():
+            raise InvalidTime(
+                f"signal queried at time {float(ts[far].flat[0])}, beyond "
+                f"the float range of periods of {s.period}")
+        tau = ts - cycles * s.period
+        # phase k is active while tau < its end, the durations of phases
+        # 0..k summed in order
+        ends = list(itertools.accumulate(d for _, d in s.phases))
+        k = np.searchsorted(ends, tau, side="right")
+        # float shortfall: the ends can sum one ulp short of the period
+        k = np.minimum(k, len(ends) - 1)
+        modes = [m for m, _ in s.phases]
+    else:
+        k = np.searchsorted([tm for tm, _ in s.events], ts, side="right") - 1
+        modes = [m for _, m in s.events]
+    mode = np.array(modes, dtype=np.int64)[k]
+    return int(mode) if mode.ndim == 0 else mode

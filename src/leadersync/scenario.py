@@ -191,8 +191,11 @@ def _parse_model(single) -> ModelSpec:
 
 
 def check_seed(seed: int) -> int:
-    """seed itself when it is an unsigned 64-bit integer, the range
-    SplitMix64 takes without wrapping; ValueError otherwise."""
+    """seed itself when it is an unsigned 64-bit integer, ValueError
+    otherwise. The schedule draw adds the seed to SplitMix64's uint64
+    states, so every seed in range gives its own stream, while
+    gen_schedule would take one outside it modulo 2^64 and silently
+    give another seed's stream."""
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed

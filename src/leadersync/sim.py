@@ -9,6 +9,7 @@ and repeated runs are bit-identical.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -21,34 +22,33 @@ from .synthesis import SynthesisResult, _rho
 
 MASK64 = (1 << 64) - 1
 
+# SplitMix64's state increment and its two output multipliers
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
-class SplitMix64:
-    """Deterministic 64-bit generator with a fixed, documented update.
 
-    State advance adds 0x9E3779B97F4A7C15; output mixing is
+def _splitmix64(seed: int, first: int, count: int) -> np.ndarray:
+    """Outputs first, ..., first + count - 1 of SplitMix64(seed), the
+    generator whose k-th output mixes the state z = seed + k * GAMMA by
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
-    z *= 0x94D049BB133111EB; z ^= z >> 31, all modulo 2^64.
-    Pure integer arithmetic, so identical seeds give identical streams
-    on every platform and in every language that pins these constants.
+    z *= 0x94D049BB133111EB; z ^= z >> 31, all modulo 2^64, with
+    GAMMA = 0x9E3779B97F4A7C15.
+
+    Pure integer arithmetic on a uint64 array, which wraps modulo 2^64,
+    so identical seeds give identical streams on every platform and in
+    every language that pins these constants. The seed is taken modulo
+    2^64.
     """
-
-    GAMMA = 0x9E3779B97F4A7C15
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + self.GAMMA) & MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return (z ^ (z >> 31)) & MASK64
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] by modular reduction."""
-        if hi < lo:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
+    z = np.arange(first, first + count, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(int(seed) & MASK64)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +150,12 @@ def _output_grid(horizon: float, grid_h: float, output_dt: float | None):
     return hor, stride, hor // stride + 1 + int(hor % stride != 0)
 
 
-# bytes gen_schedule holds per instant while it builds the schedule: a
-# list slot and a Python int per tick, then the float64 array and the
-# scaled copy it is multiplied into
-_SCHEDULE_BYTES_PER_INSTANT = 64
+# bytes gen_schedule holds per drawn gap, at most horizon / T_low + 3 of
+# them: 16 while a block is mixed (the uint64 draws and one shifted
+# copy), then 25 at the concatenation (the int64 ticks, their float
+# times, the stop mask and the instants), and 16 while SamplingSchedule
+# copies the instants; 25 rounded up to cover the arrays' fixed headers
+_SCHEDULE_BYTES_PER_INSTANT = 32
 
 
 def _check_schedule_memory(T_low: float, horizon: float) -> None:
@@ -186,15 +188,58 @@ def check_run_memory(modes: int, N: int, n: int, m: int, T_low: float,
     _check_memory(modes, 0, N * n, n, N * m, 0, rows)
 
 
+def _draw_instants(lo: int, hi: int, grid_h: float, horizon: float,
+                   seed: int, most: int) -> np.ndarray:
+    """0.0, then tick_k * grid_h for k = 1, 2, ... up to the first at or
+    past the horizon, where tick_k sums the gaps lo + u_j mod
+    (hi - lo + 1), j <= k, of the SplitMix64(seed) outputs u_j.
+
+    The gaps are drawn a block at a time. A block holds the est gaps of
+    the mean size that would reach the horizon plus a margin of
+    sqrt(est) + 1, capped so that no more than most gaps are drawn
+    while that many reach it; a block that falls short is followed by
+    one for the rest.
+    """
+    span = np.uint64(hi - lo + 1)
+    mean = 0.5 * (lo + hi)
+    blocks = [np.zeros(1)]
+    drawn = last = 0
+    while True:
+        est = max(horizon / grid_h - last, 0.0) / mean
+        size = max(1, min(most - drawn, math.ceil(est + math.sqrt(est)) + 1))
+        ticks = _splitmix64(seed, drawn + 1, size)
+        ticks %= span
+        ticks = ticks.view(np.int64)
+        ticks += lo
+        ticks[0] += last
+        np.cumsum(ticks, out=ticks)
+        times = ticks * grid_h
+        reached = times >= horizon
+        stop = int(np.argmax(reached))
+        if reached[stop]:
+            blocks.append(times[:stop + 1])
+            return np.concatenate(blocks)
+        blocks.append(times)
+        drawn += size
+        last = int(ticks[-1])
+
+
 def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
                  seed: int) -> SamplingSchedule:
     """Draw a deterministic aperiodic schedule covering the horizon.
 
-    Each gap is l * grid_h with l drawn uniformly from
-    {T_low/grid_h, ..., T_high/grid_h} by SplitMix64(seed). The same
-    arguments always reproduce the same instants bit for bit. A horizon
-    that could need more instants than config.SIM_MEMORY_BUDGET bytes
-    hold raises InvalidSchedule before any is drawn.
+    Each gap is l * grid_h with l = lo + u mod (hi - lo + 1), lo and hi
+    being T_low/grid_h and T_high/grid_h and u the next output of
+    SplitMix64(seed); the instants run from 0 up to the first at or past
+    the horizon. The outputs are drawn in uint64 numpy arithmetic, a
+    block of gaps at a time, and the ticks summed with one cumsum, so a
+    run costs a few array passes, not Python work per instant. The same
+    arguments always reproduce the same instants bit for bit.
+
+    A T_low below one grid step, a schedule that could pass 2^62 grid
+    steps, or a horizon that could need more instants than
+    config.SIM_MEMORY_BUDGET bytes hold raises InvalidSchedule before
+    any gap is drawn.
     """
     if not grid_h > 0.0:
         raise InvalidSchedule(f"grid_h must be positive, got {grid_h}")
@@ -207,12 +252,17 @@ def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
         raise InvalidSchedule(f"horizon must be positive, got {horizon}")
     lo = _grid_ticks(T_low, grid_h, "T_low")
     hi = _grid_ticks(T_high, grid_h, "T_high")
+    if lo < 1:
+        raise InvalidSchedule(f"T_low = {T_low} is below the grid pitch")
     _check_schedule_memory(T_low, horizon)
-    rng = SplitMix64(seed)
-    ticks = [0]
-    while ticks[-1] * grid_h < horizon:
-        ticks.append(ticks[-1] + rng.randint(lo, hi))
-    instants = np.array(ticks, dtype=float) * grid_h
+    # every tick before the last is below the horizon, and the last adds
+    # at most hi, so this keeps the int64 ticks exact
+    if not hi + horizon / grid_h < 2.0 ** 62:
+        raise InvalidSchedule(
+            f"a schedule up to horizon = {horizon} with gaps up to T_high = "
+            f"{T_high} may pass 2^62 grid steps of {grid_h}; raise grid_h")
+    most = int(horizon / T_low + 3.0)
+    instants = _draw_instants(lo, hi, grid_h, horizon, seed, most)
     return SamplingSchedule(instants=instants, T_low=float(T_low),
                             T_high=float(T_high), grid_h=float(grid_h),
                             seed=int(seed) & MASK64, horizon=float(horizon))
@@ -242,6 +292,14 @@ class SimulationResult:
     boundary_idx: np.ndarray
     n_complete: int
     schedule: SamplingSchedule
+
+    @functools.cached_property
+    def error_norms(self) -> np.ndarray:
+        """Euclidean norm of each follower's error at each output row,
+        (rows, N), computed once per run; inf or NaN where the state
+        left the float range, without a numpy warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linalg.norm(self.errors, axis=2)
 
 
 def _transition_tables(model: SystemModel, K: np.ndarray, Hs: np.ndarray,
@@ -345,8 +403,7 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
     steps = np.minimum(ticks[1:n_open + 1], hor) - starts
     n_complete = int(np.count_nonzero(ticks[1:n_open + 1] <= hor))
     used_ticks = ticks[:int(np.searchsorted(ticks, hor, side="right"))]
-    mode_idx = np.array([signal_mode(signal, float(schedule.instants[s]))
-                         for s in range(n_open)], dtype=np.int64)
+    mode_idx = signal_mode(signal, schedule.instants[:n_open])
 
     # output rows: the stride multiples, the horizon, every instant
     off_stride = used_ticks[used_ticks % stride != 0]
@@ -357,42 +414,50 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
 
     # output rows: the knot (opening instant or horizon) each follows,
     # and the grid steps past it
-    out_ticks = np.union1d(np.arange(0, hor + 1, stride),
-                           np.append(used_ticks, hor))
+    out_ticks = np.sort(np.concatenate(
+        (np.arange(0, hor + 1, stride), used_ticks, [hor])))
+    out_ticks = out_ticks[np.append(True, out_ticks[1:] != out_ticks[:-1])]
     knots = np.append(starts, hor)
     seg = np.searchsorted(knots, out_ticks, side="right") - 1
     offset = out_ticks - knots[seg]
     at_knot = offset == 0
-    # every other row is one product per (mode, offset) group
+    # every other row is one product per (mode, offset) group: the rows
+    # in key order, and the bounds, mode and offset of each group
     inner = np.flatnonzero(~at_knot)
     key = mode_idx[seg[inner]] * (L + 1) + offset[inner]
     order = np.argsort(key, kind="stable")
-    groups = np.split(inner[order], np.flatnonzero(np.diff(key[order])) + 1)
+    grouped, key = inner[order], key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    group_p, group_l = np.divmod(key[first], L + 1)
+    groups = zip(first.tolist(), np.append(first[1:], key.size).tolist(),
+                 group_p.tolist(), group_l.tolist())
 
     Hs = np.array([build_H(t) for t in topologies])
     # a diverging run ends in non-finite states, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         Phi, Lead = _transition_tables(model, Km, Hs, grid_h, L)
 
-        # states at every opening instant and at the horizon
+        # states at every opening instant and at the horizon; each
+        # product writes its row of X and Y and is the next one's operand
         X = np.empty((n_open + 1, d))
         Y = np.empty((n_open + 1, n))
         X[0] = (foll0 - lead0[None, :]).reshape(-1)
         Y[0] = lead0
-        for s, (p, l) in enumerate(zip(mode_idx.tolist(), steps.tolist())):
-            X[s + 1] = Phi[p, l] @ X[s]
-            Y[s + 1] = Lead[l] @ Y[s]
+        x, y = X[0], Y[0]
+        for s, p, l in zip(range(1, n_open + 1), mode_idx.tolist(),
+                           steps.tolist()):
+            x = Phi[p, l].dot(x, out=X[s])
+            y = Lead[l].dot(y, out=Y[s])
 
         err = np.empty((n_rows, d))
         leader = np.empty((n_rows, n))
         err[at_knot] = X[seg[at_knot]]
         leader[at_knot] = Y[seg[at_knot]]
-        for rows in groups:
-            if rows.size == 0:
-                continue
-            p, l = int(mode_idx[seg[rows[0]]]), int(offset[rows[0]])
-            err[rows] = X[seg[rows]] @ Phi[p, l].T
-            leader[rows] = Y[seg[rows]] @ Lead[l].T
+        grouped_seg = seg[grouped]
+        for a, b, p, l in groups:
+            rows, knot = grouped[a:b], grouped_seg[a:b]
+            err[rows] = X[knot] @ Phi[p, l].T
+            leader[rows] = Y[knot] @ Lead[l].T
 
         errors = err.reshape(n_rows, N, n)
         followers = errors + leader[:, None, :]
@@ -547,8 +612,7 @@ def write_trajectory_csv(path, result: SimulationResult, V=None) -> None:
     cols += [f"err_norm_{i}" for i in range(1, N + 1)]
     cols.append("V")
     vcol = np.full(n_out, math.nan) if V is None else np.asarray(V, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(result.errors, axis=2)
+    norms = result.error_norms
     followers = result.followers.reshape(n_out, N * n)
     with open(path, "w", newline="\n") as f:
         f.write(",".join(cols) + "\n")

@@ -195,6 +195,70 @@ def solve_gauss(A, b):
     return M[:, -1]
 
 
+MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """Deterministic 64-bit generator with a fixed, documented update,
+    one Python integer at a time.
+
+    State advance adds 0x9E3779B97F4A7C15; output mixing is
+    z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
+    z *= 0x94D049BB133111EB; z ^= z >> 31, all modulo 2^64.
+    """
+
+    GAMMA = 0x9E3779B97F4A7C15
+
+    def __init__(self, seed: int):
+        self._state = int(seed) & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + self.GAMMA) & MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return (z ^ (z >> 31)) & MASK64
+
+    def randint(self, lo: int, hi: int) -> int:
+        """Uniform integer in [lo, hi] by modular reduction."""
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        return lo + self.next_u64() % (hi - lo + 1)
+
+
+def schedule_instants(lo, hi, grid_h, horizon, seed):
+    """Sampling instants drawn one gap at a time: from tick 0, add
+    SplitMix64(seed).randint(lo, hi) grid steps until the instant
+    reaches the horizon."""
+    rng = SplitMix64(seed)
+    ticks = [0]
+    while ticks[-1] * grid_h < horizon:
+        ticks.append(ticks[-1] + rng.randint(lo, hi))
+    return np.array(ticks, dtype=float) * grid_h
+
+
+def signal_mode_scan(s, t):
+    """Active mode of a SwitchingSignal at one time t >= 0 by a linear
+    scan: the first phase whose accumulated end passes t's offset into
+    the period (the last phase when float shortfall leaves none), or
+    the last event at or before t."""
+    if s.period is not None:
+        tau = t - math.floor(t / s.period) * s.period
+        acc = 0.0
+        for mode, duration in s.phases:
+            acc += duration
+            if tau < acc:
+                return mode
+        return s.phases[-1][0]
+    mode = s.events[0][1]
+    for tm, m in s.events:
+        if tm <= t:
+            mode = m
+        else:
+            break
+    return mode
+
+
 def random_reachable_topology(N, rng, p=0.35):
     """Seeded random digraph on N followers with the leader able to
     reach every one of them (resampled until true)."""

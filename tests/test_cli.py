@@ -150,6 +150,22 @@ def test_synthesize_has_no_seed_option(workdir, capsys):
     assert "--seed" not in out and "--jobs" in out
 
 
+def test_simulate_takes_the_error_norms_once(workdir, capsys, monkeypatch):
+    norm, calls = np.linalg.norm, []
+
+    def counted(x, *args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    assert main(["simulate", "--scenario", STATIC]) == 0
+    assert calls.count(2) == 1
+    rows = (workdir / "static_demo_trajectory.csv").read_text().splitlines()
+    final = rows[-1].split(",")[-5:-1]
+    assert "final error norms: " + " ".join(f"{float(v):.6g}" for v in final) \
+        in capsys.readouterr().out
+
+
 def test_simulate_over_bound_warns(workdir, capsys):
     path = _overbound_path(workdir)
     assert main(["simulate", "--scenario", path]) == 0
@@ -394,6 +410,19 @@ def test_module_entry_point(tmp_path, source_env):
         timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "T_bar 0.0185851" in proc.stdout
+
+
+def test_verify_leaves_numpy_ma_unimported(tmp_path, source_env):
+    # numpy.ma costs about 11 ms to import and no run needs it
+    code = ("import sys\n"
+            "from leadersync.cli import main\n"
+            f"code = main(['verify', '--scenario', {STATIC!r}])\n"
+            "print('exit', code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=source_env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict PASS" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "exit 0 False"
 
 
 def test_diverging_run_warns_once_without_numpy_warnings(tmp_path,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -202,9 +203,63 @@ def test_signal_mode_periodic_is_right_continuous(phases, exponent):
                 order[j - 1]
 
 
+def _with_neighbours(edges):
+    """Each edge time and its float neighbours on both sides, the
+    nonnegative ones."""
+    out = []
+    for t in edges:
+        out += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+    return [t for t in out if t >= 0.0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(phases=st.lists(st.tuples(st.integers(0, 3), st.floats(1e-3, 10.0)),
+                       min_size=1, max_size=6),
+       stretch=st.sampled_from([0.0, 1e-12, -1e-12]),
+       events=st.lists(st.tuples(st.floats(1e-6, 1e3), st.integers(0, 3)),
+                       min_size=1, max_size=6),
+       extra=st.lists(st.floats(0.0, 1e4), max_size=8))
+def test_signal_mode_array_matches_scalar(phases, stretch, events, extra):
+    # a period one part in 1e12 past the phase sum leaves a shortfall
+    # that falls to the last phase
+    ends = list(itertools.accumulate(d for _, d in phases))
+    period = ends[-1] * (1.0 + stretch)
+    periodic = SwitchingSignal(mode_count=4, period=period,
+                               phases=tuple(phases))
+    p_times = _with_neighbours([k * period + e for k in range(4)
+                                for e in [0.0] + ends]) + extra
+    starts = [0.0] + list(itertools.accumulate(g for g, _ in events[1:]))
+    evented = SwitchingSignal(mode_count=4, events=tuple(
+        (t, m) for t, (_, m) in zip(starts, events)))
+    e_times = _with_neighbours(starts) + extra
+    for sig, times in ((periodic, p_times), (evented, e_times)):
+        got = signal_mode(sig, np.array(times))
+        assert got.dtype == np.int64 and got.shape == (len(times),)
+        for k, t in enumerate(times):
+            one = signal_mode(sig, t)
+            assert type(one) is int
+            assert got[k] == one == oracles.signal_mode_scan(sig, t)
+        column = signal_mode(sig, np.array(times).reshape(-1, 1))
+        assert np.array_equal(column[:, 0], got)
+
+
 def test_signal_mode_negative_time():
     with pytest.raises(InvalidTime):
         signal_mode(SwitchingSignal.static(), -0.001)
+    with pytest.raises(InvalidTime):
+        signal_mode(SwitchingSignal.static(), np.array([0.0, 1.0, -0.001]))
+    with pytest.raises(InvalidTime):
+        signal_mode(SwitchingSignal.static(), math.nan)
+
+
+def test_signal_mode_beyond_the_float_range_of_periods():
+    # 2.0 / 1e-308 periods overflow the float range: no offset exists
+    sig = SwitchingSignal(mode_count=1, period=1e-308, phases=((0, 1e-308),))
+    assert signal_mode(sig, 1.0) == 0
+    with pytest.raises(InvalidTime, match="float range of periods"):
+        signal_mode(sig, 2.0)
+    with pytest.raises(InvalidTime):
+        signal_mode(sig, np.array([0.0, 1.0, 2.0]))
 
 
 def test_static_signal_single_mode():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -11,7 +12,7 @@ from leadersync import (SamplingSchedule, SwitchingSignal, SystemModel,
                         synthesize, write_schedule_csv, write_trajectory_csv)
 import leadersync.sim
 from leadersync.errors import IncompleteTrace, InvalidSchedule
-from leadersync.sim import MASK64, SplitMix64
+from leadersync.sim import MASK64, _splitmix64
 
 import oracles
 from conftest import SWITCHING
@@ -41,31 +42,35 @@ def _synth_static():
 
 # ---------------------------------------------------------- SplitMix64
 
+SPLITMIX_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
 def test_splitmix_reference_stream():
-    r = SplitMix64(0)
-    assert [r.next_u64() for _ in range(3)] == [
-        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert _splitmix64(0, 1, 3).tolist() == SPLITMIX_SEED0
+    # output k depends on k alone, so a block may start anywhere
+    assert _splitmix64(0, 2, 2).tolist() == SPLITMIX_SEED0[1:]
+    r = oracles.SplitMix64(0)
+    assert [r.next_u64() for _ in range(3)] == SPLITMIX_SEED0
 
 
 def test_splitmix_determinism_and_seed_masking():
-    a = SplitMix64(42)
-    b = SplitMix64(42)
-    assert [a.next_u64() for _ in range(10)] == \
-           [b.next_u64() for _ in range(10)]
-    wide = SplitMix64(42 + (1 << 64))
-    c = SplitMix64(42)
-    assert wide.next_u64() == c.next_u64()
+    assert np.array_equal(_splitmix64(42, 1, 10), _splitmix64(42, 1, 10))
+    assert np.array_equal(_splitmix64(42 + (1 << 64), 1, 10),
+                          _splitmix64(42, 1, 10))
+    r = oracles.SplitMix64(MASK64)
+    assert _splitmix64(MASK64, 1, 5).tolist() == \
+        [r.next_u64() for _ in range(5)]
 
 
 def test_splitmix_randint_bounds():
-    r = SplitMix64(7)
+    r = oracles.SplitMix64(7)
     seen = set()
     for _ in range(400):
         v = r.randint(3, 9)
         assert 3 <= v <= 9
         seen.add(v)
     assert seen == set(range(3, 10))
-    assert SplitMix64(1).randint(5, 5) == 5
+    assert oracles.SplitMix64(1).randint(5, 5) == 5
 
 
 # -------------------------------------------------------- gen_schedule
@@ -128,6 +133,62 @@ def test_gen_schedule_gap_bounds_property(grid_h, lo, spread, horizon, seed):
     again = gen_schedule(T_low, T_high, grid_h, horizon, seed)
     assert np.array_equal(again.instants, inst)
     assert again.seed == s.seed == seed
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(grid_h=st.sampled_from([0.001, 0.004, 0.01, 0.05, 0.1]),
+       lo=st.integers(1, 25), spread=st.one_of(st.just(0), st.integers(0, 40)),
+       horizon=st.one_of(st.floats(1e-4, 2.0), st.integers(1, 3000)),
+       seed=st.one_of(st.sampled_from([0, MASK64]), st.integers(0, MASK64)))
+def test_gen_schedule_matches_scalar_draw(grid_h, lo, spread, horizon, seed):
+    # an integer horizon counts grid steps: the run ends on a tick, where
+    # tick * grid_h equals the horizon exactly
+    if isinstance(horizon, int):
+        horizon = horizon * grid_h
+    hi = lo + spread
+    s = gen_schedule(lo * grid_h, hi * grid_h, grid_h, horizon, seed)
+    want = oracles.schedule_instants(lo, hi, grid_h, horizon, seed)
+    assert s.instants.tobytes() == want.tobytes()
+
+
+def test_gen_schedule_draws_another_block_when_one_falls_short(monkeypatch):
+    # seed 62 draws small gaps: the first block, 9 gaps sized from the
+    # mean gap of 20.5 steps, ends before the horizon of 100 steps
+    calls = []
+
+    def counted(seed, first, count):
+        calls.append((first, count))
+        return _splitmix64(seed, first, count)
+
+    monkeypatch.setattr(leadersync.sim, "_splitmix64", counted)
+    s = gen_schedule(0.001, 0.04, 0.001, 0.1, 62)
+    assert len(calls) >= 2
+    assert calls[1][0] == calls[0][0] + calls[0][1]
+    assert s.instants.tobytes() == \
+        oracles.schedule_instants(1, 40, 0.001, 0.1, 62).tobytes()
+
+
+def test_gen_schedule_peak_memory_within_its_per_instant_bound():
+    tracemalloc.start()
+    try:
+        s = gen_schedule(0.001, 0.001, 0.001, 200.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.instants.size == 200001
+    assert peak <= leadersync.sim._SCHEDULE_BYTES_PER_INSTANT * s.instants.size
+
+
+def test_gen_schedule_rejects_gaps_below_the_grid_pitch():
+    # 1e-13 s rounds to 0 grid steps of 1 ms; zero gaps never reach the
+    # horizon
+    with pytest.raises(InvalidSchedule, match="below the grid pitch"):
+        gen_schedule(1e-13, 1e-13, 0.001, 1e-13, 0)
+
+
+def test_gen_schedule_rejects_ticks_past_2_to_62():
+    with pytest.raises(InvalidSchedule, match="2\\^62"):
+        gen_schedule(0.001, 1e20, 0.001, 1.0, 7)
 
 
 # ------------------------------------------------------------ simulate
