@@ -147,8 +147,7 @@ def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
                     f"exceeds T_bar = {_g(synth.T_bar)}; decay is not "
                     f"guaranteed")
     check_run_memory(len(sc.topologies), sc.topologies[0].N, sc.A.shape[0],
-                     sc.B.shape[1], sc.T_low, sc.horizon, sc.grid_h,
-                     sc.output_dt)
+                     sc.T_low, sc.horizon, sc.grid_h, sc.output_dt)
     schedule = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, seed)
     result = simulate(SystemModel(sc.A, sc.B), sc.topologies, sc.signal, K,
                       schedule, sc.x0_leader, sc.x0_followers, sc.output_dt)

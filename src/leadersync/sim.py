@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import floattext
 from .errors import IncompleteTrace, InvalidSchedule
 from .graph import SwitchingSignal, build_H, signal_mode
 from .numerics import config
@@ -116,15 +117,51 @@ def _grid_ticks(value, grid_h: float, what: str):
     return int(k) if k.ndim == 0 else k.astype(np.int64)
 
 
-def _check_memory(modes: int, L: int, d: int, n: int, Nm: int, n_open: int,
-                  n_rows: int) -> None:
+# rows of the schedule CSV formatted at a time
+CSV_BLOCK_ROWS = 64
+# values the trajectory CSV formats at a time: a block is the most rows
+# that hold this many, so its working memory does not grow with the
+# run or with the column count
+CSV_BLOCK_VALUES = 2048
+# output rows one grouped product of simulate computes at a time, so
+# that its gathered operand and its result stay bounded
+_GROUP_ROWS = 4096
+# 8-byte words a run holds per output row besides its d + n states, N
+# error norms and the d + N squares and sums these or V are computed
+# from: the times and their integer-to-float copy, V, the eight index
+# arrays that place the rows (out_ticks, seg, offset, at_knot, inner,
+# key, order, grouped) and the two arrays out_ticks is sorted and
+# deduplicated from
+_ROW_WORDS = 13
+# ... and per sampling interval besides the d + n of its opening state:
+# the ticks, modes, openings and gaps, and the temporaries that snap
+# the instants to the grid
+_INTERVAL_WORDS = 12
+# bytes per value of a trajectory CSV block: the block itself, the
+# followers' states summed into it, and the most floattext.format_rows
+# holds while it formats it; and the most the formatter's tables take
+# while they are built
+_CSV_BYTES_PER_VALUE = 16 + 256
+_CSV_TABLE_BYTES = 1 << 20
+
+
+def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
+                  n_rows: int) -> int:
     """Refuse a run whose transition tables (modes x (L + 1) blocks of
-    d x d, plus L + 1 leader blocks and L + 1 input-gain blocks of
-    n x n) and output arrays would together exceed
-    config.SIM_MEMORY_BUDGET bytes."""
+    d x d, d = N n, plus L + 1 leader blocks and L + 1 input-gain blocks
+    of n x n) and the rest it allocates in simulate, the certificate
+    trace and the trajectory CSV would together exceed
+    config.SIM_MEMORY_BUDGET bytes: the output rows with their index
+    arrays, error norms and V, the states at the sampling instants, one
+    grouped product, and the CSV's block with the formatter's working
+    memory and tables. Returns the bytes counted."""
+    d = N * n
     table = 8 * (L + 1) * (modes * d * d + 2 * n * n)
-    outputs = 8 * (n_rows * (4 + n + 2 * d) + n_open * Nm
-                   + (n_open + 1) * (d + n))
+    block = max(CSV_BLOCK_VALUES, 2 + n + d + N)
+    outputs = (8 * (n_rows * (2 * (d + N) + n + _ROW_WORDS)
+                    + (n_open + 1) * (d + n + _INTERVAL_WORDS)
+                    + 2 * min(n_rows, _GROUP_ROWS) * d)
+               + block * _CSV_BYTES_PER_VALUE + _CSV_TABLE_BYTES)
     budget = config.SIM_MEMORY_BUDGET
     if table + outputs > budget:
         mib = 1 << 20
@@ -135,6 +172,7 @@ def _check_memory(modes: int, L: int, d: int, n: int, Nm: int, n_open: int,
             f"{outputs / mib:.1f} MiB for {n_rows} output rows), above "
             f"the budget of {budget / mib:.0f} MiB; shorten the longest "
             f"sampling gap or the horizon, or raise grid_h or output_dt")
+    return table + outputs
 
 
 def _output_grid(horizon: float, grid_h: float, output_dt: float | None):
@@ -174,7 +212,7 @@ def _check_schedule_memory(T_low: float, horizon: float) -> None:
             f"horizon or raise T_low")
 
 
-def check_run_memory(modes: int, N: int, n: int, m: int, T_low: float,
+def check_run_memory(modes: int, N: int, n: int, T_low: float,
                      horizon: float, grid_h: float,
                      output_dt: float | None = None) -> None:
     """The memory checks of gen_schedule and simulate that need no
@@ -185,7 +223,7 @@ def check_run_memory(modes: int, N: int, n: int, m: int, T_low: float,
     would refuse is refused before its schedule is drawn."""
     _check_schedule_memory(T_low, horizon)
     rows = _output_grid(horizon, grid_h, output_dt)[2]
-    _check_memory(modes, 0, N * n, n, N * m, 0, rows)
+    _check_memory(modes, 0, N, n, 0, rows)
 
 
 def _draw_instants(lo: int, hi: int, grid_h: float, horizon: float,
@@ -272,21 +310,19 @@ def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
 class SimulationResult:
     """Dense closed-loop trajectories plus the sampling record.
 
-    times are the selected output instants; leader, followers, and
-    errors are the states there, with errors[k, i] = followers[k, i]
-    - leader[k] identically. u_held has one row per simulated
-    interval (the input is constant on each). instants and modes list
-    the sampling instants that occurred within the horizon and the
-    graph mode active on each interval; boundary_idx maps each such
-    instant to its row in times. n_complete counts the intervals whose
-    right endpoint also lies within the horizon.
+    times are the selected output instants; leader and errors are the
+    states there, follower i being at errors[k, i] + leader[k]. instants
+    and modes list the sampling instants that occurred within the
+    horizon and the graph mode active on each interval (the input each
+    interval holds is -(H_p kron K) times the error at its opening
+    instant); boundary_idx maps each such instant to its row in times.
+    n_complete counts the intervals whose right endpoint also lies
+    within the horizon.
     """
 
     times: np.ndarray
     leader: np.ndarray
-    followers: np.ndarray
     errors: np.ndarray
-    u_held: np.ndarray
     instants: np.ndarray
     modes: np.ndarray
     boundary_idx: np.ndarray
@@ -410,7 +446,7 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
     n_rows = grid_rows + int(np.count_nonzero(off_stride != hor))
     d = N * n
     L = int(steps.max()) if n_open else 0
-    _check_memory(len(topologies), L, d, n, N * m, n_open, n_rows)
+    _check_memory(len(topologies), L, N, n, n_open, n_rows)
 
     # output rows: the knot (opening instant or horizon) each follows,
     # and the grid steps past it
@@ -455,21 +491,15 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
         leader[at_knot] = Y[seg[at_knot]]
         grouped_seg = seg[grouped]
         for a, b, p, l in groups:
-            rows, knot = grouped[a:b], grouped_seg[a:b]
-            err[rows] = X[knot] @ Phi[p, l].T
-            leader[rows] = Y[knot] @ Lead[l].T
-
-        errors = err.reshape(n_rows, N, n)
-        followers = errors + leader[:, None, :]
-        u_held = np.empty((n_open, N * m))
-        for p, H in enumerate(Hs):
-            sel = mode_idx == p
-            u_held[sel] = -(X[:n_open][sel] @ np.kron(H, Km).T)
+            for lo in range(a, b, _GROUP_ROWS):
+                hi = min(lo + _GROUP_ROWS, b)
+                rows, knot = grouped[lo:hi], grouped_seg[lo:hi]
+                err[rows] = X[knot] @ Phi[p, l].T
+                leader[rows] = Y[knot] @ Lead[l].T
 
     return SimulationResult(
         times=out_ticks.astype(float) * grid_h, leader=leader,
-        followers=followers, errors=errors,
-        u_held=u_held.reshape(n_open, N, m),
+        errors=err.reshape(n_rows, N, n),
         instants=used_ticks.astype(float) * grid_h, modes=mode_idx,
         boundary_idx=np.searchsorted(out_ticks, used_ticks),
         n_complete=n_complete, schedule=schedule)
@@ -597,34 +627,47 @@ def lyapunov_trace(result: SimulationResult,
         rho_threshold=float(threshold))
 
 
-CSV_BLOCK_ROWS = 64
-
-
 def write_trajectory_csv(path, result: SimulationResult, V=None) -> None:
     """One row per output time: leader state, every follower state,
     per-follower error norms, and the monitored quadratic V (NaN when
-    no certificate was available)."""
-    n_out, N, n = result.followers.shape
+    no certificate was available). Each value is written as Python's
+    shortest round-trip repr writes it.
+
+    A V whose length is not the run's output row count raises
+    ValueError before the file is opened."""
+    n_out, N, n = result.errors.shape
+    if V is not None:
+        V = np.asarray(V, dtype=float).reshape(-1)
+        if V.size != n_out:
+            raise ValueError(
+                f"V has {V.size} entries but the run has {n_out} output rows")
     cols = ["t"]
     cols += [f"x0_{j}" for j in range(1, n + 1)]
     for i in range(1, N + 1):
         cols += [f"x{i}_{j}" for j in range(1, n + 1)]
     cols += [f"err_norm_{i}" for i in range(1, N + 1)]
     cols.append("V")
-    vcol = np.full(n_out, math.nan) if V is None else np.asarray(V, dtype=float)
     norms = result.error_norms
-    followers = result.followers.reshape(n_out, N * n)
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(cols) + "\n")
-        # a block of rows at a time, so the text and float objects held
-        # at once do not grow with the length of the run
-        for lo in range(0, n_out, CSV_BLOCK_ROWS):
-            hi = lo + CSV_BLOCK_ROWS
-            block = np.column_stack([result.times[lo:hi],
-                                     result.leader[lo:hi], followers[lo:hi],
-                                     norms[lo:hi], vcol[lo:hi]])
-            f.write("".join([",".join(map(repr, row)) + "\n"
-                             for row in block.tolist()]))
+    width = len(cols)
+    rows = max(1, CSV_BLOCK_VALUES // width)
+    block = np.empty((min(rows, n_out), width))
+    # the column ranges of the leader, the followers and the norms
+    foll = 1 + n
+    norm = foll + N * n
+    # a diverging run's follower states are inf or NaN, not warnings
+    with open(path, "wb") as f, np.errstate(over="ignore", invalid="ignore"):
+        f.write((",".join(cols) + "\n").encode())
+        for lo in range(0, n_out, rows):
+            hi = min(lo + rows, n_out)
+            b = block[:hi - lo]
+            b[:, 0] = result.times[lo:hi]
+            lead = result.leader[lo:hi]
+            b[:, 1:foll] = lead
+            b[:, foll:norm] = (result.errors[lo:hi]
+                               + lead[:, None, :]).reshape(hi - lo, -1)
+            b[:, norm:-1] = norms[lo:hi]
+            b[:, -1] = math.nan if V is None else V[lo:hi]
+            f.write(floattext.format_rows(b))
 
 
 def write_schedule_csv(path, result: SimulationResult) -> None:

@@ -351,3 +351,38 @@ def verify_comparison_lemma(beta1, beta2, schedule, W0, rel_slack=1e-12):
             return False
         W = W_next
     return True
+
+
+def repr_rows(block):
+    """CSV text of a 2-D float block, each value as its repr: the bytes
+    leadersync.floattext.format_rows must reproduce."""
+    return "".join(",".join(map(repr, row)) + "\n"
+                   for row in np.asarray(block, dtype=float).tolist())
+
+
+def write_trajectory_csv_repr(path, result, V=None):
+    """The trajectory CSV as it was written a value at a time: 64 rows
+    per block, each value through Python's repr. The reference for the
+    bytes of leadersync.write_trajectory_csv."""
+    n_out, N, n = result.errors.shape
+    cols = ["t"]
+    cols += [f"x0_{j}" for j in range(1, n + 1)]
+    for i in range(1, N + 1):
+        cols += [f"x{i}_{j}" for j in range(1, n + 1)]
+    cols += [f"err_norm_{i}" for i in range(1, N + 1)]
+    cols.append("V")
+    vcol = (np.full(n_out, math.nan) if V is None
+            else np.asarray(V, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        followers = (result.errors + result.leader[:, None, :]).reshape(
+            n_out, N * n)
+        norms = np.linalg.norm(result.errors, axis=2)
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(cols) + "\n")
+        for lo in range(0, n_out, 64):
+            hi = lo + 64
+            block = np.column_stack([result.times[lo:hi],
+                                     result.leader[lo:hi], followers[lo:hi],
+                                     norms[lo:hi], vcol[lo:hi]])
+            f.write("".join([",".join(map(repr, row)) + "\n"
+                             for row in block.tolist()]))

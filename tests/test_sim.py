@@ -10,12 +10,13 @@ from leadersync import (SamplingSchedule, SwitchingSignal, SystemModel,
                         Topology, build_H, contraction_factor, find_common_D,
                         gen_schedule, load_scenario, lyapunov_trace, simulate,
                         synthesize, write_schedule_csv, write_trajectory_csv)
+import leadersync.floattext
 import leadersync.sim
 from leadersync.errors import IncompleteTrace, InvalidSchedule
 from leadersync.sim import MASK64, _splitmix64
 
 import oracles
-from conftest import SWITCHING
+from conftest import STATIC, SWITCHING
 
 A2 = np.array([[-0.38, 0.72], [-0.68, 0.42]])
 B2 = np.array([[0.26], [0.31]])
@@ -38,6 +39,16 @@ def _schedule(instants, grid_h, horizon=None):
 
 def _synth_static():
     return synthesize(A2, B2, 1.0, 1.0, np.ones(4), [build_H(TOP)])
+
+
+def _held_inputs(res, Hs, K):
+    """The input held on each simulated interval, -(H_p kron K) times
+    the error at the interval's opening row, as (intervals, N, m)."""
+    K = np.asarray(K, dtype=float)
+    n_open, N = res.modes.shape[0], res.errors.shape[1]
+    x = res.errors[res.boundary_idx[:n_open]].reshape(n_open, -1)
+    u = [-(np.kron(Hs[p], K) @ x[s]) for s, p in enumerate(res.modes)]
+    return np.array(u).reshape(n_open, N, K.shape[0])
 
 
 # ---------------------------------------------------------- SplitMix64
@@ -199,8 +210,7 @@ def test_simulate_consensus_is_invariant():
                    [[0.5, 0.5]], sched, X0L,
                    np.tile(X0L, (4, 1)))
     assert np.all(res.errors == 0.0)
-    assert np.all(res.u_held == 0.0)
-    assert np.allclose(res.followers, res.leader[:, None, :])
+    assert np.all(_held_inputs(res, [build_H(TOP)], [[0.5, 0.5]]) == 0.0)
 
 
 def test_simulate_zero_gain_is_block_autonomous():
@@ -228,7 +238,8 @@ def test_simulate_matches_held_input_oracle():
         want = (Ebig[:d, :d] + Ebig[:d, d:]) @ x0
         assert np.allclose(res.errors[k].reshape(-1), want,
                            rtol=1e-9, atol=1e-12)
-    assert np.allclose(res.u_held[0], (-(np.kron(H, K) @ x0)).reshape(4, 1))
+    assert np.allclose(_held_inputs(res, [H], K)[0],
+                       (-(np.kron(H, K) @ x0)).reshape(4, 1))
 
 
 def test_simulate_errors_ignore_leader_origin():
@@ -244,7 +255,7 @@ def test_simulate_errors_ignore_leader_origin():
     res_b = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched,
                      lead + shift, foll + shift[None, :])
     assert np.array_equal(res_a.errors, res_b.errors)
-    assert not np.array_equal(res_a.followers, res_b.followers)
+    assert not np.array_equal(res_a.leader, res_b.leader)
 
 
 def test_simulate_bitwise_deterministic():
@@ -252,8 +263,10 @@ def test_simulate_bitwise_deterministic():
     K = [[0.887356, 1.21952]]
     a = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F)
     b = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F)
+    Hs = [build_H(TOP)]
     for fa, fb in ((a.times, b.times), (a.errors, b.errors),
-                   (a.leader, b.leader), (a.u_held, b.u_held)):
+                   (a.leader, b.leader),
+                   (_held_inputs(a, Hs, K), _held_inputs(b, Hs, K))):
         assert np.array_equal(fa, fb)
 
 
@@ -326,9 +339,10 @@ def test_simulate_matches_step_by_step_oracle():
     np.testing.assert_allclose(res.errors.reshape(-1, d), err[got_ticks],
                                **tol)
     np.testing.assert_allclose(res.leader, lead[got_ticks], **tol)
+    held = _held_inputs(res, Hs, K)
     for s in range(n_open):
         want_u = -(np.kron(Hs[modes[s]], K) @ err[ticks[s]])
-        np.testing.assert_allclose(res.u_held[s].reshape(-1), want_u, **tol)
+        np.testing.assert_allclose(held[s].reshape(-1), want_u, **tol)
 
 
 @st.composite
@@ -392,9 +406,10 @@ def test_simulate_matches_van_loan_oracle_on_random_systems(run):
     np.testing.assert_allclose(res.errors.reshape(-1, d), err[got_ticks],
                                **tol)
     np.testing.assert_allclose(res.leader, lead[got_ticks], **tol)
+    held = _held_inputs(res, Hs, K)
     for s, p in enumerate(modes):
         want_u = -(np.kron(Hs[p], K) @ err[ticks[s]])
-        np.testing.assert_allclose(res.u_held[s].reshape(-1), want_u, **tol)
+        np.testing.assert_allclose(held[s].reshape(-1), want_u, **tol)
 
 
 def test_simulate_makes_one_expm_of_the_agent_size(monkeypatch):
@@ -433,7 +448,14 @@ def test_simulate_mode_chosen_at_interval_opening():
     # the third interval's held input must come from the second graph
     H_b = build_H(t_b)
     xs = res.errors[res.boundary_idx[2]].reshape(-1)
-    assert np.allclose(res.u_held[2], (-(np.kron(H_b, K) @ xs)).reshape(2, 1))
+    held = _held_inputs(res, [build_H(t_a), H_b], K)
+    assert np.allclose(held[2], (-(np.kron(H_b, K) @ xs)).reshape(2, 1))
+    # and the state it drives to the interval's end follows that input
+    top = np.hstack([np.kron(np.eye(2), A2), -np.kron(H_b, B2 @ K)])
+    E = oracles.expm_taylor(np.vstack([top, np.zeros((4, 8))]), 0.4)
+    want = (E[:4, :4] + E[:4, 4:]) @ xs
+    assert np.allclose(res.errors[-1].reshape(-1), want,
+                       rtol=1e-9, atol=1e-12)
 
 
 def test_simulate_truncates_at_horizon():
@@ -443,7 +465,7 @@ def test_simulate_truncates_at_horizon():
     assert np.allclose(res.instants, [0.0, 0.4, 0.8])
     assert res.n_complete == 2
     assert res.modes.shape[0] == 3
-    assert res.u_held.shape[0] == 3
+    assert _held_inputs(res, [build_H(TOP)], [[0.5, 0.5]]).shape == (3, 4, 1)
     assert res.times[-1] == 1.0
     assert np.array_equal(res.times[res.boundary_idx], res.instants)
 
@@ -488,6 +510,50 @@ def test_simulate_rejects_off_grid_schedules():
     with pytest.raises(InvalidSchedule):
         simulate(MODEL, [TOP], static, [[0.5, 0.5]],
                  _schedule([0.1, 0.3], 0.1), X0L, X0F)
+
+
+def _run_peak(args, synth, path, monkeypatch):
+    """The tracemalloc peak of simulate(*args), its certificate trace
+    and its trajectory CSV, with the formatter's tables built anew, and
+    the bytes _check_memory counted for the run."""
+    budgets = []
+    check = leadersync.sim._check_memory
+    monkeypatch.setattr(leadersync.sim, "_check_memory",
+                        lambda *a: budgets.append(check(*a)) or budgets[-1])
+    leadersync.floattext._tables.cache_clear()
+    tracemalloc.start()
+    try:
+        res = simulate(*args)
+        write_trajectory_csv(path, res, lyapunov_trace(res, synth).V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.setattr(leadersync.sim, "_check_memory", check)
+    assert len(budgets) == 1
+    return peak, budgets[0]
+
+
+@pytest.mark.parametrize("path, output_dt", [(STATIC, None),
+                                              (SWITCHING, None),
+                                              (SWITCHING, 0.007)])
+def test_simulate_and_csv_peak_memory_within_the_budget(path, output_dt,
+                                                        tmp_path,
+                                                        monkeypatch):
+    args, synth = _demo_setup(path, output_dt)
+    peak, budget = _run_peak(args, synth, tmp_path / "traj.csv", monkeypatch)
+    assert peak <= budget
+
+
+def test_run_memory_per_output_row_within_the_budget(tmp_path, monkeypatch):
+    # 64 states and 16 followers: the error norms and V are computed from
+    # squares as large as the states, which the fixed terms of a short
+    # run hide, so the budget must grow at least as fast as the peak
+    # between two runs past _GROUP_ROWS output rows
+    peaks, budgets = zip(*(_run_peak(*_ring_setup(horizon),
+                                     tmp_path / "traj.csv", monkeypatch)
+                           for horizon in (5.0, 8.0)))
+    assert peaks[1] <= budgets[1]
+    assert peaks[1] - peaks[0] <= budgets[1] - budgets[0]
 
 
 # --------------------------------------------------- leader_trajectory
@@ -555,9 +621,9 @@ def test_lyapunov_trace_rho_is_the_contraction_factor():
     assert rep.rho == rep.rho_threshold == cf.rho
 
 
-def _ring_run():
-    """16 followers of 4 states on a leader-fed ring, designed and run
-    for 0.5 s."""
+def _ring_setup(horizon):
+    """16 followers of 4 states on a leader-fed ring: the arguments of
+    simulate for a run up to the horizon, and the design."""
     A = np.array([[-0.38, 0.72, 0.05, 0.0], [-0.68, 0.42, 0.0, 0.0],
                   [0.0, 0.0, -0.38, 0.72], [0.0, 0.05, -0.68, 0.42]])
     B = np.array([[0.26, 0.0], [0.31, 0.0], [0.0, 0.26], [0.0, 0.31]])
@@ -568,21 +634,31 @@ def _ring_run():
     Hs = [build_H(top)]
     synth = synthesize(A, B, 1.0, 1.0, find_common_D(Hs), Hs)
     rng = np.random.default_rng(3)
-    res = simulate(SystemModel(A=A, B=B), [top], SwitchingSignal.static(),
-                   synth.K, gen_schedule(0.001, 0.04, 0.001, 0.5, 9),
-                   rng.uniform(-3, 3, 4), rng.uniform(-3, 3, (N, 4)))
-    return res, synth
+    return (SystemModel(A=A, B=B), [top], SwitchingSignal.static(), synth.K,
+            gen_schedule(0.001, 0.04, 0.001, horizon, 9),
+            rng.uniform(-3, 3, 4), rng.uniform(-3, 3, (N, 4))), synth
+
+
+def _demo_setup(path, output_dt=None):
+    """The arguments of simulate for a scenario file's run, with its
+    output pitch replaced, and the design."""
+    sc = load_scenario(path)
+    Hs = [build_H(t) for t in sc.topologies]
+    synth = synthesize(sc.A, sc.B, sc.mu1, sc.mu2, find_common_D(Hs), Hs)
+    return (SystemModel(A=sc.A, B=sc.B), sc.topologies, sc.signal, synth.K,
+            gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon,
+                         sc.seed),
+            sc.x0_leader, sc.x0_followers, output_dt), synth
+
+
+def _ring_run():
+    args, synth = _ring_setup(0.5)
+    return simulate(*args), synth
 
 
 def _switching_demo_run():
-    sc = load_scenario(SWITCHING)
-    Hs = [build_H(t) for t in sc.topologies]
-    synth = synthesize(sc.A, sc.B, sc.mu1, sc.mu2, find_common_D(Hs), Hs)
-    res = simulate(SystemModel(A=sc.A, B=sc.B), sc.topologies, sc.signal,
-                   synth.K, gen_schedule(sc.T_low, sc.T_high, sc.grid_h,
-                                         sc.horizon, sc.seed),
-                   sc.x0_leader, sc.x0_followers, sc.output_dt)
-    return res, synth
+    args, synth = _demo_setup(SWITCHING)
+    return simulate(*args), synth
 
 
 @pytest.mark.parametrize("make_run", [_switching_demo_run, _ring_run])
