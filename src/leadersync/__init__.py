@@ -8,8 +8,8 @@ verifies the promised quadratic decay at runtime.
 
 from .errors import LeaderSyncError
 from .graph import SwitchingSignal, Topology, build_H
-from .synthesis import (SynthesisResult, contraction_factor, find_common_D,
-                        synthesize, worst_case_params)
+from .synthesis import (SynthesisResult, find_common_D, synthesize,
+                        worst_case_params)
 from .sim import (ContractionReport, SamplingSchedule, SimulationResult,
                   SystemModel, gen_schedule, lyapunov_trace, simulate,
                   write_schedule_csv, write_trajectory_csv)
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ContractionReport", "LeaderSyncError", "SamplingSchedule", "Scenario",
     "SimulationResult", "SwitchingSignal", "SynthesisResult", "SystemModel",
-    "Topology", "build_H", "contraction_factor", "find_common_D",
-    "gen_schedule", "load_scenario", "lyapunov_trace", "main",
-    "parse_scenario", "scenario_text", "simulate", "synthesize",
-    "worst_case_params", "write_schedule_csv", "write_trajectory_csv",
+    "Topology", "build_H", "find_common_D", "gen_schedule", "load_scenario",
+    "lyapunov_trace", "main", "parse_scenario", "scenario_text", "simulate",
+    "synthesize", "worst_case_params", "write_schedule_csv",
+    "write_trajectory_csv",
 ]

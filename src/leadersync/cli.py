@@ -17,8 +17,8 @@ from .errors import (CommonDNotFound, EnumerationTooLarge, InvalidSchedule,
                      InvalidTime, LeaderSyncError, NotStabilizable,
                      ScenarioError, UnreachableGraph)
 from .graph import admissible_laplacians, build_H, leader_reachable
-from .scenario import Scenario, check_seed, load_model, load_scenario
-from .sim import (SystemModel, check_run_memory, gen_schedule,
+from .scenario import Scenario, load_model, load_scenario
+from .sim import (SystemModel, check_run_memory, check_seed, gen_schedule,
                   lyapunov_trace, simulate, write_schedule_csv,
                   write_trajectory_csv)
 from .synthesis import (SynthesisResult, find_common_D, synthesize,
@@ -130,9 +130,12 @@ def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
     A scenario that fixes K is simulated with it; its design is then
     computed only for the certificate and the T_bar warning, and a
     design failure is fatal only when need_synthesis is set. A seed
-    override outside the unsigned 64-bit range is refused first.
+    override outside the unsigned 64-bit range, then a run over the
+    memory budget, are refused before the design runs.
     Returns (synthesis or None, simulation result, warning lines)."""
     seed = sc.seed if seed_override is None else check_seed(seed_override)
+    check_run_memory(len(sc.topologies), sc.topologies[0].N, sc.A.shape[0],
+                     sc.T_low, sc.horizon, sc.grid_h, sc.output_dt)
     warn = []
     if sc.K is None or need_synthesis:
         synth = _synthesize_for(sc)
@@ -146,8 +149,6 @@ def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
         warn.append(f"warning: over-bound sampling: T_high = {_g(sc.T_high)} "
                     f"exceeds T_bar = {_g(synth.T_bar)}; decay is not "
                     f"guaranteed")
-    check_run_memory(len(sc.topologies), sc.topologies[0].N, sc.A.shape[0],
-                     sc.T_low, sc.horizon, sc.grid_h, sc.output_dt)
     schedule = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, seed)
     result = simulate(SystemModel(sc.A, sc.B), sc.topologies, sc.signal, K,
                       schedule, sc.x0_leader, sc.x0_followers, sc.output_dt)
@@ -269,8 +270,18 @@ def _commands(args) -> list:
     return calls
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_PARSE, not
+    argparse's 2, which here means a failed design assumption. Its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="leadersync",
         description="Sampled-data leader-following consensus: gain and "
                     "sampling-bound synthesis, exact simulation, and "

@@ -58,10 +58,6 @@ class CommonDNotFound(LeaderSyncError):
     assumption = 3
 
 
-class ContractionInfeasible(LeaderSyncError):
-    """Contraction hypothesis (0 < beta2 < beta1, h > 0) is violated."""
-
-
 class EnumerationTooLarge(LeaderSyncError):
     """Requested follower count exceeds the enumeration cap."""
 

@@ -6,7 +6,10 @@ import itertools
 import numpy as np
 
 from .errors import EnumerationTooLarge, InvalidTime
-from .numerics import config
+
+# grounded Laplacian M-matrix test: inverse entries may dip this far
+# below zero
+M_MATRIX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def _all_nonsingular_M(Hs) -> bool:
         return False
     if not np.all(np.isfinite(inv)):
         return False
-    return bool(np.min(inv) >= -config.M_MATRIX_TOL)
+    return bool(np.min(inv) >= -M_MATRIX_TOL)
 
 
 @dataclass(frozen=True)

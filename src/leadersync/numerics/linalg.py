@@ -1,7 +1,7 @@
 """Matrix operations: eigenvalues, exponentials, Lyapunov and Riccati solvers.
 
-Wrappers that validate inputs, enforce the tolerances in ``config``,
-and raise typed errors. Eigenvalues and singular values come from
+Wrappers that validate inputs, enforce the tolerances below, and
+raise typed errors. Eigenvalues and singular values come from
 LAPACK through ``numpy.linalg``; the exponential (scaling and squaring
 with an order-7 Pade core) and the matrix sign iteration are numpy
 code here.
@@ -14,7 +14,25 @@ import numpy as np
 
 from ..errors import (CareFailure, EigenFailure, InvalidMatrix, LyapunovSingular,
                       NotStabilizable, NumericalOverflow)
-from . import config
+
+# symmetric eigenvalues
+SYM_INPUT_TOL = 1e-12       # relative asymmetry tolerated on input
+
+# singular values / rank
+RANK_REL_TOL = 1e-9         # sigma > tol * sigma_max counts toward rank
+
+# matrix exponential (scaling and squaring, order-7 Pade core)
+EXPM_SCALED_NORM = 0.5      # scale so ||M|| / 2^s <= this
+
+# Lyapunov / Riccati
+LYAP_RESIDUAL_TOL = 1e-10   # times (1 + ||Q||_F)
+CARE_RESIDUAL_TOL = 1e-9    # times (1 + ||P||_F^2)
+CARE_SYM_TOL = 1e-10        # absolute asymmetry allowed in P
+SIGN_MAX_ITER = 100
+SIGN_CONV_TOL = 1e-12
+
+# stabilizability test
+EIG_REAL_GUARD = 1e-12      # eigenvalues with Re >= -guard are treated as unstable
 
 
 @dataclass(frozen=True)
@@ -59,12 +77,12 @@ def _square(M, name="matrix", stack=False):
 
 def _symmetric(S):
     """Symmetric part of S, a matrix or a (..., n, n) stack of them.
-    Each matrix must be symmetric to within config.SYM_INPUT_TOL
+    Each matrix must be symmetric to within SYM_INPUT_TOL
     relative to its own largest entry."""
     a = _square(S, "S", stack=True)
     at = a.swapaxes(-1, -2)
     asym = np.max(np.abs(a - at), axis=(-2, -1))
-    bad = asym > config.SYM_INPUT_TOL * np.max(np.abs(a), axis=(-2, -1))
+    bad = asym > SYM_INPUT_TOL * np.max(np.abs(a), axis=(-2, -1))
     if np.any(bad):
         raise InvalidMatrix(
             f"S is not symmetric: max asymmetry {np.max(asym[bad]):.3e}")
@@ -113,7 +131,7 @@ _PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
 def expm(M, t=1.0):
     """Matrix exponential e^(M t) by scaling and squaring.
 
-    M t is scaled so its 1-norm is at most config.EXPM_SCALED_NORM, the
+    M t is scaled so its 1-norm is at most EXPM_SCALED_NORM, the
     order-7 Pade approximant is taken, and the result is squared back.
     """
     overflow = "matrix exponential overflowed the float range"
@@ -122,8 +140,8 @@ def expm(M, t=1.0):
     if not math.isfinite(nrm):
         raise NumericalOverflow(overflow)
     s_pow = 0
-    if nrm > config.EXPM_SCALED_NORM:
-        s_pow = int(math.ceil(math.log2(nrm / config.EXPM_SCALED_NORM)))
+    if nrm > EXPM_SCALED_NORM:
+        s_pow = int(math.ceil(math.log2(nrm / EXPM_SCALED_NORM)))
     A = a / (2.0 ** s_pow)
     b0, b1, b2, b3, b4, b5, b6, b7 = _PADE7
     eye = np.eye(a.shape[0])
@@ -166,14 +184,14 @@ def check_stabilizable(A, B):
         raise InvalidMatrix(f"B must have {n} rows, got {b.shape[0]}")
     eye = np.eye(n)
     for lam in eigenvalues(a):
-        if lam.real < -config.EIG_REAL_GUARD:
+        if lam.real < -EIG_REAL_GUARD:
             continue
         pencil = np.hstack([a - lam * eye, b])
         sig = _lapack(np.linalg.svd, pencil, compute_uv=False)
         smax = float(sig[0])
         if smax == 0.0:
             return False
-        if int(np.sum(sig > config.RANK_REL_TOL * smax)) < n:
+        if int(np.sum(sig > RANK_REL_TOL * smax)) < n:
             return False
     return True
 
@@ -186,7 +204,7 @@ def solve_lyapunov(M, Q):
     if q.shape[0] != n:
         raise InvalidMatrix(f"Q must match M, got {q.shape} vs {m.shape}")
     asym = float(np.max(np.abs(q - q.T)))
-    if asym > config.SYM_INPUT_TOL * max(1.0, float(np.max(np.abs(q)))):
+    if asym > SYM_INPUT_TOL * max(1.0, float(np.max(np.abs(q)))):
         raise InvalidMatrix(f"Q is not symmetric: max asymmetry {asym:.3e}")
     q = 0.5 * (q + q.T)
     eye = np.eye(n)
@@ -199,7 +217,7 @@ def solve_lyapunov(M, Q):
     X = 0.5 * (X + X.T)
     residual = m.T @ X + X @ m + q
     res_norm = float(np.linalg.norm(residual))
-    if res_norm > config.LYAP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(q))):
+    if res_norm > LYAP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(q))):
         raise LyapunovSingular(
             f"Lyapunov residual {res_norm:.3e} exceeds tolerance; "
             "an eigenvalue pair of M likely sums to zero")
@@ -209,11 +227,11 @@ def solve_lyapunov(M, Q):
 def _matrix_sign(W):
     """Matrix sign of W by Newton iteration with determinant scaling,
     stopped when the relative Frobenius change falls below
-    config.SIGN_CONV_TOL. A singular or non-finite iterate, or no
-    convergence within config.SIGN_MAX_ITER steps, raises CareFailure."""
+    SIGN_CONV_TOL. A singular or non-finite iterate, or no
+    convergence within SIGN_MAX_ITER steps, raises CareFailure."""
     n = W.shape[0]
     X = W
-    for _ in range(config.SIGN_MAX_ITER):
+    for _ in range(SIGN_MAX_ITER):
         ad = abs(np.linalg.det(X))
         if not math.isfinite(ad) or ad == 0.0:
             break
@@ -222,7 +240,7 @@ def _matrix_sign(W):
         den = np.linalg.norm(Xn)
         if not math.isfinite(den):
             break
-        if np.linalg.norm(Xn - X) <= config.SIGN_CONV_TOL * den:
+        if np.linalg.norm(Xn - X) <= SIGN_CONV_TOL * den:
             return Xn
         X = Xn
     raise CareFailure("matrix sign iteration did not converge")
@@ -236,10 +254,12 @@ def solve_care(A, B, mu1, mu2):
     extraction of the stable subspace, and one Newton refinement step
     through the Lyapunov solver. The solution is validated: symmetry,
     positive definiteness, residual bound, and a strictly stable
-    closed-loop matrix A - mu1 B B^T P.
+    closed-loop matrix A - mu1 B B^T P. Weights that are not positive
+    and finite raise ValueError.
     """
-    if not (mu1 > 0.0 and mu2 > 0.0):
-        raise ValueError(f"mu1 and mu2 must be positive, got {mu1}, {mu2}")
+    if not (0.0 < mu1 < math.inf and 0.0 < mu2 < math.inf):
+        raise ValueError(
+            f"mu1 and mu2 must be positive and finite, got {mu1}, {mu2}")
     a = _square(A, "A")
     b = _as_matrix(B, "B")
     n = a.shape[0]
@@ -266,7 +286,7 @@ def solve_care(A, B, mu1, mu2):
     except LyapunovSingular as exc:
         raise CareFailure(f"Newton refinement failed: {exc}") from exc
     asym = float(np.max(np.abs(P_raw - P_raw.T)))
-    if asym > config.CARE_SYM_TOL:
+    if asym > CARE_SYM_TOL:
         raise CareFailure(f"solution asymmetry {asym:.3e} exceeds tolerance")
     P = 0.5 * (P_raw + P_raw.T)
     spectrum = sym_eig_extremes(P)
@@ -276,7 +296,7 @@ def solve_care(A, B, mu1, mu2):
     residual = P @ a + a.T @ P - mu1 * (P @ b @ b.T @ P) + mu2 * eye
     res_norm = float(np.linalg.norm(residual))
     p_norm = float(np.linalg.norm(P))
-    if res_norm > config.CARE_RESIDUAL_TOL * (1.0 + p_norm * p_norm):
+    if res_norm > CARE_RESIDUAL_TOL * (1.0 + p_norm * p_norm):
         raise CareFailure(f"residual {res_norm:.3e} exceeds tolerance")
     closed_eigs = eigenvalues(a - mu1 * (b @ b.T) @ P)
     if not np.all(closed_eigs.real < 0.0):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .graph import SwitchingSignal, Topology
+from .sim import check_seed
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _FOLLOWER_RE = re.compile(r"^x([1-9][0-9]*)$")
@@ -188,17 +189,6 @@ def _parse_model(single) -> ModelSpec:
             raise ScenarioError(f"{key} must be positive, got {v}", line=ln)
         mus.append(v)
     return ModelSpec(name=name, A=A, B=B, mu1=mus[0], mu2=mus[1])
-
-
-def check_seed(seed: int) -> int:
-    """seed itself when it is an unsigned 64-bit integer, ValueError
-    otherwise. The schedule draw adds the seed to SplitMix64's uint64
-    states, so every seed in range gives its own stream, while
-    gen_schedule would take one outside it modulo 2^64 and silently
-    give another seed's stream."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
 
 
 def parse_model(text: str) -> ModelSpec:

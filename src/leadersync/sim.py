@@ -17,7 +17,6 @@ import numpy as np
 from . import floattext
 from .errors import IncompleteTrace, InvalidSchedule
 from .graph import SwitchingSignal, build_H, signal_mode
-from .numerics import config
 from .numerics.linalg import _as_matrix, _square, expm
 from .synthesis import SynthesisResult, _rho
 
@@ -27,6 +26,17 @@ MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def check_seed(seed: int) -> int:
+    """seed itself when it is an unsigned 64-bit integer, ValueError
+    otherwise. The schedule draw adds the seed to SplitMix64's uint64
+    states, so every seed in range gives its own stream, while one
+    outside it would be taken modulo 2^64 and silently give another
+    seed's stream."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 def _splitmix64(seed: int, first: int, count: int) -> np.ndarray:
@@ -39,7 +49,7 @@ def _splitmix64(seed: int, first: int, count: int) -> np.ndarray:
     Pure integer arithmetic on a uint64 array, which wraps modulo 2^64,
     so identical seeds give identical streams on every platform and in
     every language that pins these constants. The seed is taken modulo
-    2^64.
+    2^64; gen_schedule refuses one outside that range.
     """
     z = np.arange(first, first + count, dtype=np.uint64)
     z *= _GAMMA
@@ -101,6 +111,10 @@ class SamplingSchedule:
         object.__setattr__(self, "instants", a)
 
 
+# relative error allowed when snapping a time to the grid
+GRID_DIV_TOL = 1e-12
+
+
 def _grid_ticks(value, grid_h: float, what: str):
     """Snap a time, or an array of times, to its grid step count,
     rejecting off-grid values."""
@@ -109,13 +123,19 @@ def _grid_ticks(value, grid_h: float, what: str):
     with np.errstate(over="ignore", invalid="ignore"):
         k = np.rint(v / grid_h)
         on_grid = np.abs(k * grid_h - v) <= \
-            config.GRID_DIV_TOL * np.maximum(1.0, np.abs(v))
+            GRID_DIV_TOL * np.maximum(1.0, np.abs(v))
     if not np.all(on_grid):
         raise InvalidSchedule(
             f"{what} = {float(v[~on_grid].flat[0])} is not a whole number "
             f"of grid steps (grid_h = {grid_h})")
     return int(k) if k.ndim == 0 else k.astype(np.int64)
 
+
+# bytes one run may allocate: the transition tables and everything
+# simulate, the certificate trace and the trajectory CSV hold (counted
+# by _check_memory), and the instants gen_schedule draws (counted by
+# _check_schedule_memory); checked before anything is allocated
+SIM_MEMORY_BUDGET = 256 * 2**20
 
 # rows of the schedule CSV formatted at a time
 CSV_BLOCK_ROWS = 64
@@ -150,11 +170,11 @@ def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
     """Refuse a run whose transition tables (modes x (L + 1) blocks of
     d x d, d = N n, plus L + 1 leader blocks and L + 1 input-gain blocks
     of n x n) and the rest it allocates in simulate, the certificate
-    trace and the trajectory CSV would together exceed
-    config.SIM_MEMORY_BUDGET bytes: the output rows with their index
-    arrays, error norms and V, the states at the sampling instants, one
-    grouped product, and the CSV's block with the formatter's working
-    memory and tables. Returns the bytes counted."""
+    trace and the trajectory CSV would together exceed SIM_MEMORY_BUDGET
+    bytes: the output rows with their index arrays, error norms and V,
+    the states at the sampling instants, one grouped product, and the
+    CSV's block with the formatter's working memory and tables. Returns
+    the bytes counted."""
     d = N * n
     table = 8 * (L + 1) * (modes * d * d + 2 * n * n)
     block = max(CSV_BLOCK_VALUES, 2 + n + d + N)
@@ -162,16 +182,16 @@ def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
                     + (n_open + 1) * (d + n + _INTERVAL_WORDS)
                     + 2 * min(n_rows, _GROUP_ROWS) * d)
                + block * _CSV_BYTES_PER_VALUE + _CSV_TABLE_BYTES)
-    budget = config.SIM_MEMORY_BUDGET
-    if table + outputs > budget:
+    if table + outputs > SIM_MEMORY_BUDGET:
         mib = 1 << 20
         raise InvalidSchedule(
             f"simulation needs {(table + outputs) / mib:.1f} MiB "
             f"({table / mib:.1f} MiB of transition tables for {modes} "
             f"mode(s) x {L + 1} steps of {d}x{d} blocks, "
             f"{outputs / mib:.1f} MiB for {n_rows} output rows), above "
-            f"the budget of {budget / mib:.0f} MiB; shorten the longest "
-            f"sampling gap or the horizon, or raise grid_h or output_dt")
+            f"the budget of {SIM_MEMORY_BUDGET / mib:.0f} MiB; shorten the "
+            f"longest sampling gap or the horizon, or raise grid_h or "
+            f"output_dt")
     return table + outputs
 
 
@@ -185,6 +205,9 @@ def _output_grid(horizon: float, grid_h: float, output_dt: float | None):
     stride = _grid_ticks(out_dt, grid_h, "output_dt")
     if stride < 1:
         raise InvalidSchedule(f"output_dt = {out_dt} is below the grid pitch")
+    # any stride past the horizon gives the same rows, and this one
+    # stays within int64
+    stride = min(stride, hor + 1)
     return hor, stride, hor // stride + 1 + int(hor % stride != 0)
 
 
@@ -198,17 +221,17 @@ _SCHEDULE_BYTES_PER_INSTANT = 32
 
 def _check_schedule_memory(T_low: float, horizon: float) -> None:
     """Refuse a horizon that could need more sampling instants than
-    config.SIM_MEMORY_BUDGET bytes hold."""
+    SIM_MEMORY_BUDGET bytes hold."""
     # at most ceil(horizon / T_low) + 2 instants; bounded in floats so
     # that an infinite horizon or an overflowing ratio is refused too
     most = horizon / T_low + 3.0
     need = most * _SCHEDULE_BYTES_PER_INSTANT
-    if not need <= config.SIM_MEMORY_BUDGET:
+    if not need <= SIM_MEMORY_BUDGET:
         mib = 1 << 20
         raise InvalidSchedule(
             f"schedule may need {most:.0f} sampling instants "
             f"({need / mib:.1f} MiB), above the budget of "
-            f"{config.SIM_MEMORY_BUDGET / mib:.0f} MiB; shorten the "
+            f"{SIM_MEMORY_BUDGET / mib:.0f} MiB; shorten the "
             f"horizon or raise T_low")
 
 
@@ -217,13 +240,15 @@ def check_run_memory(modes: int, N: int, n: int, T_low: float,
                      output_dt: float | None = None) -> None:
     """The memory checks of gen_schedule and simulate that need no
     schedule: the instants the horizon may need, then the output rows
-    at the output_dt multiples and the horizon with the tables of a
-    one-step run. Raises InvalidSchedule when either exceeds
-    config.SIM_MEMORY_BUDGET, so a run that gen_schedule or simulate
-    would refuse is refused before its schedule is drawn."""
+    at the output_dt multiples and the horizon with the tables up to
+    min(T_low, horizon), a length some interval of every run reaches.
+    Raises InvalidSchedule when either exceeds SIM_MEMORY_BUDGET, so a
+    run that gen_schedule or simulate would refuse is refused before
+    its schedule is drawn."""
     _check_schedule_memory(T_low, horizon)
-    rows = _output_grid(horizon, grid_h, output_dt)[2]
-    _check_memory(modes, 0, N, n, 0, rows)
+    hor, _, rows = _output_grid(horizon, grid_h, output_dt)
+    L = min(_grid_ticks(T_low, grid_h, "T_low"), hor)
+    _check_memory(modes, L, N, n, 0, rows)
 
 
 def _draw_instants(lo: int, hi: int, grid_h: float, horizon: float,
@@ -274,11 +299,12 @@ def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
     run costs a few array passes, not Python work per instant. The same
     arguments always reproduce the same instants bit for bit.
 
-    A T_low below one grid step, a schedule that could pass 2^62 grid
-    steps, or a horizon that could need more instants than
-    config.SIM_MEMORY_BUDGET bytes hold raises InvalidSchedule before
-    any gap is drawn.
+    A seed outside [0, 2^64) raises ValueError. A T_low below one grid
+    step, a schedule that could pass 2^62 grid steps, or a horizon that
+    could need more instants than SIM_MEMORY_BUDGET bytes hold raises
+    InvalidSchedule before any gap is drawn.
     """
+    check_seed(seed)
     if not grid_h > 0.0:
         raise InvalidSchedule(f"grid_h must be positive, got {grid_h}")
     if not T_low > 0.0:
@@ -303,7 +329,7 @@ def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
     instants = _draw_instants(lo, hi, grid_h, horizon, seed, most)
     return SamplingSchedule(instants=instants, T_low=float(T_low),
                             T_high=float(T_high), grid_h=float(grid_h),
-                            seed=int(seed) & MASK64, horizon=float(horizon))
+                            seed=int(seed), horizon=float(horizon))
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +423,7 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
 
     The transition tables and the output arrays are sized before any
     of them is allocated; a run that would need more than
-    config.SIM_MEMORY_BUDGET bytes raises InvalidSchedule. A diverging
+    SIM_MEMORY_BUDGET bytes raises InvalidSchedule. A diverging
     run raises no numpy warning: its states become inf or NaN.
     """
     topologies = list(topologies)
@@ -505,6 +531,12 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
         n_complete=n_complete, schedule=schedule)
 
 
+# V(t) <= V(t_s) * (1 + slack) inside an interval
+INTERVAL_SLACK = 1e-9
+# V(t_{s+1}) / V(t_s) <= rho * (1 + slack)
+RATIO_REL_SLACK = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class ContractionReport:
     """Runtime check of the per-interval quadratic decay.
@@ -514,9 +546,10 @@ class ContractionReport:
     V_samples[s+1] / V_samples[s] for each complete interval, NaN when
     V_samples[s] = 0 (vacuously passing). interval_violations counts
     intervals whose interior dense maximum exceeded the opening value
-    beyond the allowed slack, and worst_interval_slack is the largest
-    relative excess seen (negative when V strictly decayed inside
-    every interval).
+    beyond the allowed slack or where V is not finite, and
+    worst_interval_slack is the largest relative excess seen (inf for
+    an interval where V is not finite, negative when V strictly decayed
+    inside every interval).
 
     rho evaluates (1 - beta2/beta1) e^(-beta1 T_low) + beta2/beta1
     with beta1 = c1 and beta2 = c2 * T_high^2, the decay factor the
@@ -544,7 +577,7 @@ class ContractionReport:
     @property
     def ratios_ok(self) -> bool:
         finite = self.ratios[np.isfinite(self.ratios)]
-        bound = self.rho_threshold * (1.0 + config.RATIO_REL_SLACK)
+        bound = self.rho_threshold * (1.0 + RATIO_REL_SLACK)
         return bool(np.all(finite <= bound))
 
     @property
@@ -602,11 +635,10 @@ def lyapunov_trace(result: SimulationResult,
             excess = np.where(seg_max > 0.0, math.inf, 0.0)
             excess[positive] = ((seg_max[positive] - V_samples[positive])
                                 / V_samples[positive])
-            violations = int(np.count_nonzero(excess > config.INTERVAL_SLACK))
-            # NaN excesses are skipped, as a running max() would skip them
-            worst = float(np.fmax.reduce(excess))
-            if math.isnan(worst):
-                worst = 0.0
+            # an interval where V left the float range certifies nothing
+            excess[~np.isfinite(seg_max)] = math.inf
+            violations = int(np.count_nonzero(excess > INTERVAL_SLACK))
+            worst = float(np.max(excess))
 
         V0 = V_samples[:result.n_complete]
         V1 = V_samples[1:result.n_complete + 1]

@@ -1,13 +1,12 @@
 """Diagonal scalings, the gain and sampling-bound parameter ladder, and
-per-interval contraction utilities."""
+the per-interval contraction factor."""
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .errors import (CommonDNotFound, ContractionInfeasible,
-                     DConstructionFailure)
+from .errors import CommonDNotFound, DConstructionFailure
 from .graph import _all_nonsingular_M, admissible_laplacians
 from .numerics.linalg import (_as_matrix, _square, solve_care, spectral_norm,
                               sym_eig_extremes, sym_eig_min_vector)
@@ -40,16 +39,6 @@ class SynthesisResult:
     mu1: float
     mu2: float
     care_residual: float
-
-
-@dataclass(frozen=True)
-class ContractionParams:
-    """Feasible per-interval decay bound rho for minimum gap h."""
-
-    beta1: float
-    beta2: float
-    h: float
-    rho: float
 
 
 def _definiteness_margin(d, mats, grad=False):
@@ -172,7 +161,8 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D) -> SynthesisResult:
     lam1 is the smallest margin lam_min(D H + H^T D) over the stack.
     Extremes are taken over the stack, so the bound holds for every
     graph in it. Norms are spectral throughout, and Kronecker factors
-    use the product identity for their norms and extreme eigenvalues."""
+    use the product identity for their norms and extreme eigenvalues.
+    The weights are checked by solve_care, which runs first."""
     care = solve_care(a, b, mu1, mu2)
     P = care.P
     if not lam1 > 0.0:
@@ -212,10 +202,9 @@ def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
 
     Evaluates the full parameter ladder for the given diagonal scaling
     over the grounded Laplacians of a list or a (G, N, N) stack; a
-    static design is the single-element list.
+    static design is the single-element list. Weights that are not
+    positive and finite raise ValueError.
     """
-    if not (mu1 > 0.0 and mu2 > 0.0):
-        raise ValueError(f"mu1 and mu2 must be positive, got {mu1}, {mu2}")
     a = _square(A, "A")
     b = _as_matrix(B, "B")
     mats = np.array([_square(H, "H") for H in Hs])
@@ -237,10 +226,8 @@ def worst_case_params(A, B, mu1, mu2, N: int) -> SynthesisResult:
     admissible digraph on N followers, each with its own quotient
     scaling, so the result is valid for all of them. The aggregation
     is conservative: the returned T_bar is at most every per-graph
-    bound.
+    bound. Weights that are not positive and finite raise ValueError.
     """
-    if not (mu1 > 0.0 and mu2 > 0.0):
-        raise ValueError(f"mu1 and mu2 must be positive, got {mu1}, {mu2}")
     a = _square(A, "A")
     b = _as_matrix(B, "B")
     _, Hs = admissible_laplacians(N)
@@ -253,18 +240,3 @@ def _rho(beta1: float, beta2: float, h: float) -> float:
     ratio = beta2 / beta1
     return (1.0 - ratio) * math.exp(-beta1 * h) + ratio
 
-
-def contraction_factor(beta1: float, beta2: float, h: float) -> ContractionParams:
-    """Per-interval decay bound rho = (1 - beta2/beta1) e^(-beta1 h)
-    + beta2/beta1, strictly below 1 whenever 0 < beta2 < beta1 and
-    h > 0."""
-    if not (beta1 > 0.0 and beta2 > 0.0):
-        raise ContractionInfeasible(
-            f"beta1 and beta2 must be positive, got {beta1}, {beta2}")
-    if beta2 >= beta1:
-        raise ContractionInfeasible(
-            f"beta2 = {beta2} must be strictly below beta1 = {beta1}")
-    if not h > 0.0:
-        raise ContractionInfeasible(f"h must be positive, got {h}")
-    return ContractionParams(beta1=float(beta1), beta2=float(beta2),
-                             h=float(h), rho=float(_rho(beta1, beta2, h)))

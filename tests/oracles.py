@@ -7,6 +7,7 @@ rotations, transitive closure instead of search, cofactor expansion
 instead of factorizations.
 """
 
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -327,14 +328,44 @@ def leader_trajectory(A, x0, times):
     return np.array([expm(A, float(t)) @ x for t in times])
 
 
+class ContractionInfeasible(ValueError):
+    """Contraction hypothesis (0 < beta2 < beta1, h > 0) is violated."""
+
+
+@dataclass(frozen=True)
+class ContractionParams:
+    """Feasible per-interval decay bound rho for minimum gap h."""
+
+    beta1: float
+    beta2: float
+    h: float
+    rho: float
+
+
+def contraction_factor(beta1, beta2, h):
+    """The paper's per-interval decay bound
+    rho = (1 - beta2/beta1) e^(-beta1 h) + beta2/beta1, strictly below 1
+    whenever 0 < beta2 < beta1 and h > 0, written out as the reference
+    for leadersync.synthesis._rho. Outside those hypotheses raises
+    ContractionInfeasible."""
+    if not (beta1 > 0.0 and beta2 > 0.0):
+        raise ContractionInfeasible(
+            f"beta1 and beta2 must be positive, got {beta1}, {beta2}")
+    if beta2 >= beta1:
+        raise ContractionInfeasible(
+            f"beta2 = {beta2} must be strictly below beta1 = {beta1}")
+    if not h > 0.0:
+        raise ContractionInfeasible(f"h must be positive, got {h}")
+    rho = (1.0 - beta2 / beta1) * math.exp(-beta1 * h) + beta2 / beta1
+    return ContractionParams(beta1=float(beta1), beta2=float(beta2),
+                             h=float(h), rho=float(rho))
+
+
 def verify_comparison_lemma(beta1, beta2, schedule, W0, rel_slack=1e-12):
     """Propagate the extremal held-term scalar system
     dW/dt = -beta1 W + beta2 W(t_s) across the schedule and check each
-    per-interval ratio W(t_{s+1}) / W(t_s) against the package's
-    contraction_factor. True iff every ratio matches within rel_slack."""
-    from leadersync.errors import ContractionInfeasible
-    from leadersync.synthesis import contraction_factor
-
+    per-interval ratio W(t_{s+1}) / W(t_s) against contraction_factor.
+    True iff every ratio matches within rel_slack."""
     if not (beta1 > 0.0 and beta2 > 0.0) or beta2 >= beta1:
         raise ContractionInfeasible(
             f"need 0 < beta2 < beta1, got beta1 = {beta1}, beta2 = {beta2}")

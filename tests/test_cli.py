@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import subprocess
 import sys
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leadersync
-from leadersync import (Topology, build_H, load_scenario, scenario_text,
-                        synthesize)
-from leadersync.cli import main
+import leadersync.cli
+from leadersync import (Topology, build_H, errors, load_scenario,
+                        scenario_text, synthesize)
+from leadersync.cli import _map_exception, main
 
 from conftest import STATIC, SWITCHING
 
@@ -141,13 +143,27 @@ def test_synthesize_has_no_seed_option(workdir, capsys):
     # a design draws no schedule, so a seed would be silently ignored
     with pytest.raises(SystemExit) as exc:
         main(["synthesize", "--scenario", STATIC, "--seed", "1"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     assert "--seed" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["synthesize", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--seed" not in out and "--jobs" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scenario", STATIC, "--no-such-option"],
+    ["simulate", "--scenario", STATIC, "--seed", "abc"],
+    ["enumerate", "--model", STATIC, "--followers", "two"],
+    []])
+def test_usage_errors_exit_3(workdir, capsys, argv):
+    # exit 2 is a failed design assumption; a bad command line is a
+    # configuration error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "usage: leadersync" in capsys.readouterr().err
 
 
 def test_simulate_takes_the_error_norms_once(workdir, capsys, monkeypatch):
@@ -254,6 +270,47 @@ def test_simulate_refuses_output_rows_before_drawing_schedule(workdir,
     assert not (workdir / "static_demo_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_run_over_the_memory_budget_is_refused_before_the_design(
+        workdir, capsys, monkeypatch, command):
+    # 400 followers on a leader-fed ring with every gap 100 grid steps:
+    # the table of any run holds 101 blocks of 800 x 800, about 520 MB,
+    # so the design is not worth computing
+    lines = ["name wide_ring", "A 2  -0.38 0.72  -0.68 0.42",
+             "B 2 1  0.26 0.31", "mu1 1.0", "mu2 1.0",
+             "topology 400  0 1 " + " ".join(f"{i} {i + 1}"
+                                           for i in range(1, 400)),
+             "T_low 0.1", "T_high 0.1", "grid_h 0.001", "seed 7",
+             "horizon 0.5", "x0 1 0"]
+    lines += [f"x{i} 0 {i}" for i in range(1, 401)]
+    path = workdir / "wide_ring.txt"
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_design(sc):
+        raise AssertionError("the design ran")
+
+    monkeypatch.setattr(leadersync.cli, "_synthesize_for", no_design)
+    assert main([command, "--scenario", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "transition tables" in err and "101 steps of 800x800" in err
+
+
+def test_output_dt_past_the_horizon_gives_the_same_csvs(workdir, capsys):
+    # an output_dt whose grid step count passes int64 gives the rows of
+    # any output_dt past the horizon: t = 0, the instants, the horizon
+    text = Path(STATIC).read_text().replace("horizon 30.0", "horizon 0.1")
+    for name, output_dt in (("huge", "1e300"), ("twice", "0.2")):
+        path = workdir / f"{name}.txt"
+        path.write_text(text + f"output_dt {output_dt}\n")
+        assert main(["simulate", "--scenario", str(path), "--out",
+                     name]) == 0
+    capsys.readouterr()
+    for csv in ("static_demo_trajectory.csv", "static_demo_schedule.csv"):
+        assert (workdir / "huge" / csv).read_bytes() == \
+            (workdir / "twice" / csv).read_bytes()
+
+
 def test_times_beyond_the_grid_range_are_a_configuration_error(workdir,
                                                                  capsys):
     # 1e300 / 1e-10 overflows the float range: off the grid, not a numpy
@@ -293,6 +350,22 @@ def test_verify_flags_over_bound_run(workdir, capsys):
     assert "bound infeasible" in captured.out
     assert "over-bound sampling" in captured.err
     assert (workdir / "v" / "overbound_trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("x0", ["1e160 -1e160", "1e308 -1e308"])
+def test_verify_fails_when_V_leaves_the_float_range(workdir, capsys, x0):
+    # the states are finite but V overflows: inf / inf ratios and
+    # inf - inf excesses are NaN, which must not read as a vacuous pass
+    text = Path(STATIC).read_text().replace("horizon 30.0", "horizon 0.1")
+    text = "\n".join(f"x0 {x0}" if ln.startswith("x0 ") else ln
+                     for ln in text.splitlines()) + "\n"
+    path = workdir / "huge_leader.txt"
+    path.write_text(text)
+    assert main(["verify", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "verdict FAIL" in captured.out
+    assert "worst slack inf" in captured.out
+    assert "left the float range" in captured.err
 
 
 def test_verify_batch_jobs(workdir, capsys):
@@ -377,12 +450,43 @@ def test_enumerate_too_many_followers(workdir, capsys):
     assert "enumeration refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu1", ["inf", "nan"])
+def test_enumerate_non_finite_weight_is_a_configuration_error(workdir,
+                                                              capsys, mu1):
+    # refused before the Riccati solve; the test settings turn numpy
+    # warnings into errors
+    assert main(["enumerate", "--model", STATIC, "--followers", "2",
+                 "--mu1", mu1]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "finite" in err
+    assert "RuntimeWarning" not in err
+
+
+def test_every_error_class_maps_to_its_exit_code():
+    # the code the cli module docstring documents for each class; a
+    # class added to or removed from leadersync.errors must be entered
+    # here too
+    want = {"LeaderSyncError": 2, "InvalidMatrix": 2, "NumericalOverflow": 2,
+            "EigenFailure": 2, "LyapunovSingular": 2, "NotStabilizable": 2,
+            "CareFailure": 2, "UnreachableGraph": 2,
+            "DConstructionFailure": 2, "CommonDNotFound": 2,
+            "EnumerationTooLarge": 2, "IncompleteTrace": 2,
+            "InvalidTime": 3, "InvalidSchedule": 3, "ScenarioError": 3}
+    found = {name: cls for name, cls in inspect.getmembers(errors,
+                                                           inspect.isclass)
+             if issubclass(cls, errors.LeaderSyncError)}
+    assert sorted(found) == sorted(want)
+    cases = [(cls, want[name]) for name, cls in found.items()]
+    for cls, code in cases + [(ValueError, 3), (OSError, 4)]:
+        assert _map_exception(cls("boom"))[0] == code, cls.__name__
+
+
 # ------------------------------------------------------- public surface
 
 def test_public_surface():
     assert sorted(leadersync.__all__) == sorted([
         "Topology", "SwitchingSignal", "build_H", "find_common_D",
-        "synthesize", "worst_case_params", "contraction_factor",
+        "synthesize", "worst_case_params",
         "SystemModel", "gen_schedule", "simulate", "lyapunov_trace",
         "write_trajectory_csv", "write_schedule_csv",
         "load_scenario", "parse_scenario", "scenario_text", "main",

@@ -415,3 +415,6 @@ def test_care_rejects_bad_weights():
         solve_care(A, B, 0.0, 1.0)
     with pytest.raises(ValueError):
         solve_care(A, B, 1.0, -1.0)
+    for mu in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            solve_care(A, B, 1.0, mu)

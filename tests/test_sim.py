@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from leadersync import (SamplingSchedule, SwitchingSignal, SystemModel,
-                        Topology, build_H, contraction_factor, find_common_D,
+                        Topology, build_H, find_common_D,
                         gen_schedule, load_scenario, lyapunov_trace, simulate,
                         synthesize, write_schedule_csv, write_trajectory_csv)
 import leadersync.floattext
@@ -122,6 +122,10 @@ def test_gen_schedule_rejects_bad_arguments():
         gen_schedule(0.1, 0.2, 0.01, -1.0, 0)
     with pytest.raises(InvalidSchedule):
         gen_schedule(0.015, 0.2, 0.01, 1.0, 0)
+    # refused, not taken modulo 2^64 as another seed's stream
+    for seed in (-1, 2**64 + 7):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            gen_schedule(0.1, 0.2, 0.01, 1.0, seed)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -616,7 +620,7 @@ def test_lyapunov_trace_rho_is_the_contraction_factor():
     res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
     rep = lyapunov_trace(res, synth)
-    cf = contraction_factor(synth.c1, synth.c2 * 0.018 ** 2, 0.001)
+    cf = oracles.contraction_factor(synth.c1, synth.c2 * 0.018 ** 2, 0.001)
     assert rep.bound_feasible
     assert rep.rho == rep.rho_threshold == cf.rho
 

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from leadersync import (SamplingSchedule, Topology, build_H,
-                        contraction_factor, find_common_D, synthesize,
-                        worst_case_params)
-from leadersync.errors import (CommonDNotFound, ContractionInfeasible,
-                               DConstructionFailure, EnumerationTooLarge,
-                               InvalidMatrix)
+from leadersync import (SamplingSchedule, Topology, build_H, find_common_D,
+                        synthesize, worst_case_params)
+from leadersync.errors import (CommonDNotFound, DConstructionFailure,
+                               EnumerationTooLarge, InvalidMatrix)
 from leadersync.graph import admissible_laplacians
-from leadersync.synthesis import (_definiteness_margin, _scalings,
+from leadersync.synthesis import (_definiteness_margin, _rho, _scalings,
                                   construct_D)
 
 import oracles
+from oracles import ContractionInfeasible, contraction_factor
 
 EDGES_1 = frozenset([(0, 1), (0, 2), (3, 2), (1, 3), (4, 3), (2, 4)])
 EDGES_2 = frozenset([(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
@@ -253,6 +252,15 @@ def test_synthesize_rejects_bad_inputs():
         synthesize(A_DEMO, B_DEMO, 1.0, 1.0, np.ones(4), [])
 
 
+@pytest.mark.parametrize("mu1", [math.inf, math.nan])
+def test_design_entry_points_reject_non_finite_weights(mu1):
+    H = build_H(Topology(4, EDGES_1))
+    with pytest.raises(ValueError, match="finite"):
+        synthesize(A_DEMO, B_DEMO, mu1, 1.0, np.ones(4), [H])
+    with pytest.raises(ValueError, match="finite"):
+        worst_case_params(A_DEMO, B_DEMO, mu1, 1.0, 2)
+
+
 def test_design_entry_points_take_arrays_and_stacks():
     Hs = [build_H(Topology(4, EDGES_1)), build_H(Topology(4, EDGES_2))]
     stack = np.stack(Hs)
@@ -396,8 +404,7 @@ def test_worst_case_bound_covers_every_graph():
 
 def test_contraction_factor_hand_value():
     # beta1 = 2, beta2 = 1, h = ln 2: rho = 0.5 * 0.25 + 0.5 = 0.625
-    cp = contraction_factor(2.0, 1.0, math.log(2.0))
-    assert math.isclose(cp.rho, 0.625, rel_tol=1e-12)
+    assert math.isclose(_rho(2.0, 1.0, math.log(2.0)), 0.625, rel_tol=1e-12)
 
 
 def test_contraction_factor_strictly_below_one():
@@ -408,18 +415,19 @@ def test_contraction_factor_strictly_below_one():
         if b2 == 0.0:
             continue
         h = float(rng.uniform(0.01, 3.0))
-        assert 0.0 < contraction_factor(b1, b2, h).rho < 1.0
+        assert 0.0 < _rho(b1, b2, h) < 1.0
 
 
 def test_contraction_factor_decreases_with_gap():
     prev = 1.0
     for h in (0.1, 0.5, 1.0, 2.0):
-        rho = contraction_factor(1.0, 0.3, h).rho
+        rho = _rho(1.0, 0.3, h)
         assert rho < prev
         prev = rho
 
 
 def test_contraction_factor_infeasible():
+    # the oracle's input checks; _rho itself is unchecked
     with pytest.raises(ContractionInfeasible):
         contraction_factor(1.0, 1.0, 0.5)
     with pytest.raises(ContractionInfeasible):
