@@ -221,11 +221,9 @@ def cmd_verify(path, out_dir=None, seed_override=None):
         lines.append("verdict PASS")
         code = EXIT_OK
     else:
-        finite = np.where(np.isfinite(rep.ratios))[0]
-        if finite.size and not rep.ratios_ok:
-            worst_s = int(finite[np.argmax(rep.ratios[finite])])
-            lines.append(f"verdict FAIL: interval {worst_s} ratio "
-                         f"{_g(rep.ratios[worst_s])} exceeds threshold "
+        if not rep.ratios_ok:
+            lines.append(f"verdict FAIL: interval {rep.worst_interval} ratio "
+                         f"{_g(rep.worst_ratio)} exceeds threshold "
                          f"{_g(rep.rho_threshold)}")
         else:
             lines.append(f"verdict FAIL: {rep.interval_violations} "

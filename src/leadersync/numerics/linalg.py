@@ -231,18 +231,20 @@ def _matrix_sign(W):
     convergence within SIGN_MAX_ITER steps, raises CareFailure."""
     n = W.shape[0]
     X = W
-    for _ in range(SIGN_MAX_ITER):
-        ad = abs(np.linalg.det(X))
-        if not math.isfinite(ad) or ad == 0.0:
-            break
-        g = ad ** (-1.0 / n)
-        Xn = 0.5 * (g * X + (1.0 / g) * np.linalg.inv(X))
-        den = np.linalg.norm(Xn)
-        if not math.isfinite(den):
-            break
-        if np.linalg.norm(Xn - X) <= SIGN_CONV_TOL * den:
-            return Xn
-        X = Xn
+    # an iterate past the float range is caught below, not warned about
+    with np.errstate(over="ignore"):
+        for _ in range(SIGN_MAX_ITER):
+            ad = abs(np.linalg.det(X))
+            if not math.isfinite(ad) or ad == 0.0:
+                break
+            g = ad ** (-1.0 / n)
+            Xn = 0.5 * (g * X + (1.0 / g) * np.linalg.inv(X))
+            den = np.linalg.norm(Xn)
+            if not math.isfinite(den):
+                break
+            if np.linalg.norm(Xn - X) <= SIGN_CONV_TOL * den:
+                return Xn
+            X = Xn
     raise CareFailure("matrix sign iteration did not converge")
 
 

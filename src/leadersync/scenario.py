@@ -112,89 +112,155 @@ def _int(tok: str, line: int, what: str) -> int:
         raise ScenarioError(f"{what}: not an integer: {tok!r}", line=line) from None
 
 
-def _entries(text: str):
-    """(lineno, key, tokens) for every meaningful line."""
+def _floats(entry, key, count=1, expected="one value") -> np.ndarray:
+    """The count finite floats of a (line, tokens) entry, read in order."""
+    ln, toks = entry
+    if len(toks) != count:
+        raise ScenarioError(f"{key}: expected {expected}", line=ln)
+    return np.array([_float(t, ln, key) for t in toks])
+
+
+def _number(entry, key, positive=True) -> float:
+    """The one float of an entry, checked positive unless told not to."""
+    v = float(_floats(entry, key)[0])
+    if positive and not v > 0.0:
+        raise ScenarioError(f"{key} must be positive, got {v}", line=entry[0])
+    return v
+
+
+def _token(entry, message, pattern=None) -> str:
+    """The one token of an entry, which must match pattern when given."""
+    ln, toks = entry
+    if len(toks) != 1 or (pattern and not pattern.match(toks[0])):
+        raise ScenarioError(message, line=ln)
+    return toks[0]
+
+
+def _dims(entry, key, count, missing):
+    """The count leading integers of an entry, and the tokens after."""
+    ln, toks = entry
+    if len(toks) < count:
+        raise ScenarioError(f"{key}: missing {missing}", line=ln)
+    return [_int(t, ln, key) for t in toks[:count]], (ln, toks[count:])
+
+
+def _matrix(entry, key, rows, cols, after):
+    """A rows x cols matrix from the tokens after an entry's dimensions;
+    a size below 1 matches no token count."""
+    count = rows * cols if rows > 0 and cols > 0 else -1
+    return _floats(entry, key, count,
+                   f"{rows}*{cols} entries after the {after}").reshape(rows, cols)
+
+
+def _pairs(lines, key, expected, first, second) -> tuple:
+    """The two fields of each phase or event line, read in file order."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        out.append((lineno, toks[0], toks[1:]))
-    return out
+    for ln, toks in lines:
+        if len(toks) != 2:
+            raise ScenarioError(f"{key}: expected {expected}", line=ln)
+        out.append((first(toks[0], ln, key), second(toks[1], ln, key)))
+    return tuple(out)
+
+
+def _missing(key):
+    return ScenarioError(f"missing required key {key}")
 
 
 def _collect(text: str):
-    """Group entries by key, rejecting duplicates of single-shot keys."""
+    """Group the (line, tokens) entries of every meaningful line by key,
+    rejecting unknown keys and duplicates of single-shot keys."""
     single = {}
     multi = {"topology": [], "phase": [], "event": []}
     followers = {}
-    for lineno, key, toks in _entries(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        key = toks[0]
         if key in multi:
-            multi[key].append((lineno, toks))
+            multi[key].append((lineno, toks[1:]))
             continue
         fm = _FOLLOWER_RE.match(key)
         if fm:
-            i = int(fm.group(1))
-            if i in followers:
-                raise ScenarioError(f"duplicate key {key}", line=lineno)
-            followers[i] = (lineno, toks)
-            continue
-        if key not in _SCALAR_KEYS:
+            group, slot = followers, int(fm.group(1))
+        elif key in _SCALAR_KEYS:
+            group, slot = single, key
+        else:
             raise ScenarioError(f"unknown key {key!r}", line=lineno)
-        if key in single:
+        if slot in group:
             raise ScenarioError(f"duplicate key {key}", line=lineno)
-        single[key] = (lineno, toks)
+        group[slot] = (lineno, toks[1:])
     return single, multi, followers
 
 
 def _parse_model(single) -> ModelSpec:
     for key in _REQUIRED_MODEL:
         if key not in single:
-            raise ScenarioError(f"missing required key {key}")
-
-    ln, toks = single["name"]
-    if len(toks) != 1 or not _NAME_RE.match(toks[0]):
-        raise ScenarioError("name must be one token of [A-Za-z0-9_.-]", line=ln)
-    name = toks[0]
-
-    ln, toks = single["A"]
-    if not toks:
-        raise ScenarioError("A: missing dimension", line=ln)
-    n = _int(toks[0], ln, "A")
-    if n < 1 or len(toks) != 1 + n * n:
-        raise ScenarioError(
-            f"A: expected {n}*{n} entries after the dimension", line=ln)
-    A = np.array([_float(t, ln, "A") for t in toks[1:]]).reshape(n, n)
-
-    ln, toks = single["B"]
-    if len(toks) < 2:
-        raise ScenarioError("B: missing dimensions", line=ln)
-    bn = _int(toks[0], ln, "B")
-    bm = _int(toks[1], ln, "B")
+            raise _missing(key)
+    name = _token(single["name"], "name must be one token of [A-Za-z0-9_.-]",
+                  _NAME_RE)
+    (n,), rest = _dims(single["A"], "A", 1, "dimension")
+    A = _matrix(rest, "A", n, n, "dimension")
+    (bn, bm), rest = _dims(single["B"], "B", 2, "dimensions")
     if bn != n:
-        raise ScenarioError(f"B: row count {bn} does not match A size {n}", line=ln)
-    if bm < 1 or len(toks) != 2 + bn * bm:
-        raise ScenarioError(
-            f"B: expected {bn}*{bm} entries after the dimensions", line=ln)
-    B = np.array([_float(t, ln, "B") for t in toks[2:]]).reshape(bn, bm)
-
-    mus = []
-    for key in ("mu1", "mu2"):
-        ln, toks = single[key]
-        if len(toks) != 1:
-            raise ScenarioError(f"{key}: expected one value", line=ln)
-        v = _float(toks[0], ln, key)
-        if not v > 0.0:
-            raise ScenarioError(f"{key} must be positive, got {v}", line=ln)
-        mus.append(v)
-    return ModelSpec(name=name, A=A, B=B, mu1=mus[0], mu2=mus[1])
+        raise ScenarioError(f"B: row count {bn} does not match A size {n}",
+                            line=rest[0])
+    B = _matrix(rest, "B", bn, bm, "dimensions")
+    return ModelSpec(name=name, A=A, B=B, mu1=_number(single["mu1"], "mu1"),
+                     mu2=_number(single["mu2"], "mu2"))
 
 
 def parse_model(text: str) -> ModelSpec:
     """Extract just the model block; other valid keys are ignored."""
     single, _multi, _followers = _collect(text)
     return _parse_model(single)
+
+
+def _topologies(lines) -> tuple:
+    """One Topology per topology line, all on the first line's count."""
+    if not lines:
+        raise _missing("topology")
+    out = []
+    for entry in lines:
+        (N,), (ln, rest) = _dims(entry, "topology", 1, "follower count")
+        if out and N != out[0].N:
+            raise ScenarioError(
+                f"topology: follower count {N} differs from {out[0].N}", line=ln)
+        if len(rest) % 2:
+            raise ScenarioError("topology: edges must come in pairs", line=ln)
+        ends = [_int(t, ln, "topology") for t in rest]
+        try:
+            out.append(Topology(N, frozenset(zip(ends[::2], ends[1::2]))))
+        except ValueError as e:
+            raise ScenarioError(f"topology: {e}", line=ln) from None
+    return tuple(out)
+
+
+def _signal(period, phases, events, modes) -> SwitchingSignal:
+    """The switching signal of a period entry (or None) with its phase
+    lines, of event lines, or the static one of a single topology."""
+    if events and (period or phases):
+        raise ScenarioError(
+            "event lines cannot be combined with period/phase", line=events[0][0])
+    if phases and not period:
+        raise ScenarioError("phase lines require a period", line=phases[0][0])
+    if period and not phases:
+        raise ScenarioError("period requires at least one phase line",
+                            line=period[0])
+    if not (period or events) and modes != 1:
+        raise ScenarioError(f"{modes} topologies given but no switching "
+                            f"signal; static scenarios take exactly one")
+    try:
+        if period:
+            return SwitchingSignal(
+                mode_count=modes, period=_number(period, "period", positive=False),
+                phases=_pairs(phases, "phase", "mode and duration", _int, _float))
+        if events:
+            return SwitchingSignal(mode_count=modes, events=_pairs(
+                events, "event", "time and mode", _float, _int))
+        return SwitchingSignal.static()
+    except ValueError as e:
+        raise ScenarioError(f"switching signal: {e}") from None
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -204,160 +270,55 @@ def parse_scenario(text: str) -> Scenario:
     m = model.B.shape[1]
     for key in _REQUIRED_FULL:
         if key not in single:
-            raise ScenarioError(f"missing required key {key}")
+            raise _missing(key)
+    topologies = _topologies(multi["topology"])
+    N = topologies[0].N
+    signal = _signal(single.get("period"), multi["phase"], multi["event"],
+                     len(topologies))
 
-    if not multi["topology"]:
-        raise ScenarioError("missing required key topology")
-    topologies = []
-    N = None
-    for ln, toks in multi["topology"]:
-        if not toks:
-            raise ScenarioError("topology: missing follower count", line=ln)
-        tN = _int(toks[0], ln, "topology")
-        if N is None:
-            N = tN
-        elif tN != N:
-            raise ScenarioError(
-                f"topology: follower count {tN} differs from {N}", line=ln)
-        rest = toks[1:]
-        if len(rest) % 2:
-            raise ScenarioError("topology: edges must come in pairs", line=ln)
-        edges = []
-        for k in range(0, len(rest), 2):
-            edges.append((_int(rest[k], ln, "topology"),
-                          _int(rest[k + 1], ln, "topology")))
-        try:
-            topologies.append(Topology(tN, frozenset(edges)))
-        except ValueError as e:
-            raise ScenarioError(f"topology: {e}", line=ln) from None
-    topologies = tuple(topologies)
-
-    has_period = "period" in single
-    has_phase = bool(multi["phase"])
-    has_event = bool(multi["event"])
-    if has_event and (has_period or has_phase):
-        ln = multi["event"][0][0]
-        raise ScenarioError(
-            "event lines cannot be combined with period/phase", line=ln)
-    if has_phase and not has_period:
-        raise ScenarioError("phase lines require a period",
-                            line=multi["phase"][0][0])
-    if has_period and not has_phase:
-        raise ScenarioError("period requires at least one phase line",
-                            line=single["period"][0])
-    try:
-        if has_period:
-            ln, toks = single["period"]
-            if len(toks) != 1:
-                raise ScenarioError("period: expected one value", line=ln)
-            period = _float(toks[0], ln, "period")
-            phases = []
-            for pln, ptoks in multi["phase"]:
-                if len(ptoks) != 2:
-                    raise ScenarioError(
-                        "phase: expected mode and duration", line=pln)
-                phases.append((_int(ptoks[0], pln, "phase"),
-                               _float(ptoks[1], pln, "phase")))
-            signal = SwitchingSignal(mode_count=len(topologies), period=period,
-                                     phases=tuple(phases))
-        elif has_event:
-            events = []
-            for eln, etoks in multi["event"]:
-                if len(etoks) != 2:
-                    raise ScenarioError("event: expected time and mode", line=eln)
-                events.append((_float(etoks[0], eln, "event"),
-                               _int(etoks[1], eln, "event")))
-            signal = SwitchingSignal(mode_count=len(topologies),
-                                     events=tuple(events))
-        else:
-            if len(topologies) != 1:
-                raise ScenarioError(
-                    f"{len(topologies)} topologies given but no switching "
-                    f"signal; static scenarios take exactly one")
-            signal = SwitchingSignal.static()
-    except ValueError as e:
-        raise ScenarioError(f"switching signal: {e}") from None
-
-    def scalar_float(key, positive=False):
-        ln, toks = single[key]
-        if len(toks) != 1:
-            raise ScenarioError(f"{key}: expected one value", line=ln)
-        v = _float(toks[0], ln, key)
-        if positive and not v > 0.0:
-            raise ScenarioError(f"{key} must be positive, got {v}", line=ln)
-        return v
-
-    T_low = scalar_float("T_low", positive=True)
-    T_high = scalar_float("T_high", positive=True)
+    T_low = _number(single["T_low"], "T_low")
+    T_high = _number(single["T_high"], "T_high")
     if T_low > T_high:
-        raise ScenarioError(
-            f"T_low = {T_low} exceeds T_high = {T_high}",
-            line=single["T_low"][0])
-    grid_h = scalar_float("grid_h", positive=True)
-    horizon = scalar_float("horizon", positive=True)
-
-    ln, toks = single["seed"]
-    if len(toks) != 1:
-        raise ScenarioError("seed: expected one value", line=ln)
+        raise ScenarioError(f"T_low = {T_low} exceeds T_high = {T_high}",
+                            line=single["T_low"][0])
+    grid_h = _number(single["grid_h"], "grid_h")
+    horizon = _number(single["horizon"], "horizon")
+    ln = single["seed"][0]
     try:
-        seed = check_seed(_int(toks[0], ln, "seed"))
+        seed = check_seed(_int(_token(single["seed"], "seed: expected one value"),
+                               ln, "seed"))
     except ValueError as e:
         raise ScenarioError(str(e), line=ln) from None
-
-    ln, toks = single["x0"]
-    if len(toks) != n:
-        raise ScenarioError(f"x0: expected {n} entries", line=ln)
-    x0_leader = np.array([_float(t, ln, "x0") for t in toks])
+    x0_leader = _floats(single["x0"], "x0", n, f"{n} entries")
 
     for i in sorted(followers):
         if i > N:
-            ln = followers[i][0]
             raise ScenarioError(
-                f"x{i}: follower index exceeds the {N} followers", line=ln)
+                f"x{i}: follower index exceeds the {N} followers",
+                line=followers[i][0])
     rows = []
     for i in range(1, N + 1):
         if i not in followers:
-            raise ScenarioError(f"missing required key x{i}")
-        ln, toks = followers[i]
-        if len(toks) != n:
-            raise ScenarioError(f"x{i}: expected {n} entries", line=ln)
-        rows.append([_float(t, ln, f"x{i}") for t in toks])
-    x0_followers = np.array(rows)
+            raise _missing(f"x{i}")
+        rows.append(_floats(followers[i], f"x{i}", n, f"{n} entries"))
 
-    output_dt = None
-    if "output_dt" in single:
-        output_dt = scalar_float("output_dt", positive=True)
-
-    def scalar_token(key):
-        ln, toks = single[key]
-        if len(toks) != 1:
-            raise ScenarioError(f"{key}: expected one token", line=ln)
-        return toks[0]
-
-    out_traj = scalar_token("out_traj") if "out_traj" in single else None
-    out_sched = scalar_token("out_sched") if "out_sched" in single else None
-
-    D = None
+    output_dt = (_number(single["output_dt"], "output_dt")
+                 if "output_dt" in single else None)
+    out_traj, out_sched = (
+        _token(single[key], f"{key}: expected one token") if key in single
+        else None for key in ("out_traj", "out_sched"))
+    D = K = None
     if "D" in single:
-        ln, toks = single["D"]
-        if len(toks) != N:
-            raise ScenarioError(f"D: expected {N} entries", line=ln)
-        D = np.array([_float(t, ln, "D") for t in toks])
+        D = _floats(single["D"], "D", N, f"{N} entries")
         if np.min(D) <= 0.0:
-            raise ScenarioError("D entries must be positive", line=ln)
-
-    K = None
+            raise ScenarioError("D entries must be positive", line=single["D"][0])
     if "K" in single:
-        ln, toks = single["K"]
-        if len(toks) != m * n:
-            raise ScenarioError(f"K: expected {m}*{n} entries", line=ln)
-        K = np.array([_float(t, ln, "K") for t in toks]).reshape(m, n)
-
+        K = _floats(single["K"], "K", m * n, f"{m}*{n} entries").reshape(m, n)
     return Scenario(
         name=model.name, A=model.A, B=model.B, mu1=model.mu1, mu2=model.mu2,
         topologies=topologies, signal=signal, T_low=T_low, T_high=T_high,
         grid_h=grid_h, seed=seed, horizon=horizon, x0_leader=x0_leader,
-        x0_followers=x0_followers, output_dt=output_dt, out_traj=out_traj,
+        x0_followers=np.array(rows), output_dt=output_dt, out_traj=out_traj,
         out_sched=out_sched, D=D, K=K)
 
 
@@ -371,50 +332,44 @@ def load_model(path) -> ModelSpec:
         return parse_model(f.read())
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def scenario_text(sc: Scenario) -> str:
     """Canonical text form; parses back to an equal Scenario."""
-    lines = [f"name {sc.name}"]
-    n = sc.A.shape[0]
-    m = sc.B.shape[1]
-    lines.append("A " + " ".join([str(n)] + [_fmt(v) for v in sc.A.ravel()]))
-    lines.append("B " + " ".join([str(n), str(m)]
-                                 + [_fmt(v) for v in sc.B.ravel()]))
-    lines.append(f"mu1 {_fmt(sc.mu1)}")
-    lines.append(f"mu2 {_fmt(sc.mu2)}")
+    lines = []
+
+    def put(key, *values):
+        """One line: strings as given, each other value as the shortest
+        float repr that reads back to it."""
+        lines.append(" ".join([key] + [v if isinstance(v, str) else repr(float(v))
+                                       for v in values]))
+
+    n, m = sc.A.shape[0], sc.B.shape[1]
+    put("name", sc.name)
+    put("A", str(n), *sc.A.ravel())
+    put("B", str(n), str(m), *sc.B.ravel())
+    put("mu1", sc.mu1)
+    put("mu2", sc.mu2)
     for t in sc.topologies:
-        toks = [str(t.N)]
-        for j, i in sorted(t.edges):
-            toks += [str(j), str(i)]
-        lines.append("topology " + " ".join(toks))
+        put("topology", str(t.N), *(str(k) for e in sorted(t.edges) for k in e))
     sig = sc.signal
     if sig.period is not None:
-        lines.append(f"period {_fmt(sig.period)}")
+        put("period", sig.period)
         for mode, dur in sig.phases:
-            lines.append(f"phase {mode} {_fmt(dur)}")
+            put("phase", str(mode), dur)
     elif sig != SwitchingSignal.static() or len(sc.topologies) != 1:
         for tm, mode in sig.events:
-            lines.append(f"event {_fmt(tm)} {mode}")
-    lines.append(f"T_low {_fmt(sc.T_low)}")
-    lines.append(f"T_high {_fmt(sc.T_high)}")
-    lines.append(f"grid_h {_fmt(sc.grid_h)}")
-    lines.append(f"seed {sc.seed}")
-    lines.append(f"horizon {_fmt(sc.horizon)}")
-    lines.append("x0 " + " ".join(_fmt(v) for v in sc.x0_leader))
-    for i in range(sc.x0_followers.shape[0]):
-        lines.append(f"x{i + 1} "
-                     + " ".join(_fmt(v) for v in sc.x0_followers[i]))
-    if sc.output_dt is not None:
-        lines.append(f"output_dt {_fmt(sc.output_dt)}")
-    if sc.out_traj is not None:
-        lines.append(f"out_traj {sc.out_traj}")
-    if sc.out_sched is not None:
-        lines.append(f"out_sched {sc.out_sched}")
+            put("event", tm, str(mode))
+    for key in ("T_low", "T_high", "grid_h"):
+        put(key, getattr(sc, key))
+    put("seed", str(sc.seed))
+    put("horizon", sc.horizon)
+    put("x0", *sc.x0_leader)
+    for i, row in enumerate(sc.x0_followers, start=1):
+        put(f"x{i}", *row)
+    for key in ("output_dt", "out_traj", "out_sched"):
+        if getattr(sc, key) is not None:
+            put(key, getattr(sc, key))
     if sc.D is not None:
-        lines.append("D " + " ".join(_fmt(v) for v in sc.D))
+        put("D", *sc.D)
     if sc.K is not None:
-        lines.append("K " + " ".join(_fmt(v) for v in sc.K.ravel()))
+        put("K", *sc.K.ravel())
     return "\n".join(lines) + "\n"

@@ -544,12 +544,15 @@ class ContractionReport:
     V is x_err^T (D kron P) x_err at every output row and V_samples
     its values at the sampling instants. ratios[s] is
     V_samples[s+1] / V_samples[s] for each complete interval, NaN when
-    V_samples[s] = 0 (vacuously passing). interval_violations counts
-    intervals whose interior dense maximum exceeded the opening value
-    beyond the allowed slack or where V is not finite, and
-    worst_interval_slack is the largest relative excess seen (inf for
-    an interval where V is not finite, negative when V strictly decayed
-    inside every interval).
+    V_samples[s] = 0 (vacuously passing) and inf when either value is
+    not finite, so a run that left the float range never reads as
+    decaying. worst_interval is the interval of the largest ratio
+    (None when every interval is vacuous, and worst_ratio then 0).
+    interval_violations counts intervals whose interior dense maximum
+    exceeded the opening value beyond the allowed slack or where V is
+    not finite, and worst_interval_slack is the largest relative excess
+    seen (inf for an interval where V is not finite, negative when V
+    strictly decayed inside every interval).
 
     rho evaluates (1 - beta2/beta1) e^(-beta1 T_low) + beta2/beta1
     with beta1 = c1 and beta2 = c2 * T_high^2, the decay factor the
@@ -570,15 +573,19 @@ class ContractionReport:
     rho_threshold: float
 
     @property
+    def worst_interval(self) -> int | None:
+        if np.isnan(self.ratios).all():
+            return None
+        return int(np.nanargmax(self.ratios))
+
+    @property
     def worst_ratio(self) -> float:
-        finite = self.ratios[np.isfinite(self.ratios)]
-        return float(np.max(finite)) if finite.size else 0.0
+        s = self.worst_interval
+        return 0.0 if s is None else float(self.ratios[s])
 
     @property
     def ratios_ok(self) -> bool:
-        finite = self.ratios[np.isfinite(self.ratios)]
-        bound = self.rho_threshold * (1.0 + RATIO_REL_SLACK)
-        return bool(np.all(finite <= bound))
+        return self.worst_ratio <= self.rho_threshold * (1.0 + RATIO_REL_SLACK)
 
     @property
     def passed(self) -> bool:
@@ -645,6 +652,7 @@ def lyapunov_trace(result: SimulationResult,
         ratios = np.full(result.n_complete, math.nan)
         positive = V0 > 0.0
         ratios[positive] = V1[positive] / V0[positive]
+        ratios[~(np.isfinite(V0) & np.isfinite(V1))] = math.inf
 
     beta1 = synth.c1
     beta2 = synth.c2 * result.schedule.T_high ** 2

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import CommonDNotFound, DConstructionFailure
+from .errors import CommonDNotFound, DConstructionFailure, NumericalOverflow
 from .graph import _all_nonsingular_M, admissible_laplacians
 from .numerics.linalg import (_as_matrix, _square, solve_care, spectral_norm,
                               sym_eig_extremes, sym_eig_min_vector)
@@ -162,7 +162,9 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D) -> SynthesisResult:
     Extremes are taken over the stack, so the bound holds for every
     graph in it. Norms are spectral throughout, and Kronecker factors
     use the product identity for their norms and extreme eigenvalues.
-    The weights are checked by solve_care, which runs first."""
+    The weights are checked by solve_care, which runs first. A term
+    that is not finite, or a T_bar that underflows to 0, raises
+    NumericalOverflow: such a design certifies nothing."""
     care = solve_care(a, b, mu1, mu2)
     P = care.P
     if not lam1 > 0.0:
@@ -188,13 +190,18 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D) -> SynthesisResult:
     alpha4 = (norm_A + alpha1 * norm_H * norm_BBP) ** 2 / lam_m
     c1 = d_m * mu2 / (2.0 * lam_M)
     c2 = alpha3 * alpha4
-    T_bar = math.sqrt(c1 / c2)
-    K = alpha1 * (b.T @ P)
+    ladder = dict(d_m=d_m, d_M=d_M, lam_m=lam_m, lam_M=lam_M, alpha1=alpha1,
+                  alpha2=alpha2, alpha3=alpha3, alpha4=alpha4, c1=c1, c2=c2,
+                  T_bar=math.sqrt(c1 / c2) if c2 > 0.0 else math.inf)
+    for key, value in ladder.items():
+        if not math.isfinite(value):
+            raise NumericalOverflow(
+                f"the parameter ladder left the float range: {key} = {value}")
+    if not ladder["T_bar"] > 0.0:
+        raise NumericalOverflow("the sampling bound T_bar underflowed to 0")
     return SynthesisResult(
-        P=P, D=D, K=K, d_m=d_m, d_M=d_M, lam_m=lam_m, lam_M=lam_M,
-        lam1=lam1, alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
-        alpha4=alpha4, c1=c1, c2=c2, T_bar=T_bar, mu1=float(mu1),
-        mu2=float(mu2), care_residual=care.residual_norm)
+        P=P, D=D, K=alpha1 * (b.T @ P), lam1=lam1, mu1=float(mu1),
+        mu2=float(mu2), care_residual=care.residual_norm, **ladder)
 
 
 def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
@@ -203,7 +210,8 @@ def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
     Evaluates the full parameter ladder for the given diagonal scaling
     over the grounded Laplacians of a list or a (G, N, N) stack; a
     static design is the single-element list. Weights that are not
-    positive and finite raise ValueError.
+    positive and finite raise ValueError; a ladder that leaves the
+    float range raises NumericalOverflow.
     """
     a = _square(A, "A")
     b = _as_matrix(B, "B")
@@ -226,7 +234,8 @@ def worst_case_params(A, B, mu1, mu2, N: int) -> SynthesisResult:
     admissible digraph on N followers, each with its own quotient
     scaling, so the result is valid for all of them. The aggregation
     is conservative: the returned T_bar is at most every per-graph
-    bound. Weights that are not positive and finite raise ValueError.
+    bound. Weights that are not positive and finite raise ValueError;
+    a ladder that leaves the float range raises NumericalOverflow.
     """
     a = _square(A, "A")
     b = _as_matrix(B, "B")

@@ -363,9 +363,29 @@ def test_verify_fails_when_V_leaves_the_float_range(workdir, capsys, x0):
     path.write_text(text)
     assert main(["verify", "--scenario", str(path)]) == 1
     captured = capsys.readouterr()
-    assert "verdict FAIL" in captured.out
     assert "worst slack inf" in captured.out
+    # an overflowed V is a ratio of inf, never the 0 of a vacuous run
+    assert "worst ratio inf\n" in captured.out
+    assert "verdict FAIL: interval 0 ratio inf exceeds threshold" in \
+        captured.out
     assert "left the float range" in captured.err
+
+
+def test_ladder_past_the_float_range_is_refused(workdir, capsys):
+    # a subnormal mu2 is positive and finite but overflows alpha3; the
+    # design that would certify nothing (T_bar 0, rho nan) is refused
+    assert main(["enumerate", "--model", STATIC, "--followers", "2",
+                 "--mu2", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: the parameter ladder left "
+                            "the float range: alpha3 = inf\n")
+    path = workdir / "tiny_mu2.txt"
+    path.write_text(Path(STATIC).read_text().replace("mu2 1.0", "mu2 1e-320"))
+    assert main(["verify", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    assert "alpha3 = inf" in captured.err
 
 
 def test_verify_batch_jobs(workdir, capsys):

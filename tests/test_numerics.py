@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from leadersync.errors import (EigenFailure, InvalidMatrix, LyapunovSingular,
-                               NotStabilizable, NumericalOverflow)
+from leadersync.errors import (CareFailure, EigenFailure, InvalidMatrix,
+                               LyapunovSingular, NotStabilizable,
+                               NumericalOverflow)
 from leadersync.numerics.linalg import (check_stabilizable, eigenvalues, expm,
                                         singular_values, solve_care,
                                         solve_lyapunov, spectral_norm,
@@ -406,6 +407,16 @@ def test_care_random_pairs():
 def test_care_not_stabilizable():
     with pytest.raises(NotStabilizable):
         solve_care(np.eye(2), np.zeros((2, 1)), 1.0, 1.0)
+
+
+def test_care_sign_iteration_past_the_float_range_is_typed():
+    # the determinant of the first sign iterate overflows; the test
+    # settings turn a numpy warning into an error
+    A = np.array([[-0.38, 0.72], [-0.68, 0.42]])
+    B = np.array([[0.26], [0.31]])
+    for mu1, mu2 in ((1e300, 1.0), (1e-200, 1e200)):
+        with pytest.raises(CareFailure, match="did not converge"):
+            solve_care(A, B, mu1, mu2)
 
 
 def test_care_rejects_bad_weights():

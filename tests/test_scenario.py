@@ -309,3 +309,258 @@ def test_scenario_differs_in_each_field():
         assert copy != sc and sc != copy, name
         assert not copy == sc, name
     assert (sc == "text") is False
+
+
+# ------------------------------------------- golden messages, one per rule
+
+def _swap(key, new):
+    return _mutate(replace=(key, new))
+
+
+def _plus(lines):
+    return _mutate(append=lines)
+
+
+# (id, text, the exact message, its line); at least one case per place
+# the parser raises, plus cases that pin which fault is reported first
+GOLDEN = [
+    ("float-not-a-number", _swap("mu1", "mu1 abc"),
+     "line 4: mu1: not a number: 'abc'", 4),
+    ("float-not-finite", _swap("mu1", "mu1 inf"),
+     "line 4: mu1: value must be finite, got inf", 4),
+    ("float-nan", _swap("x0", "x0 1.0 nan"),
+     "line 12: x0: value must be finite, got nan", 12),
+    ("float-first-bad-token-wins", _swap("A", "A 2 1 inf abc 2"),
+     "line 2: A: value must be finite, got inf", 2),
+    ("int-not-an-integer", _swap("A", "A x 1 2 3 4"),
+     "line 2: A: not an integer: 'x'", 2),
+    ("duplicate-follower", _plus("x1 0 0"), "line 15: duplicate key x1", 15),
+    ("unknown-key", _plus("bogus 3"), "line 15: unknown key 'bogus'", 15),
+    ("unknown-follower-like-key", _plus("x01 0 0"),
+     "line 15: unknown key 'x01'", 15),
+    ("duplicate-key", _plus("seed 8"), "line 15: duplicate key seed", 15),
+    ("collect-before-model", _plus("seed 8\nmu1 abc"),
+     "line 15: duplicate key seed", 15),
+    ("missing-model-key", _mutate(remove="mu2"),
+     "missing required key mu2", None),
+    ("model-keys-before-name", _mutate(remove="mu2").replace(
+        "name tiny", "name a b"), "missing required key mu2", None),
+    ("name-two-tokens", _swap("name", "name two tokens"),
+     "line 1: name must be one token of [A-Za-z0-9_.-]", 1),
+    ("name-bad-character", _swap("name", "name a/b"),
+     "line 1: name must be one token of [A-Za-z0-9_.-]", 1),
+    ("name-empty", _swap("name", "name"),
+     "line 1: name must be one token of [A-Za-z0-9_.-]", 1),
+    ("A-missing-dimension", _swap("A", "A"),
+     "line 2: A: missing dimension", 2),
+    ("A-entry-count", _swap("A", "A 2 1 2 3"),
+     "line 2: A: expected 2*2 entries after the dimension", 2),
+    ("A-zero-size", _swap("A", "A 0"),
+     "line 2: A: expected 0*0 entries after the dimension", 2),
+    ("A-negative-size", _swap("A", "A -1 5"),
+     "line 2: A: expected -1*-1 entries after the dimension", 2),
+    ("B-missing-dimensions", _swap("B", "B 2"),
+     "line 3: B: missing dimensions", 3),
+    ("B-bad-column-count", _swap("B", "B 2 y 0.26"),
+     "line 3: B: not an integer: 'y'", 3),
+    ("B-row-count", _swap("B", "B 1 1 0.26"),
+     "line 3: B: row count 1 does not match A size 2", 3),
+    ("B-entry-count", _swap("B", "B 2 1 0.26"),
+     "line 3: B: expected 2*1 entries after the dimensions", 3),
+    ("B-zero-columns", _swap("B", "B 2 0"),
+     "line 3: B: expected 2*0 entries after the dimensions", 3),
+    ("mu-one-value", _swap("mu2", "mu2 1 2"),
+     "line 5: mu2: expected one value", 5),
+    ("mu-positive", _swap("mu1", "mu1 -1.0"),
+     "line 4: mu1 must be positive, got -1.0", 4),
+    ("mu-negative-zero", _swap("mu2", "mu2 -0"),
+     "line 5: mu2 must be positive, got -0.0", 5),
+    ("missing-key", _mutate(remove="horizon"),
+     "missing required key horizon", None),
+    ("missing-topology", _mutate(remove="topology"),
+     "missing required key topology", None),
+    ("topology-follower-count", _swap("topology", "topology"),
+     "line 6: topology: missing follower count", 6),
+    ("topology-count-differs", _plus("topology 3 0 1"),
+     "line 15: topology: follower count 3 differs from 2", 15),
+    ("topology-pairs", _swap("topology", "topology 2 0 1 1"),
+     "line 6: topology: edges must come in pairs", 6),
+    ("topology-pairs-before-integers", _swap("topology", "topology 2 0 x 1"),
+     "line 6: topology: edges must come in pairs", 6),
+    ("topology-edge-integer", _swap("topology", "topology 2 0 x"),
+     "line 6: topology: not an integer: 'x'", 6),
+    ("topology-self-loop", _swap("topology", "topology 2 0 0"),
+     "line 6: topology: self-loop (0, 0) is not allowed", 6),
+    ("topology-no-followers", _swap("topology", "topology 0"),
+     "line 6: topology: follower count must be at least 1, got 0", 6),
+    ("topology-node-range", _swap("topology", "topology 2 0 5"),
+     "line 6: topology: edge (0, 5) references a node outside 0..2", 6),
+    ("event-with-period", _plus("period 1.0\nphase 0 1.0\nevent 0.0 0"),
+     "line 17: event lines cannot be combined with period/phase", 17),
+    ("phase-without-period", _plus("phase 0 1.0"),
+     "line 15: phase lines require a period", 15),
+    ("period-without-phase", _plus("period 1.0"),
+     "line 15: period requires at least one phase line", 15),
+    ("period-one-value", _plus("period 1 2\nphase 0 1.0"),
+     "line 15: period: expected one value", 15),
+    ("period-before-phase", _plus("phase 0\nperiod abc"),
+     "line 16: period: not a number: 'abc'", 16),
+    ("phase-two-fields", _plus("period 1.0\nphase 0"),
+     "line 16: phase: expected mode and duration", 16),
+    ("phase-mode-integer", _plus("period 1.0\nphase 0.5 1.0"),
+     "line 16: phase: not an integer: '0.5'", 16),
+    ("event-two-fields", _plus("event 0.0"),
+     "line 15: event: expected time and mode", 15),
+    ("event-time-first", _plus("event zero x"),
+     "line 15: event: not a number: 'zero'", 15),
+    ("static-one-topology", _plus("topology 2 0 1 0 2"),
+     "2 topologies given but no switching signal; static scenarios take "
+     "exactly one", None),
+    ("signal-phase-sum", _plus("period 1.0\nphase 0 0.5"),
+     "switching signal: phase durations sum to 0.5, which does not match "
+     "the period 1.0", None),
+    ("signal-first-event", _plus("event 1.0 0"),
+     "switching signal: the first event must be at time 0", None),
+    ("signal-period-positive", _plus("period -1\nphase 0 1.0"),
+     "switching signal: period must be positive, got -1.0", None),
+    ("scalar-one-value", _swap("T_high", "T_high 0.01 0.02"),
+     "line 8: T_high: expected one value", 8),
+    ("scalar-positive", _swap("grid_h", "grid_h 0"),
+     "line 9: grid_h must be positive, got 0.0", 9),
+    ("signal-before-scalars", _plus("event 1.0 0").replace(
+        "grid_h 0.001", "grid_h 0"),
+     "switching signal: the first event must be at time 0", None),
+    ("T-order", _swap("T_low", "T_low 0.5"),
+     "line 7: T_low = 0.5 exceeds T_high = 0.01", 7),
+    ("T-order-before-grid", _swap("T_low", "T_low 0.5").replace(
+        "grid_h 0.001", "grid_h -1"),
+     "line 7: T_low = 0.5 exceeds T_high = 0.01", 7),
+    ("seed-one-value", _swap("seed", "seed 1 2"),
+     "line 10: seed: expected one value", 10),
+    ("seed-integer", _swap("seed", "seed 1.5"),
+     "line 10: seed: not an integer: '1.5'", 10),
+    ("seed-range", _swap("seed", "seed -1"),
+     "line 10: seed must be an unsigned 64-bit integer, got -1", 10),
+    ("x0-entries", _swap("x0", "x0 1.0"),
+     "line 12: x0: expected 2 entries", 12),
+    ("follower-index", _plus("x3 0 0"),
+     "line 15: x3: follower index exceeds the 2 followers", 15),
+    ("follower-index-smallest", _plus("x9 0 0\nx4 0 0"),
+     "line 16: x4: follower index exceeds the 2 followers", 16),
+    ("missing-follower", _mutate(remove="x2"),
+     "missing required key x2", None),
+    ("follower-entries", _swap("x1", "x1 1.0"),
+     "line 13: x1: expected 2 entries", 13),
+    ("follower-order", _swap("x1", "x1 1.0").replace("x2 -1.0 0.4\n", ""),
+     "line 13: x1: expected 2 entries", 13),
+    ("follower-value", _swap("x2", "x2 1.0 -inf"),
+     "line 14: x2: value must be finite, got -inf", 14),
+    ("output-dt-positive", _plus("output_dt -0.5"),
+     "line 15: output_dt must be positive, got -0.5", 15),
+    ("token-one", _plus("out_traj a b"),
+     "line 15: out_traj: expected one token", 15),
+    ("token-sched", _plus("out_sched"),
+     "line 15: out_sched: expected one token", 15),
+    ("D-entries", _plus("D 1.0"), "line 15: D: expected 2 entries", 15),
+    ("D-positive", _plus("D 1.0 0.0"),
+     "line 15: D entries must be positive", 15),
+    ("D-values-before-sign", _plus("D -1.0 abc"),
+     "line 15: D: not a number: 'abc'", 15),
+    ("K-entries", _plus("K 1 2 3"), "line 15: K: expected 1*2 entries", 15),
+    ("K-value", _plus("K 1 nan"), "line 15: K: value must be finite, got nan",
+     15),
+    ("optional-order", _plus("K 1\nD 1\nout_traj\noutput_dt 0"),
+     "line 18: output_dt must be positive, got 0.0", 18),
+]
+
+
+@pytest.mark.parametrize("text,message,line",
+                         [case[1:] for case in GOLDEN],
+                         ids=[case[0] for case in GOLDEN])
+def test_golden_error_messages(text, message, line):
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(text)
+    assert str(e.value) == message
+    assert e.value.line == line
+
+
+# parse_model reads the model keys and the line grouping only
+GOLDEN_MODEL = [
+    ("ignores-bad-scenario-keys", _swap("seed", "seed x"), None, None),
+    ("ignores-missing-topology", _mutate(remove="topology"), None, None),
+    ("unknown-key", _plus("bogus"), "line 15: unknown key 'bogus'", 15),
+    ("duplicate-key", _plus("horizon 2"),
+     "line 15: duplicate key horizon", 15),
+    ("missing-key", _mutate(remove="B"), "missing required key B", None),
+    ("bad-matrix", _swap("A", "A 2 1 2 3 q"),
+     "line 2: A: not a number: 'q'", 2),
+    ("bad-weight", _swap("mu2", "mu2 0"),
+     "line 5: mu2 must be positive, got 0.0", 5),
+]
+
+
+@pytest.mark.parametrize("text,message,line",
+                         [case[1:] for case in GOLDEN_MODEL],
+                         ids=[case[0] for case in GOLDEN_MODEL])
+def test_golden_model_messages(text, message, line):
+    if message is None:
+        ms = parse_model(text)
+        assert ms.name == "tiny" and ms.mu1 == ms.mu2 == 1.0
+        assert np.array_equal(ms.A, parse_model(TINY).A)
+        return
+    with pytest.raises(ScenarioError) as e:
+        parse_model(text)
+    assert str(e.value) == message
+    assert e.value.line == line
+
+
+# ------------------------------------------------- fuzzed demo text
+
+_KEYS = ["name", "A", "B", "mu1", "mu2", "topology", "period", "phase",
+         "event", "T_low", "T_high", "grid_h", "seed", "horizon", "x0", "x1",
+         "x4", "x5", "output_dt", "out_traj", "out_sched", "D", "K", "bogus"]
+_TOKENS = ["0", "1", "-1", "2", "3", "4", "5", "0.5", "-0", "1.0", "1e999",
+           "-inf", "nan", "x", "1_0", "1e-320", "18446744073709551616", "#",
+           "a/b", "0x1"]
+
+
+@st.composite
+def mutated_demos(draw):
+    """A demo file with one to four edits: a token dropped, replaced or
+    added, a line dropped or repeated, or a new line of a known key."""
+    path = draw(st.sampled_from([STATIC, SWITCHING]))
+    lines = [l.split() for l in Path(path).read_text().splitlines()]
+    token = st.sampled_from(_TOKENS)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        op = draw(st.sampled_from(["drop", "set", "add", "cut", "copy",
+                                   "new"]))
+        if op in ("drop", "set") and len(line) > 1:
+            t = draw(st.integers(1, len(line) - 1))
+            line[t:t + 1] = [draw(token)] if op == "set" else []
+        elif op == "add":
+            line.insert(draw(st.integers(1, len(line))), draw(token))
+        elif op == "cut" and len(lines) > 1:
+            del lines[k]
+        elif op == "copy":
+            lines.insert(k, list(line))
+        elif op == "new":
+            lines.insert(k, [draw(st.sampled_from(_KEYS))]
+                         + draw(st.lists(token, max_size=5)))
+    return "".join(" ".join(l) + "\n" for l in lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(text=mutated_demos())
+def test_mutated_demos_raise_only_scenario_errors(text):
+    for parse in (parse_scenario, parse_model):
+        try:
+            parse(text)
+        except ScenarioError:
+            pass
+    try:
+        sc = parse_scenario(text)
+    except ScenarioError:
+        return
+    assert parse_scenario(scenario_text(sc)) == sc

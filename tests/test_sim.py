@@ -584,8 +584,23 @@ def test_lyapunov_trace_consensus_is_vacuous():
     rep = lyapunov_trace(res, synth)
     assert np.all(rep.V == 0.0)
     assert np.all(np.isnan(rep.ratios))
+    assert rep.worst_interval is None and rep.worst_ratio == 0.0
     assert rep.interval_violations == 0
     assert rep.passed
+
+
+def test_lyapunov_trace_counts_non_finite_V_as_ratio_inf():
+    # V overflows from the start: every interval is a ratio of inf, not
+    # a NaN that would read as vacuous
+    synth = _synth_static()
+    sched = gen_schedule(0.001, 0.018, 0.001, 0.2, 3)
+    res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
+                   np.array([1e160, -1e160]), X0F)
+    rep = lyapunov_trace(res, synth)
+    assert not np.isfinite(rep.V_samples).any()
+    assert np.all(rep.ratios == math.inf)
+    assert rep.worst_interval == 0 and rep.worst_ratio == math.inf
+    assert not rep.ratios_ok and not rep.passed
 
 
 def test_lyapunov_trace_contracts_within_bound():

@@ -6,7 +6,8 @@ import pytest
 from leadersync import (SamplingSchedule, Topology, build_H, find_common_D,
                         synthesize, worst_case_params)
 from leadersync.errors import (CommonDNotFound, DConstructionFailure,
-                               EnumerationTooLarge, InvalidMatrix)
+                               EnumerationTooLarge, InvalidMatrix,
+                               NumericalOverflow)
 from leadersync.graph import admissible_laplacians
 from leadersync.synthesis import (_definiteness_margin, _rho, _scalings,
                                   construct_D)
@@ -259,6 +260,28 @@ def test_design_entry_points_reject_non_finite_weights(mu1):
         synthesize(A_DEMO, B_DEMO, mu1, 1.0, np.ones(4), [H])
     with pytest.raises(ValueError, match="finite"):
         worst_case_params(A_DEMO, B_DEMO, mu1, 1.0, 2)
+
+
+@pytest.mark.parametrize("mu2,match", [
+    (1e-320, "float range: alpha3 = inf"),
+    (1e-300, "T_bar underflowed to 0"),
+])
+def test_ladder_refuses_terms_past_the_float_range(mu2, match):
+    # a subnormal weight is positive and finite, but alpha3 divides by
+    # it; a tiny one gives finite terms and a T_bar that rounds to 0
+    H = build_H(Topology(4, EDGES_1))
+    with pytest.raises(NumericalOverflow, match=match):
+        synthesize(A_DEMO, B_DEMO, 1.0, mu2, np.ones(4), [H])
+    with pytest.raises(NumericalOverflow, match=match):
+        worst_case_params(A_DEMO, B_DEMO, 1.0, mu2, 2)
+
+
+def test_ladder_refuses_a_zero_input_matrix():
+    # B = 0 with a stable A solves the Riccati equation, but c2 = 0
+    # leaves no finite sampling bound
+    with pytest.raises(NumericalOverflow, match="T_bar = inf"):
+        worst_case_params(np.array([[-1.0]]), np.array([[0.0]]), 1.0, 1.0,
+                          1)
 
 
 def test_design_entry_points_take_arrays_and_stacks():
