@@ -11,8 +11,8 @@ from .graph import SwitchingSignal, Topology, build_H
 from .synthesis import (SynthesisResult, find_common_D, synthesize,
                         worst_case_params)
 from .sim import (ContractionReport, SamplingSchedule, SimulationResult,
-                  SystemModel, gen_schedule, lyapunov_trace, simulate,
-                  write_schedule_csv, write_trajectory_csv)
+                  gen_schedule, lyapunov_trace, simulate, write_schedule_csv,
+                  write_trajectory_csv)
 from .scenario import Scenario, load_scenario, parse_scenario, scenario_text
 from .cli import main
 
@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContractionReport", "LeaderSyncError", "SamplingSchedule", "Scenario",
-    "SimulationResult", "SwitchingSignal", "SynthesisResult", "SystemModel",
-    "Topology", "build_H", "find_common_D", "gen_schedule", "load_scenario",
+    "SimulationResult", "SwitchingSignal", "SynthesisResult", "Topology",
+    "build_H", "find_common_D", "gen_schedule", "load_scenario",
     "lyapunov_trace", "main", "parse_scenario", "scenario_text", "simulate",
     "synthesize", "worst_case_params", "write_schedule_csv",
     "write_trajectory_csv",

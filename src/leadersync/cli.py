@@ -18,9 +18,8 @@ from .errors import (CommonDNotFound, EnumerationTooLarge, InvalidSchedule,
                      ScenarioError, UnreachableGraph)
 from .graph import admissible_laplacians, build_H, leader_reachable
 from .scenario import Scenario, load_model, load_scenario
-from .sim import (SystemModel, check_run_memory, check_seed, gen_schedule,
-                  lyapunov_trace, simulate, write_schedule_csv,
-                  write_trajectory_csv)
+from .sim import (check_run_memory, check_seed, gen_schedule, lyapunov_trace,
+                  simulate, write_schedule_csv, write_trajectory_csv)
 from .synthesis import (SynthesisResult, find_common_D, synthesize,
                         worst_case_params)
 
@@ -67,16 +66,15 @@ def _map_exception(e: BaseException):
     raise e
 
 
-def _synthesize_for(sc: Scenario) -> SynthesisResult:
-    """Full design for a scenario, checking reachability first so a
-    disconnected graph is reported as the failed assumption rather
-    than as a missing scaling."""
+def _synthesize_for(sc: Scenario, Hs) -> SynthesisResult:
+    """Full design for a scenario with grounded Laplacians Hs, checking
+    reachability first so a disconnected graph is reported as the
+    failed assumption rather than as a missing scaling."""
     for p, t in enumerate(sc.topologies):
         if not leader_reachable(t):
             raise UnreachableGraph(
                 f"graph mode {p}: some follower has no directed path "
                 f"from the leader")
-    Hs = [build_H(t) for t in sc.topologies]
     d = sc.D if sc.D is not None else find_common_D(Hs)
     return synthesize(sc.A, sc.B, sc.mu1, sc.mu2, d, Hs)
 
@@ -113,7 +111,7 @@ def _out_paths(sc: Scenario, out_dir):
 
 def cmd_synthesize(path, out_dir=None):
     sc = load_scenario(path)
-    res = _synthesize_for(sc)
+    res = _synthesize_for(sc, [build_H(t) for t in sc.topologies])
     lines = _synthesis_report(sc.name, len(sc.topologies), res)
     text = "\n".join(lines) + "\n"
     if out_dir:
@@ -131,17 +129,18 @@ def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
     computed only for the certificate and the T_bar warning, and a
     design failure is fatal only when need_synthesis is set. A seed
     override outside the unsigned 64-bit range, then a run over the
-    memory budget, are refused before the design runs.
+    memory budget, are refused before any grounded Laplacian is built.
     Returns (synthesis or None, simulation result, warning lines)."""
     seed = sc.seed if seed_override is None else check_seed(seed_override)
     check_run_memory(len(sc.topologies), sc.topologies[0].N, sc.A.shape[0],
                      sc.T_low, sc.horizon, sc.grid_h, sc.output_dt)
+    Hs = [build_H(t) for t in sc.topologies]
     warn = []
     if sc.K is None or need_synthesis:
-        synth = _synthesize_for(sc)
+        synth = _synthesize_for(sc, Hs)
     else:
         try:
-            synth = _synthesize_for(sc)
+            synth = _synthesize_for(sc, Hs)
         except LeaderSyncError:
             synth = None
     K = synth.K if sc.K is None else sc.K
@@ -150,8 +149,8 @@ def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
                     f"exceeds T_bar = {_g(synth.T_bar)}; decay is not "
                     f"guaranteed")
     schedule = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, seed)
-    result = simulate(SystemModel(sc.A, sc.B), sc.topologies, sc.signal, K,
-                      schedule, sc.x0_leader, sc.x0_followers, sc.output_dt)
+    result = simulate(sc.A, sc.B, Hs, sc.signal, K, schedule, sc.x0_leader,
+                      sc.x0_followers, sc.output_dt)
     return synth, result, warn
 
 

@@ -57,6 +57,11 @@ _ZERO, _DIG0, _EXP, _PAD, _SEP = 0, 3, 20, 23, 24
 _ROW = 40
 _GATHER_VALUES = 512
 
+# the most bytes format_rows holds per value of its block, and the most
+# the tables take while they are built, for a caller's memory budget
+WORK_BYTES_PER_VALUE = 256
+TABLE_BYTES = 1 << 20
+
 
 def _flog10pow2(e):
     """floor(log10(2^e)), exact for |e| <= 6432162."""

@@ -215,9 +215,12 @@ def solve_lyapunov(M, Q):
         raise LyapunovSingular(f"vectorized Lyapunov system is singular: {exc}") from exc
     X = x.reshape(n, n)
     X = 0.5 * (X + X.T)
-    residual = m.T @ X + X @ m + q
-    res_norm = float(np.linalg.norm(residual))
-    if res_norm > LYAP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(q))):
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        res_norm = float(np.linalg.norm(m.T @ X + X @ m + q))
+        bound = LYAP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(q)))
+    if not math.isfinite(res_norm):
+        raise LyapunovSingular("Lyapunov solution left the float range")
+    if res_norm > bound:
         raise LyapunovSingular(
             f"Lyapunov residual {res_norm:.3e} exceeds tolerance; "
             "an eigenvalue pair of M likely sums to zero")
@@ -265,9 +268,7 @@ def solve_care(A, B, mu1, mu2):
     a = _square(A, "A")
     b = _as_matrix(B, "B")
     n = a.shape[0]
-    if b.shape[0] != n:
-        raise InvalidMatrix(f"B must have {n} rows, got {b.shape[0]}")
-    if not check_stabilizable(a, b):
+    if not check_stabilizable(a, b):  # which checks B's row count too
         raise NotStabilizable(
             "(A, B) is not stabilizable: an uncontrollable mode has "
             "nonnegative real part")
@@ -277,12 +278,15 @@ def solve_care(A, B, mu1, mu2):
     S = _matrix_sign(W)
     lhs = np.vstack([S[:n, n:], S[n:, n:] + eye])
     rhs = -np.vstack([S[:n, :n] + eye, S[n:, :n]])
-    P0, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    P0 = 0.5 * (P0 + P0.T)
-    closed = a - R @ P0
-    # symmetric in exact arithmetic; the product chain is not in floats
-    Q_nk = mu2 * eye + P0 @ R @ P0
-    Q_nk = 0.5 * (Q_nk + Q_nk.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        P0, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        P0 = 0.5 * (P0 + P0.T)
+        closed = a - R @ P0
+        # symmetric in exact arithmetic; the product chain is not in floats
+        Q_nk = mu2 * eye + P0 @ R @ P0
+        Q_nk = 0.5 * (Q_nk + Q_nk.T)
+    if not (np.isfinite(closed).all() and np.isfinite(Q_nk).all()):
+        raise CareFailure("the stable-subspace solution left the float range")
     try:
         P_raw = solve_lyapunov(closed, Q_nk)
     except LyapunovSingular as exc:
@@ -295,9 +299,12 @@ def solve_care(A, B, mu1, mu2):
     if not spectrum.lambda_min > 0.0:
         raise CareFailure(
             f"solution is not positive definite: lambda_min = {spectrum.lambda_min:.3e}")
-    residual = P @ a + a.T @ P - mu1 * (P @ b @ b.T @ P) + mu2 * eye
-    res_norm = float(np.linalg.norm(residual))
-    p_norm = float(np.linalg.norm(P))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        residual = P @ a + a.T @ P - mu1 * (P @ b @ b.T @ P) + mu2 * eye
+        res_norm = float(np.linalg.norm(residual))
+        p_norm = float(np.linalg.norm(P))
+    if not math.isfinite(res_norm):
+        raise CareFailure("the residual left the float range")
     if res_norm > CARE_RESIDUAL_TOL * (1.0 + p_norm * p_norm):
         raise CareFailure(f"residual {res_norm:.3e} exceeds tolerance")
     closed_eigs = eigenvalues(a - mu1 * (b @ b.T) @ P)

@@ -21,7 +21,7 @@ Keys:
   output_dt <float>                  optional dense-output pitch
   out_traj/out_sched <token>         optional CSV file names
   D <N floats>                       optional explicit diagonal scaling
-  K <m*n floats>                     optional explicit gain (skips synthesis)
+  K <m*n floats>                     optional explicit gain (design still runs)
 """
 
 import dataclasses
@@ -182,7 +182,12 @@ def _collect(text: str):
             continue
         fm = _FOLLOWER_RE.match(key)
         if fm:
-            group, slot = followers, int(fm.group(1))
+            try:
+                group, slot = followers, int(fm.group(1))
+            except ValueError:  # past int()'s digit limit
+                raise ScenarioError(
+                    f"{key[:12]}...: follower index has {len(key) - 1} "
+                    f"digits, too many to read", line=lineno) from None
         elif key in _SCALAR_KEYS:
             group, slot = single, key
         else:

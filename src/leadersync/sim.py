@@ -16,7 +16,7 @@ import numpy as np
 
 from . import floattext
 from .errors import IncompleteTrace, InvalidSchedule
-from .graph import SwitchingSignal, build_H, signal_mode
+from .graph import SwitchingSignal, signal_mode
 from .numerics.linalg import _as_matrix, _square, expm
 from .synthesis import SynthesisResult, _rho
 
@@ -60,33 +60,6 @@ def _splitmix64(seed: int, first: int, count: int) -> np.ndarray:
     z *= _MIX2
     z ^= z >> np.uint64(31)
     return z
-
-
-@dataclass(frozen=True, eq=False)
-class SystemModel:
-    """Shared agent dynamics: followers x' = A x + B u, leader x' = A x."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        a = _square(self.A, "A")
-        b = _as_matrix(self.B, "B")
-        if b.shape[0] != a.shape[0]:
-            raise ValueError(
-                f"B must have {a.shape[0]} rows, got {b.shape[0]}")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,12 +130,6 @@ _ROW_WORDS = 13
 # the ticks, modes, openings and gaps, and the temporaries that snap
 # the instants to the grid
 _INTERVAL_WORDS = 12
-# bytes per value of a trajectory CSV block: the block itself, the
-# followers' states summed into it, and the most floattext.format_rows
-# holds while it formats it; and the most the formatter's tables take
-# while they are built
-_CSV_BYTES_PER_VALUE = 16 + 256
-_CSV_TABLE_BYTES = 1 << 20
 
 
 def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
@@ -181,7 +148,9 @@ def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
     outputs = (8 * (n_rows * (2 * (d + N) + n + _ROW_WORDS)
                     + (n_open + 1) * (d + n + _INTERVAL_WORDS)
                     + 2 * min(n_rows, _GROUP_ROWS) * d)
-               + block * _CSV_BYTES_PER_VALUE + _CSV_TABLE_BYTES)
+               # 16 bytes per value: the block and the followers' states
+               + block * (16 + floattext.WORK_BYTES_PER_VALUE)
+               + floattext.TABLE_BYTES)
     if table + outputs > SIM_MEMORY_BUDGET:
         mib = 1 << 20
         raise InvalidSchedule(
@@ -364,8 +333,8 @@ class SimulationResult:
             return np.linalg.norm(self.errors, axis=2)
 
 
-def _transition_tables(model: SystemModel, K: np.ndarray, Hs: np.ndarray,
-                       grid_h: float, L: int):
+def _transition_tables(A: np.ndarray, B: np.ndarray, K: np.ndarray,
+                       Hs: np.ndarray, grid_h: float, L: int):
     """Phi[p, l], the error transition over l = 0..L grid steps of a
     held input in graph mode p, and Lead[l] = E^l, the leader's.
 
@@ -377,11 +346,11 @@ def _transition_tables(model: SystemModel, K: np.ndarray, Hs: np.ndarray,
     Phi[p, l] = F^l + sum_{j<l} F^j G_p = I kron E^l - H_p kron (Psi_l K),
     written block by block into one table.
     """
-    N, n, m = Hs.shape[1], model.n, model.m
+    N, (n, m) = Hs.shape[1], B.shape
     d = N * n
     vl = np.zeros((n + m, n + m))
-    vl[:n, :n] = model.A
-    vl[:n, n:] = model.B
+    vl[:n, :n] = A
+    vl[:n, n:] = B
     top = expm(vl, grid_h)[:n]
     E, negGammaK = top[:, :n], top[:, n:] @ -K
     # the small recursions, with negPsiK[l] = -Psi_l K
@@ -403,39 +372,41 @@ def _transition_tables(model: SystemModel, K: np.ndarray, Hs: np.ndarray,
     return Phi, Lead
 
 
-def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
-             schedule: SamplingSchedule, x0_leader, x0_followers,
+def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
+             x0_leader, x0_followers,
              output_dt: float | None = None) -> SimulationResult:
     """Integrate the sampled closed loop exactly over the schedule.
 
-    On each interval the active graph is the one the switching signal
-    selects at the interval's opening instant and the input is the
-    error feedback frozen there, so the error state l grid steps after
-    the opening is Phi[p, l] times the opening state. Since every agent
-    shares A, B and K, the table Phi[p, 0..L] (L the longest interval
-    in grid steps) is assembled as I kron E^l - H_p kron (Psi_l K) from
-    one (n + m) x (n + m) Van Loan exponential of the agent, and the
-    leader advances by the same powers E^l (see _transition_tables).
-    The run then costs one matrix-vector product per interval plus one
-    matrix product per (mode, offset) group of output rows. Outputs
-    are taken at every multiple of output_dt (default grid_h), at
-    every sampling instant, and at the horizon.
+    Followers obey x' = A x + B u, the leader x' = A x, and Hs lists or
+    stacks the grounded Laplacian of each graph mode. On each interval
+    the active graph is the one the switching signal selects at the
+    interval's opening instant and the input is the error feedback
+    frozen there, so the error state l grid steps after the opening is
+    Phi[p, l] times the opening state. Since every agent shares A, B
+    and K, the table Phi[p, 0..L] (L the longest interval in grid
+    steps) is assembled as I kron E^l - H_p kron (Psi_l K) from one
+    (n + m) x (n + m) Van Loan exponential of the agent, and the leader
+    advances by the same powers E^l (see _transition_tables). The run
+    then costs one matrix-vector product per interval plus one matrix
+    product per (mode, offset) group of output rows. Outputs are taken
+    at every multiple of output_dt (default grid_h), at every sampling
+    instant, and at the horizon.
 
-    The transition tables and the output arrays are sized before any
-    of them is allocated; a run that would need more than
-    SIM_MEMORY_BUDGET bytes raises InvalidSchedule. A diverging
-    run raises no numpy warning: its states become inf or NaN.
+    A gap outside the schedule's [T_low, T_high] raises InvalidSchedule,
+    as does a run needing more than SIM_MEMORY_BUDGET bytes: the tables
+    and output arrays are sized before any of them is allocated. A
+    diverging run raises no numpy warning: its states become inf or NaN.
     """
-    topologies = list(topologies)
-    if len(topologies) != signal.mode_count:
+    a, b = _square(A, "A"), _as_matrix(B, "B")
+    n, m = b.shape
+    if n != a.shape[0]:
+        raise ValueError(f"B must have {a.shape[0]} rows, got {n}")
+    Hs = np.array([_square(H, "H") for H in Hs])
+    if len(Hs) != signal.mode_count:
         raise ValueError(
             f"signal selects among {signal.mode_count} modes but "
-            f"{len(topologies)} topologies were given")
-    N = topologies[0].N
-    for t in topologies:
-        if t.N != N:
-            raise ValueError("all topologies must share one follower count")
-    n, m = model.n, model.m
+            f"{len(Hs)} grounded Laplacians were given")
+    N = Hs.shape[-1]
     Km = _as_matrix(K, "K")
     if Km.shape != (m, n):
         raise ValueError(f"K must be {m}x{n}, got {Km.shape[0]}x{Km.shape[1]}")
@@ -467,12 +438,24 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
     used_ticks = ticks[:int(np.searchsorted(ticks, hor, side="right"))]
     mode_idx = signal_mode(signal, schedule.instants[:n_open])
 
+    # lyapunov_trace takes rho from [T_low, T_high], so no gap may leave it
+    tol = GRID_DIV_TOL * max(1.0, abs(schedule.T_high))
+    gaps = np.diff(ticks[:n_open + 1]) * grid_h
+    outside = ~((gaps >= schedule.T_low - tol)
+                & (gaps <= schedule.T_high + tol))
+    if outside.any():
+        s = int(np.argmax(outside))
+        raise InvalidSchedule(
+            f"sampling gap {gaps[s]} at t = {ticks[s] * grid_h} is outside "
+            f"[T_low, T_high] = [{schedule.T_low}, {schedule.T_high}]")
+    del gaps, outside  # not counted by _check_memory
+
     # output rows: the stride multiples, the horizon, every instant
     off_stride = used_ticks[used_ticks % stride != 0]
     n_rows = grid_rows + int(np.count_nonzero(off_stride != hor))
     d = N * n
     L = int(steps.max()) if n_open else 0
-    _check_memory(len(topologies), L, N, n, n_open, n_rows)
+    _check_memory(len(Hs), L, N, n, n_open, n_rows)
 
     # output rows: the knot (opening instant or horizon) each follows,
     # and the grid steps past it
@@ -494,10 +477,9 @@ def simulate(model: SystemModel, topologies, signal: SwitchingSignal, K,
     groups = zip(first.tolist(), np.append(first[1:], key.size).tolist(),
                  group_p.tolist(), group_l.tolist())
 
-    Hs = np.array([build_H(t) for t in topologies])
     # a diverging run ends in non-finite states, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        Phi, Lead = _transition_tables(model, Km, Hs, grid_h, L)
+        Phi, Lead = _transition_tables(a, b, Km, Hs, grid_h, L)
 
         # states at every opening instant and at the horizon; each
         # product writes its row of X and Y and is the next one's operand

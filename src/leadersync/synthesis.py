@@ -184,12 +184,13 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D) -> SynthesisResult:
     # norm gives the largest term
     norm_DH = float(np.max(spectral_norm(ds[..., :, None] * Hs)))
     norm_H = float(np.max(spectral_norm(Hs)))
-    alpha1 = mu1 * d_M / lam1
-    alpha2 = 2.0 * alpha1 * norm_DH * norm_PBBP
-    alpha3 = alpha2 * alpha2 / (2.0 * d_m * mu2)
-    alpha4 = (norm_A + alpha1 * norm_H * norm_BBP) ** 2 / lam_m
-    c1 = d_m * mu2 / (2.0 * lam_M)
-    c2 = alpha3 * alpha4
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        alpha1 = mu1 * d_M / lam1
+        alpha2 = 2.0 * alpha1 * norm_DH * norm_PBBP
+        alpha3 = alpha2 * alpha2 / (2.0 * d_m * mu2)
+        alpha4 = (norm_A + alpha1 * norm_H * norm_BBP) ** 2 / lam_m
+        c1 = d_m * mu2 / (2.0 * lam_M)
+        c2 = alpha3 * alpha4
     ladder = dict(d_m=d_m, d_M=d_M, lam_m=lam_m, lam_M=lam_M, alpha1=alpha1,
                   alpha2=alpha2, alpha3=alpha3, alpha4=alpha4, c1=c1, c2=c2,
                   T_bar=math.sqrt(c1 / c2) if c2 > 0.0 else math.inf)

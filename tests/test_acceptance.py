@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leadersync import (SamplingSchedule, SystemModel, Topology, build_H,
-                        gen_schedule, load_scenario, lyapunov_trace,
-                        simulate, synthesize, worst_case_params)
+from leadersync import (SamplingSchedule, Topology, build_H, gen_schedule,
+                        load_scenario, lyapunov_trace, simulate, synthesize,
+                        worst_case_params)
 from leadersync.cli import main
 from leadersync.graph import admissible_laplacians
 from leadersync.numerics.linalg import (expm, solve_care, spectral_norm,
@@ -36,9 +36,9 @@ def _design(sc):
 
 def _run(sc, synth):
     sched = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, sc.seed)
-    res = simulate(SystemModel(sc.A, sc.B), sc.topologies, sc.signal,
-                   synth.K, sched, sc.x0_leader, sc.x0_followers,
-                   sc.output_dt)
+    Hs = [build_H(t) for t in sc.topologies]
+    res = simulate(sc.A, sc.B, Hs, sc.signal, synth.K, sched, sc.x0_leader,
+                   sc.x0_followers, sc.output_dt)
     return res, lyapunov_trace(res, synth)
 
 

@@ -470,6 +470,17 @@ def test_enumerate_too_many_followers(workdir, capsys):
     assert "enumeration refused" in capsys.readouterr().err
 
 
+def test_enumerate_overflowing_riccati_solution_is_one_typed_line(workdir,
+                                                                 capsys):
+    # the Riccati residual overflows; it is refused as a numerical
+    # failure, with no numpy warning (an error under the test settings)
+    assert main(["enumerate", "--model", STATIC, "--followers", "2",
+                 "--mu1", "1e-300", "--mu2", "1e-10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "left the float range" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mu1", ["inf", "nan"])
 def test_enumerate_non_finite_weight_is_a_configuration_error(workdir,
                                                               capsys, mu1):
@@ -507,7 +518,7 @@ def test_public_surface():
     assert sorted(leadersync.__all__) == sorted([
         "Topology", "SwitchingSignal", "build_H", "find_common_D",
         "synthesize", "worst_case_params",
-        "SystemModel", "gen_schedule", "simulate", "lyapunov_trace",
+        "gen_schedule", "simulate", "lyapunov_trace",
         "write_trajectory_csv", "write_schedule_csv",
         "load_scenario", "parse_scenario", "scenario_text", "main",
         "Scenario", "SynthesisResult", "SamplingSchedule",

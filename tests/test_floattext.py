@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from leadersync import (SwitchingSignal, SystemModel, Topology, build_H,
-                        find_common_D, gen_schedule, load_scenario,
-                        lyapunov_trace, simulate, synthesize,
-                        write_trajectory_csv)
+from leadersync import (SwitchingSignal, Topology, build_H, find_common_D,
+                        gen_schedule, load_scenario, lyapunov_trace, simulate,
+                        synthesize, write_trajectory_csv)
 from leadersync import floattext
 import leadersync.sim
 from leadersync.floattext import format_rows
@@ -101,8 +100,8 @@ def test_format_rows_working_memory_within_its_bound():
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
-    assert tables <= leadersync.sim._CSV_TABLE_BYTES
-    assert max(peaks) <= (leadersync.sim._CSV_BYTES_PER_VALUE - 16) * nv
+    assert tables <= floattext.TABLE_BYTES
+    assert max(peaks) <= floattext.WORK_BYTES_PER_VALUE * nv
 
 
 def test_importing_the_cli_builds_no_tables(source_env):
@@ -122,9 +121,8 @@ def _demo_run(path):
     Hs = [build_H(t) for t in sc.topologies]
     synth = synthesize(sc.A, sc.B, sc.mu1, sc.mu2, find_common_D(Hs), Hs)
     sched = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, sc.seed)
-    res = simulate(SystemModel(A=sc.A, B=sc.B), sc.topologies, sc.signal,
-                   synth.K, sched, sc.x0_leader, sc.x0_followers,
-                   sc.output_dt)
+    res = simulate(sc.A, sc.B, Hs, sc.signal, synth.K, sched, sc.x0_leader,
+                   sc.x0_followers, sc.output_dt)
     return res, lyapunov_trace(res, synth).V
 
 
@@ -133,10 +131,10 @@ def _diverging_run():
     # pass the float range, to inf and then NaN
     A = np.array([[39.62, 0.72], [-0.68, 40.42]])
     B = np.array([[0.26], [0.31]])
-    top = Topology(4, frozenset([(0, 1), (0, 2), (3, 2), (1, 3), (4, 3),
-                                 (2, 4)]))
+    H = build_H(Topology(4, frozenset([(0, 1), (0, 2), (3, 2), (1, 3),
+                                       (4, 3), (2, 4)])))
     x0f = np.array([[2.4, -1.6], [-1.4, 2.6], [1.8, -2.5], [-0.2, 1.3]])
-    return simulate(SystemModel(A=A, B=B), [top], SwitchingSignal.static(),
+    return simulate(A, B, [H], SwitchingSignal.static(),
                     [[300.0, 300.0]], gen_schedule(0.05, 0.05, 0.05, 20.0, 1),
                     np.array([1.2, -0.8]), x0f)
 

@@ -419,6 +419,15 @@ def test_care_sign_iteration_past_the_float_range_is_typed():
             solve_care(A, B, mu1, mu2)
 
 
+def test_care_residual_past_the_float_range_is_refused():
+    # P reaches about 1e300, so the refinement's residual overflows to
+    # inf; a bound of 1 + |P|^2, inf too, used to let it through
+    A = np.array([[-0.38, 0.72], [-0.68, 0.42]])
+    B = np.array([[0.26], [0.31]])
+    with pytest.raises(CareFailure, match="left the float range"):
+        solve_care(A, B, 1e-300, 1e-10)
+
+
 def test_care_rejects_bad_weights():
     A = np.array([[0.0]])
     B = np.array([[1.0]])

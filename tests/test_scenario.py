@@ -447,6 +447,9 @@ GOLDEN = [
      "line 15: x3: follower index exceeds the 2 followers", 15),
     ("follower-index-smallest", _plus("x9 0 0\nx4 0 0"),
      "line 16: x4: follower index exceeds the 2 followers", 16),
+    ("follower-index-digit-limit", _plus("x" + "1" * 5000 + " 0 0"),
+     "line 15: x11111111111...: follower index has 5000 digits, too many "
+     "to read", 15),
     ("missing-follower", _mutate(remove="x2"),
      "missing required key x2", None),
     ("follower-entries", _swap("x1", "x1 1.0"),

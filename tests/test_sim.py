@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from leadersync import (SamplingSchedule, SwitchingSignal, SystemModel,
-                        Topology, build_H, find_common_D,
-                        gen_schedule, load_scenario, lyapunov_trace, simulate,
-                        synthesize, write_schedule_csv, write_trajectory_csv)
+from leadersync import (SamplingSchedule, SwitchingSignal, Topology, build_H,
+                        find_common_D, gen_schedule, load_scenario,
+                        lyapunov_trace, simulate, synthesize,
+                        write_schedule_csv, write_trajectory_csv)
 import leadersync.floattext
 import leadersync.sim
-from leadersync.errors import IncompleteTrace, InvalidSchedule
+from leadersync.errors import IncompleteTrace, InvalidMatrix, InvalidSchedule
 from leadersync.sim import MASK64, _splitmix64
 
 import oracles
@@ -22,8 +22,7 @@ A2 = np.array([[-0.38, 0.72], [-0.68, 0.42]])
 B2 = np.array([[0.26], [0.31]])
 EDGES_1 = frozenset([(0, 1), (0, 2), (3, 2), (1, 3), (4, 3), (2, 4)])
 
-MODEL = SystemModel(A=A2, B=B2)
-TOP = Topology(4, EDGES_1)
+H1 = build_H(Topology(4, EDGES_1))
 X0F = np.array([[2.4, -1.6], [-1.4, 2.6], [1.8, -2.5], [-0.2, 1.3]])
 X0L = np.array([1.2, -0.8])
 
@@ -38,7 +37,7 @@ def _schedule(instants, grid_h, horizon=None):
 
 
 def _synth_static():
-    return synthesize(A2, B2, 1.0, 1.0, np.ones(4), [build_H(TOP)])
+    return synthesize(A2, B2, 1.0, 1.0, np.ones(4), [H1])
 
 
 def _held_inputs(res, Hs, K):
@@ -210,16 +209,16 @@ def test_gen_schedule_rejects_ticks_past_2_to_62():
 
 def test_simulate_consensus_is_invariant():
     sched = _schedule([0.0, 0.3, 0.5, 0.9], 0.1)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(),
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(),
                    [[0.5, 0.5]], sched, X0L,
                    np.tile(X0L, (4, 1)))
     assert np.all(res.errors == 0.0)
-    assert np.all(_held_inputs(res, [build_H(TOP)], [[0.5, 0.5]]) == 0.0)
+    assert np.all(_held_inputs(res, [H1], [[0.5, 0.5]]) == 0.0)
 
 
 def test_simulate_zero_gain_is_block_autonomous():
     sched = _schedule([0.0, 0.4, 1.0], 0.1)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(),
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(),
                    np.zeros((1, 2)), sched, X0L, X0F)
     E = oracles.expm_taylor(A2 * 1.0)
     for i in range(4):
@@ -229,12 +228,11 @@ def test_simulate_zero_gain_is_block_autonomous():
 
 def test_simulate_matches_held_input_oracle():
     K = np.array([[0.887356, 1.21952]])
-    H = build_H(TOP)
     sched = _schedule([0.0, 0.3], 0.1)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched,
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), K, sched,
                    X0L, X0F)
     d = 8
-    top = np.hstack([np.kron(np.eye(4), A2), -np.kron(H, B2 @ K)])
+    top = np.hstack([np.kron(np.eye(4), A2), -np.kron(H1, B2 @ K)])
     M = np.vstack([top, np.zeros((d, 2 * d))])
     x0 = (X0F - X0L[None, :]).reshape(-1)
     for k, t in enumerate(res.times):
@@ -242,8 +240,8 @@ def test_simulate_matches_held_input_oracle():
         want = (Ebig[:d, :d] + Ebig[:d, d:]) @ x0
         assert np.allclose(res.errors[k].reshape(-1), want,
                            rtol=1e-9, atol=1e-12)
-    assert np.allclose(_held_inputs(res, [H], K)[0],
-                       (-(np.kron(H, K) @ x0)).reshape(4, 1))
+    assert np.allclose(_held_inputs(res, [H1], K)[0],
+                       (-(np.kron(H1, K) @ x0)).reshape(4, 1))
 
 
 def test_simulate_errors_ignore_leader_origin():
@@ -254,9 +252,9 @@ def test_simulate_errors_ignore_leader_origin():
     foll = np.array([[2.5, -1.5], [-1.25, 2.75], [1.75, -2.5],
                      [-0.25, 1.25]])
     shift = np.array([3.0, -2.0])
-    res_a = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched,
+    res_a = simulate(A2, B2, [H1], SwitchingSignal.static(), K, sched,
                      lead, foll)
-    res_b = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched,
+    res_b = simulate(A2, B2, [H1], SwitchingSignal.static(), K, sched,
                      lead + shift, foll + shift[None, :])
     assert np.array_equal(res_a.errors, res_b.errors)
     assert not np.array_equal(res_a.leader, res_b.leader)
@@ -265,9 +263,9 @@ def test_simulate_errors_ignore_leader_origin():
 def test_simulate_bitwise_deterministic():
     sched = gen_schedule(0.001, 0.018, 0.001, 1.0, 7)
     K = [[0.887356, 1.21952]]
-    a = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F)
-    b = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F)
-    Hs = [build_H(TOP)]
+    a = simulate(A2, B2, [H1], SwitchingSignal.static(), K, sched, X0L, X0F)
+    b = simulate(A2, B2, [H1], SwitchingSignal.static(), K, sched, X0L, X0F)
+    Hs = [H1]
     for fa, fb in ((a.times, b.times), (a.errors, b.errors),
                    (a.leader, b.leader),
                    (_held_inputs(a, Hs, K), _held_inputs(b, Hs, K))):
@@ -279,7 +277,7 @@ def test_simulate_table_matches_van_loan_oracle():
     # product at a time with the full 2d x 2d Van Loan blocks
     sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 11)
     K = np.array([[0.887356, 1.21952]])
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F)
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), K, sched, X0L, X0F)
 
     h, d = sched.grid_h, 8
     ticks = np.rint(np.asarray(sched.instants) / h).astype(int)
@@ -287,7 +285,7 @@ def test_simulate_table_matches_van_loan_oracle():
     opens = ticks[ticks < hor]
     steps = np.minimum(np.append(opens[1:], hor), hor) - opens
     top = np.hstack([np.kron(np.eye(4), A2),
-                     -np.kron(build_H(TOP), B2 @ K)])
+                     -np.kron(H1, B2 @ K)])
     E = oracles.expm_taylor(np.vstack([top, np.zeros((d, 2 * d))]), h)
     x0 = (X0F - X0L[None, :]).reshape(-1)
     err = oracles.propagate_grid(E[None, :d, :d], E[None, :d, d:],
@@ -314,7 +312,9 @@ def test_simulate_matches_step_by_step_oracle():
     sched = _schedule(ticks * h, h, horizon=hor * h)
     K = np.array([[0.887356, 1.21952]])
     x0f = np.array([[2.4, -1.6], [-1.4, 2.6], [1.8, -2.5]])
-    res = simulate(MODEL, [t_a, t_b], sig, K, sched, X0L, x0f,
+    Hs = [build_H(t) for t in (t_a, t_b)]
+    # the Laplacians as a (G, N, N) stack; the other tests pass lists
+    res = simulate(A2, B2, np.stack(Hs), sig, K, sched, X0L, x0f,
                    output_dt=3 * h)
 
     n_open = len(ticks) - 1
@@ -325,7 +325,6 @@ def test_simulate_matches_step_by_step_oracle():
     steps = np.minimum(ticks[1:], hor) - ticks[:-1]
 
     d = 6
-    Hs = [build_H(t) for t in (t_a, t_b)]
     Fs, Gs = np.empty((2, d, d)), np.empty((2, d, d))
     for p, H in enumerate(Hs):
         top = np.hstack([np.kron(np.eye(3), A2), -np.kron(H, B2 @ K)])
@@ -383,14 +382,13 @@ def test_simulate_matches_van_loan_oracle_on_random_systems(run):
     modes = run["mode_seq"]
     sig = SwitchingSignal(mode_count=len(run["tops"]),
                           events=tuple(zip(ticks[:-1] * h, modes)))
-    res = simulate(SystemModel(A=A, B=B), run["tops"], sig, K,
-                   _schedule(ticks * h, h, horizon=hor * h), x0l, x0f,
-                   output_dt=run["stride"] * h)
+    Hs = [build_H(t) for t in run["tops"]]
+    res = simulate(A, B, Hs, sig, K, _schedule(ticks * h, h, horizon=hor * h),
+                   x0l, x0f, output_dt=run["stride"] * h)
     assert list(res.modes) == modes
 
     # the full 2d x 2d Van Loan block of each mode, stepped on the grid
     d = N * n
-    Hs = [build_H(t) for t in run["tops"]]
     Fs, Gs = np.empty((len(Hs), d, d)), np.empty((len(Hs), d, d))
     for p, H in enumerate(Hs):
         top = np.hstack([np.kron(np.eye(N), A), -np.kron(H, B @ K)])
@@ -429,12 +427,12 @@ def test_simulate_makes_one_expm_of_the_agent_size(monkeypatch):
     monkeypatch.setattr(leadersync.sim, "expm", counting)
     sched = _schedule([0.0, 0.3, 0.5, 0.9], 0.1)
     K = [[0.5, 0.4]]
-    simulate(MODEL, [TOP], SwitchingSignal.static(), K, sched, X0L, X0F)
+    simulate(A2, B2, [H1], SwitchingSignal.static(), K, sched, X0L, X0F)
     assert sizes == [(3, 3)]
     sizes.clear()
     t_b = Topology(4, frozenset([(0, 1), (0, 2), (0, 3), (0, 4)]))
     sig = SwitchingSignal(mode_count=2, events=((0.0, 0), (0.4, 1)))
-    res = simulate(MODEL, [TOP, t_b], sig, K, sched, X0L, X0F)
+    res = simulate(A2, B2, [H1, build_H(t_b)], sig, K, sched, X0L, X0F)
     assert list(res.modes) == [0, 0, 1]
     assert sizes == [(3, 3)]
 
@@ -446,13 +444,12 @@ def test_simulate_mode_chosen_at_interval_opening():
     sched = _schedule([0.0, 0.4, 0.8, 1.2], 0.1)
     K = np.array([[0.3, 0.2]])
     x0f = np.array([[1.0, 0.0], [0.0, 1.0]])
-    res = simulate(SystemModel(A=A2, B=B2), [t_a, t_b], sig, K, sched,
-                   X0L, x0f)
+    H_a, H_b = build_H(t_a), build_H(t_b)
+    res = simulate(A2, B2, [H_a, H_b], sig, K, sched, X0L, x0f)
     assert list(res.modes) == [0, 0, 1]
     # the third interval's held input must come from the second graph
-    H_b = build_H(t_b)
     xs = res.errors[res.boundary_idx[2]].reshape(-1)
-    held = _held_inputs(res, [build_H(t_a), H_b], K)
+    held = _held_inputs(res, [H_a, H_b], K)
     assert np.allclose(held[2], (-(np.kron(H_b, K) @ xs)).reshape(2, 1))
     # and the state it drives to the interval's end follows that input
     top = np.hstack([np.kron(np.eye(2), A2), -np.kron(H_b, B2 @ K)])
@@ -464,19 +461,19 @@ def test_simulate_mode_chosen_at_interval_opening():
 
 def test_simulate_truncates_at_horizon():
     sched = _schedule([0.0, 0.4, 0.8, 1.2], 0.1, horizon=1.0)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(),
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(),
                    [[0.5, 0.5]], sched, X0L, X0F)
     assert np.allclose(res.instants, [0.0, 0.4, 0.8])
     assert res.n_complete == 2
     assert res.modes.shape[0] == 3
-    assert _held_inputs(res, [build_H(TOP)], [[0.5, 0.5]]).shape == (3, 4, 1)
+    assert _held_inputs(res, [H1], [[0.5, 0.5]]).shape == (3, 4, 1)
     assert res.times[-1] == 1.0
     assert np.array_equal(res.times[res.boundary_idx], res.instants)
 
 
 def test_simulate_output_stride_keeps_boundaries():
     sched = _schedule([0.0, 0.3, 0.5, 0.9], 0.1)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(),
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(),
                    [[0.5, 0.5]], sched, X0L, X0F, output_dt=0.4)
     assert np.allclose(res.times, [0.0, 0.3, 0.4, 0.5, 0.8, 0.9])
 
@@ -485,35 +482,66 @@ def test_simulate_rejects_inconsistent_inputs():
     sched = _schedule([0.0, 0.3], 0.1)
     static = SwitchingSignal.static()
     with pytest.raises(ValueError):
-        simulate(MODEL, [TOP, TOP], static, [[0.5, 0.5]], sched, X0L, X0F)
+        simulate(A2, B2, [H1, H1], static, [[0.5, 0.5]], sched, X0L, X0F)
     with pytest.raises(ValueError):
-        simulate(MODEL, [TOP], static, [[0.5, 0.5, 0.1]], sched, X0L, X0F)
+        simulate(A2, B2, [H1], static, [[0.5, 0.5, 0.1]], sched, X0L, X0F)
     with pytest.raises(ValueError):
-        simulate(MODEL, [TOP], static, [[0.5, 0.5]], sched, X0L, X0F[:3])
+        simulate(A2, B2, [H1], static, [[0.5, 0.5]], sched, X0L, X0F[:3])
     with pytest.raises(ValueError):
-        simulate(MODEL, [TOP], static, [[0.5, 0.5]], sched,
+        simulate(A2, B2, [H1], static, [[0.5, 0.5]], sched,
                  np.array([1.0, 2.0, 3.0]), X0F)
+    # the agent pair: A square, B with A's row count
+    with pytest.raises(InvalidMatrix, match="A must be square"):
+        simulate(A2[:, :1], B2, [H1], static, [[0.5, 0.5]], sched, X0L, X0F)
+    with pytest.raises(ValueError, match="B must have 2 rows, got 3"):
+        simulate(A2, np.vstack([B2, [[1.0]]]), [H1], static, [[0.5, 0.5]],
+                 sched, X0L, X0F)
+    with pytest.raises(ValueError):
+        simulate(A2, B2, [H1, H1[:3, :3]],
+                 SwitchingSignal(mode_count=2, events=((0.0, 0),)),
+                 [[0.5, 0.5]], sched, X0L, X0F)
 
 
 def test_simulate_rejects_off_grid_schedules():
     static = SwitchingSignal.static()
     with pytest.raises(InvalidSchedule):
-        simulate(MODEL, [TOP], static, [[0.5, 0.5]],
+        simulate(A2, B2, [H1], static, [[0.5, 0.5]],
                  _schedule([0.0, 0.25], 0.1), X0L, X0F)
     with pytest.raises(InvalidSchedule):
-        simulate(MODEL, [TOP], static, [[0.5, 0.5]],
+        simulate(A2, B2, [H1], static, [[0.5, 0.5]],
                  _schedule([0.0, 0.3], 0.1, horizon=0.25), X0L, X0F)
     with pytest.raises(InvalidSchedule):
-        simulate(MODEL, [TOP], static, [[0.5, 0.5]],
+        simulate(A2, B2, [H1], static, [[0.5, 0.5]],
                  _schedule([0.0, 0.3], 0.1), X0L, X0F, output_dt=0.15)
     # window not covered by the schedule
     with pytest.raises(InvalidSchedule):
-        simulate(MODEL, [TOP], static, [[0.5, 0.5]],
+        simulate(A2, B2, [H1], static, [[0.5, 0.5]],
                  _schedule([0.0, 0.3], 0.1, horizon=0.5), X0L, X0F)
     # must start at zero
     with pytest.raises(InvalidSchedule):
-        simulate(MODEL, [TOP], static, [[0.5, 0.5]],
+        simulate(A2, B2, [H1], static, [[0.5, 0.5]],
                  _schedule([0.1, 0.3], 0.1), X0L, X0F)
+
+
+def test_simulate_refuses_gaps_outside_the_declared_window():
+    # the static demo sampled every 0.05 s, 2.7 times T_bar, under a
+    # declared window of [0.001, 0.001]: the certificate trace would
+    # take rho from that window and pass the run
+    args, synth = _demo_setup(STATIC)
+    inst = np.arange(601) * 50 * 0.001
+    for T_low, T_high in ((0.001, 0.001), (0.06, 0.1)):
+        sched = SamplingSchedule(instants=inst, T_low=T_low, T_high=T_high,
+                                 grid_h=0.001, seed=0, horizon=30.0)
+        with pytest.raises(InvalidSchedule,
+                           match=r"is outside \[T_low, T_high\]"):
+            simulate(*args[:5], sched, *args[6:])
+    # declared as the window the gaps lie in (floats an ulp off), the
+    # run is simulated and its report reads the bound as infeasible
+    sched = SamplingSchedule(instants=inst, T_low=0.05 - 1e-17,
+                             T_high=0.05 + 1e-17, grid_h=0.001, seed=0,
+                             horizon=30.0)
+    rep = lyapunov_trace(simulate(*args[:5], sched, *args[6:]), synth)
+    assert not rep.bound_feasible and rep.rho_threshold == 1.0
 
 
 def _run_peak(args, synth, path, monkeypatch):
@@ -579,7 +607,7 @@ def test_leader_trajectory_basics():
 def test_lyapunov_trace_consensus_is_vacuous():
     synth = _synth_static()
     sched = gen_schedule(0.001, 0.018, 0.001, 0.2, 3)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), synth.K, sched,
                    X0L, np.tile(X0L, (4, 1)))
     rep = lyapunov_trace(res, synth)
     assert np.all(rep.V == 0.0)
@@ -594,7 +622,7 @@ def test_lyapunov_trace_counts_non_finite_V_as_ratio_inf():
     # a NaN that would read as vacuous
     synth = _synth_static()
     sched = gen_schedule(0.001, 0.018, 0.001, 0.2, 3)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), synth.K, sched,
                    np.array([1e160, -1e160]), X0F)
     rep = lyapunov_trace(res, synth)
     assert not np.isfinite(rep.V_samples).any()
@@ -606,7 +634,7 @@ def test_lyapunov_trace_counts_non_finite_V_as_ratio_inf():
 def test_lyapunov_trace_contracts_within_bound():
     synth = _synth_static()
     sched = gen_schedule(0.001, 0.018, 0.001, 2.0, 7)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
     rep = lyapunov_trace(res, synth)
     assert rep.bound_feasible
@@ -621,7 +649,7 @@ def test_lyapunov_trace_reports_over_bound_run():
     synth = _synth_static()
     T = 1.488  # roughly eighty times the certified bound
     sched = gen_schedule(T, T, 0.001, 30.0, 0)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
     rep = lyapunov_trace(res, synth)
     assert not rep.bound_feasible
@@ -632,7 +660,7 @@ def test_lyapunov_trace_reports_over_bound_run():
 def test_lyapunov_trace_rho_is_the_contraction_factor():
     synth = _synth_static()
     sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 5)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
     rep = lyapunov_trace(res, synth)
     cf = oracles.contraction_factor(synth.c1, synth.c2 * 0.018 ** 2, 0.001)
@@ -649,11 +677,10 @@ def _ring_setup(horizon):
     N = 16
     edges = [(0, i) for i in range(1, N + 1)]
     edges += [(i, i + 1) for i in range(1, N)] + [(N, 1)]
-    top = Topology(N, frozenset(edges))
-    Hs = [build_H(top)]
+    Hs = [build_H(Topology(N, frozenset(edges)))]
     synth = synthesize(A, B, 1.0, 1.0, find_common_D(Hs), Hs)
     rng = np.random.default_rng(3)
-    return (SystemModel(A=A, B=B), [top], SwitchingSignal.static(), synth.K,
+    return (A, B, Hs, SwitchingSignal.static(), synth.K,
             gen_schedule(0.001, 0.04, 0.001, horizon, 9),
             rng.uniform(-3, 3, 4), rng.uniform(-3, 3, (N, 4))), synth
 
@@ -664,7 +691,7 @@ def _demo_setup(path, output_dt=None):
     sc = load_scenario(path)
     Hs = [build_H(t) for t in sc.topologies]
     synth = synthesize(sc.A, sc.B, sc.mu1, sc.mu2, find_common_D(Hs), Hs)
-    return (SystemModel(A=sc.A, B=sc.B), sc.topologies, sc.signal, synth.K,
+    return (sc.A, sc.B, Hs, sc.signal, synth.K,
             gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon,
                          sc.seed),
             sc.x0_leader, sc.x0_followers, output_dt), synth
@@ -698,7 +725,7 @@ def test_lyapunov_trace_V_is_the_kronecker_quadratic(make_run):
 def test_lyapunov_trace_rejects_a_design_of_another_size():
     synth = _synth_static()
     sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 5)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
     for D in (np.ones(3), None):
         with pytest.raises(ValueError, match="4 entries"):
@@ -708,7 +735,7 @@ def test_lyapunov_trace_rejects_a_design_of_another_size():
 def test_lyapunov_trace_rejects_sparse_outputs():
     synth = _synth_static()
     sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 5)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
     broken = dataclasses.replace(res, boundary_idx=res.boundary_idx[:-1])
     with pytest.raises(IncompleteTrace):
@@ -723,7 +750,7 @@ def test_lyapunov_trace_rejects_sparse_outputs():
 
 def test_trajectory_csv_layout(tmp_path):
     sched = _schedule([0.0, 0.3, 0.5], 0.1)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(),
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(),
                    [[0.5, 0.5]], sched, X0L, X0F)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, res)
@@ -746,7 +773,7 @@ def test_trajectory_csv_layout(tmp_path):
 def test_trajectory_csv_carries_V(tmp_path):
     synth = _synth_static()
     sched = gen_schedule(0.001, 0.018, 0.001, 0.2, 3)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(), synth.K, sched,
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), synth.K, sched,
                    X0L, X0F)
     rep = lyapunov_trace(res, synth)
     path = tmp_path / "traj.csv"
@@ -772,7 +799,7 @@ def test_schedule_csv_matches_per_row_reference(tmp_path):
 
 def test_schedule_csv_layout(tmp_path):
     sched = _schedule([0.0, 0.4, 0.8, 1.2], 0.1, horizon=1.0)
-    res = simulate(MODEL, [TOP], SwitchingSignal.static(),
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(),
                    [[0.5, 0.5]], sched, X0L, X0F)
     path = tmp_path / "sched.csv"
     write_schedule_csv(path, res)

@@ -7,7 +7,7 @@ from leadersync import (SamplingSchedule, Topology, build_H, find_common_D,
                         synthesize, worst_case_params)
 from leadersync.errors import (CommonDNotFound, DConstructionFailure,
                                EnumerationTooLarge, InvalidMatrix,
-                               NumericalOverflow)
+                               LeaderSyncError, NumericalOverflow)
 from leadersync.graph import admissible_laplacians
 from leadersync.synthesis import (_definiteness_margin, _rho, _scalings,
                                   construct_D)
@@ -274,6 +274,22 @@ def test_ladder_refuses_terms_past_the_float_range(mu2, match):
         synthesize(A_DEMO, B_DEMO, 1.0, mu2, np.ones(4), [H])
     with pytest.raises(NumericalOverflow, match=match):
         worst_case_params(A_DEMO, B_DEMO, 1.0, mu2, 2)
+
+
+def test_worst_case_weights_across_the_float_range_return_or_are_typed():
+    # every pair of weights from subnormal to near the float maximum gives
+    # a design or a typed error, never a numpy warning (the test settings
+    # turn one into an error)
+    grid = np.logspace(-320, 308, 18)
+    returned = 0
+    for mu1 in grid:
+        for mu2 in grid:
+            try:
+                worst_case_params(A_DEMO, B_DEMO, mu1, mu2, 2)
+            except LeaderSyncError:
+                continue
+            returned += 1
+    assert returned > 0
 
 
 def test_ladder_refuses_a_zero_input_matrix():
