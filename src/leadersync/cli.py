@@ -7,6 +7,7 @@ configuration error, 4 I/O error.
 """
 
 import argparse
+from dataclasses import dataclass, field
 import functools
 import os
 import sys
@@ -66,17 +67,53 @@ def _map_exception(e: BaseException):
     raise e
 
 
-def _synthesize_for(sc: Scenario, Hs) -> SynthesisResult:
+@dataclass
+class _Batch:
+    """What the scenarios of one CLI invocation share: each distinct
+    design, computed once, and the normalized paths it has written."""
+
+    designs: dict = field(default_factory=dict)
+    written: set = field(default_factory=set)
+
+    def check_unwritten(self, *paths):
+        """Refuse a scenario's output paths when two of them coincide or
+        the batch already wrote one."""
+        real = [os.path.realpath(p) for p in paths]
+        for i, (p, r) in enumerate(zip(paths, real)):
+            if r in self.written:
+                raise ValueError(f"{p} was already written by an earlier "
+                                 f"scenario of this batch")
+            if r in real[:i]:
+                raise ValueError(f"the trajectory and the schedule would "
+                                 f"both be written to {p}")
+
+    def mark_written(self, *paths):
+        self.written.update(os.path.realpath(p) for p in paths)
+
+
+def _synthesize_for(sc: Scenario, Hs, designs: dict) -> SynthesisResult:
     """Full design for a scenario with grounded Laplacians Hs, checking
     reachability first so a disconnected graph is reported as the
-    failed assumption rather than as a missing scaling."""
+    failed assumption rather than as a missing scaling.
+
+    designs maps the key of everything the design reads to its result;
+    a design found there is returned as it is, and one that raises is
+    not stored. H fixes the edge set, so reachability needs no key of
+    its own; the modes stay in order, since find_common_D tries their
+    candidates in that order."""
+    key = (sc.A.shape, sc.A.tobytes(), sc.B.shape, sc.B.tobytes(),
+           sc.mu1, sc.mu2, None if sc.D is None else sc.D.tobytes(),
+           tuple(H.tobytes() for H in Hs))
+    if key in designs:
+        return designs[key]
     for p, t in enumerate(sc.topologies):
         if not leader_reachable(t):
             raise UnreachableGraph(
                 f"graph mode {p}: some follower has no directed path "
                 f"from the leader")
     d = sc.D if sc.D is not None else find_common_D(Hs)
-    return synthesize(sc.A, sc.B, sc.mu1, sc.mu2, d, Hs)
+    designs[key] = synthesize(sc.A, sc.B, sc.mu1, sc.mu2, d, Hs)
+    return designs[key]
 
 
 def _design_lines(res: SynthesisResult) -> list:
@@ -99,30 +136,46 @@ def _synthesis_report(sc_name, modes, res: SynthesisResult) -> list:
     return lines
 
 
-def _out_paths(sc: Scenario, out_dir):
+def _out_paths(batch: _Batch, sc: Scenario, out_dir):
+    """The trajectory and schedule CSV paths of a run, checked against
+    the batch before the run is designed."""
     traj = sc.out_traj or f"{sc.name}_trajectory.csv"
     sched = sc.out_sched or f"{sc.name}_schedule.csv"
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         traj = os.path.join(out_dir, traj)
         sched = os.path.join(out_dir, sched)
+    batch.check_unwritten(traj, sched)
     return traj, sched
 
 
-def cmd_synthesize(path, out_dir=None):
+def _write_csvs(batch: _Batch, out_dir, traj, sched, result, V):
+    """A run's trajectory and schedule CSVs, making out_dir if needed."""
+    batch.mark_written(traj, sched)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    write_trajectory_csv(traj, result, V)
+    write_schedule_csv(sched, result)
+
+
+def cmd_synthesize(batch: _Batch, path, out_dir=None):
     sc = load_scenario(path)
-    res = _synthesize_for(sc, [build_H(t) for t in sc.topologies])
+    if out_dir:
+        report = os.path.join(out_dir, f"{sc.name}_synthesis.txt")
+        batch.check_unwritten(report)
+    res = _synthesize_for(sc, [build_H(t) for t in sc.topologies],
+                          batch.designs)
     lines = _synthesis_report(sc.name, len(sc.topologies), res)
     text = "\n".join(lines) + "\n"
     if out_dir:
+        batch.mark_written(report)
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, f"{sc.name}_synthesis.txt"), "w",
-                  newline="\n") as f:
+        with open(report, "w", newline="\n") as f:
             f.write(text)
     return EXIT_OK, text, ""
 
 
-def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
+def _run_scenario(batch: _Batch, sc: Scenario, seed_override,
+                  need_synthesis: bool):
     """Design, schedule and simulated run for a scenario.
 
     A scenario that fixes K is simulated with it; its design is then
@@ -137,10 +190,10 @@ def _run_scenario(sc: Scenario, seed_override, need_synthesis: bool):
     Hs = [build_H(t) for t in sc.topologies]
     warn = []
     if sc.K is None or need_synthesis:
-        synth = _synthesize_for(sc, Hs)
+        synth = _synthesize_for(sc, Hs, batch.designs)
     else:
         try:
-            synth = _synthesize_for(sc, Hs)
+            synth = _synthesize_for(sc, Hs, batch.designs)
         except LeaderSyncError:
             synth = None
     K = synth.K if sc.K is None else sc.K
@@ -169,17 +222,17 @@ def _float_range_warning(result, *per_row) -> list:
     return [f"warning: the state left the float range at t = {_g(t)}"]
 
 
-def cmd_simulate(path, out_dir=None, seed_override=None):
+def cmd_simulate(batch: _Batch, path, out_dir=None, seed_override=None):
     sc = load_scenario(path)
-    synth, result, warn = _run_scenario(sc, seed_override, need_synthesis=False)
+    traj, sched = _out_paths(batch, sc, out_dir)
+    synth, result, warn = _run_scenario(batch, sc, seed_override,
+                                        need_synthesis=False)
     lines = [f"scenario {sc.name}"]
 
     V = None
     if synth is not None:
         V = lyapunov_trace(result, synth).V
-    traj, sched = _out_paths(sc, out_dir)
-    write_trajectory_csv(traj, result, V)
-    write_schedule_csv(sched, result)
+    _write_csvs(batch, out_dir, traj, sched, result, V)
 
     norms = result.error_norms
     warn += _float_range_warning(result, norms, V)
@@ -197,17 +250,18 @@ def cmd_simulate(path, out_dir=None, seed_override=None):
     return EXIT_OK, text, "".join(w + "\n" for w in warn)
 
 
-def cmd_verify(path, out_dir=None, seed_override=None):
+def cmd_verify(batch: _Batch, path, out_dir=None, seed_override=None):
     sc = load_scenario(path)
+    if out_dir:
+        traj, sched = _out_paths(batch, sc, out_dir)
     # the certificate needs D and P, so a failed design is fatal here
-    synth, result, warn = _run_scenario(sc, seed_override, need_synthesis=True)
+    synth, result, warn = _run_scenario(batch, sc, seed_override,
+                                        need_synthesis=True)
     rep = lyapunov_trace(result, synth)
     warn += _float_range_warning(result, rep.V)
 
     if out_dir:
-        traj, sched = _out_paths(sc, out_dir)
-        write_trajectory_csv(traj, result, rep.V)
-        write_schedule_csv(sched, result)
+        _write_csvs(batch, out_dir, traj, sched, result, rep.V)
 
     lines = [f"scenario {sc.name}",
              f"intervals checked {result.n_complete}",
@@ -249,10 +303,12 @@ def cmd_enumerate(model_path, followers, mu1=None, mu2=None):
 def _commands(args) -> list:
     """One call per scenario of a batch, in order, or the one
     enumerate call. With --out, each scenario of a batch writes into
-    a subdirectory named after its file."""
+    a subdirectory named after its file. The scenario calls share one
+    _Batch, which lives as long as the list."""
     if args.command == "enumerate":
         return [functools.partial(cmd_enumerate, args.model, args.followers,
                                   args.mu1, args.mu2)]
+    batch = _Batch()
     calls = []
     for path in args.scenario:
         out = args.out
@@ -260,10 +316,10 @@ def _commands(args) -> list:
             stem = os.path.splitext(os.path.basename(path))[0]
             out = os.path.join(out, stem)
         if args.command == "synthesize":
-            calls.append(functools.partial(cmd_synthesize, path, out))
+            calls.append(functools.partial(cmd_synthesize, batch, path, out))
         else:
             cmd = cmd_simulate if args.command == "simulate" else cmd_verify
-            calls.append(functools.partial(cmd, path, out, args.seed))
+            calls.append(functools.partial(cmd, batch, path, out, args.seed))
     return calls
 
 

@@ -37,6 +37,9 @@ from .sim import check_seed
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _FOLLOWER_RE = re.compile(r"^x([1-9][0-9]*)$")
+# the decimal integers int() reads; one it refuses has too many digits
+_INT_RE = re.compile(r"[+-]?\d+(?:_\d+)*")
+_ECHO_MAX = 40
 
 _SCALAR_KEYS = ("name", "mu1", "mu2", "T_low", "T_high", "grid_h", "seed",
                 "horizon", "x0", "output_dt", "out_traj", "out_sched",
@@ -95,13 +98,21 @@ class ModelSpec:
     mu2: float
 
 
+def _echo(tok: str) -> str:
+    """A token as a message shows it: whole, or its first 12
+    characters once it is longer than _ECHO_MAX."""
+    return tok if len(tok) <= _ECHO_MAX else tok[:12] + "..."
+
+
 def _float(tok: str, line: int, what: str) -> float:
     try:
         v = float(tok)
     except ValueError:
-        raise ScenarioError(f"{what}: not a number: {tok!r}", line=line) from None
+        raise ScenarioError(f"{what}: not a number: {_echo(tok)!r}",
+                            line=line) from None
     if not math.isfinite(v):
-        raise ScenarioError(f"{what}: value must be finite, got {tok}", line=line)
+        raise ScenarioError(f"{what}: value must be finite, got {_echo(tok)}",
+                            line=line)
     return v
 
 
@@ -109,7 +120,12 @@ def _int(tok: str, line: int, what: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ScenarioError(f"{what}: not an integer: {tok!r}", line=line) from None
+        if _INT_RE.fullmatch(tok):  # past int()'s digit limit
+            digits = sum(c.isdigit() for c in tok)
+            raise ScenarioError(f"{what}: {_echo(tok)} has {digits} digits, "
+                                f"too many to read", line=line) from None
+        raise ScenarioError(f"{what}: not an integer: {_echo(tok)!r}",
+                            line=line) from None
 
 
 def _floats(entry, key, count=1, expected="one value") -> np.ndarray:

@@ -33,9 +33,14 @@ def check_seed(seed: int) -> int:
     otherwise. The schedule draw adds the seed to SplitMix64's uint64
     states, so every seed in range gives its own stream, while one
     outside it would be taken modulo 2^64 and silently give another
-    seed's stream."""
+    seed's stream. A seed past 128 bits is named by its width, so the
+    message stays short."""
     if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        bits = seed.bit_length()
+        shown = seed if bits <= 128 else (
+            f"a{' negative' if seed < 0 else ''} {bits}-bit integer")
+        raise ValueError(f"seed must be an unsigned 64-bit integer, "
+                         f"got {shown}")
     return seed
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import inspect
 import io
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import leadersync
 import leadersync.cli
-from leadersync import (Topology, build_H, errors, load_scenario,
-                        scenario_text, synthesize)
+from leadersync import (Topology, build_H, errors, find_common_D,
+                        load_scenario, scenario_text, synthesize)
 from leadersync.cli import _map_exception, main
 
 from conftest import STATIC, SWITCHING
@@ -406,6 +407,190 @@ def test_batch_worst_code_wins(workdir, capsys):
     assert main(["verify", "--scenario", STATIC, path]) == 1
     out = capsys.readouterr().out
     assert "verdict PASS" in out and "verdict FAIL" in out
+
+
+def _short(text, name, seed=7):
+    """A demo scenario cut to a 1 s horizon, renamed and reseeded."""
+    rest = text.split("\n", 1)[1]
+    return (f"name {name}\n" + rest.replace("horizon 30.0", "horizon 1.0")
+            .replace("seed 7\n", f"seed {seed}\n")
+            .replace("out_traj", "# out_traj").replace("out_sched",
+                                                       "# out_sched"))
+
+
+def _demo_batch(workdir):
+    """The two demos at two seeds each, as four scenario files."""
+    paths = []
+    for demo, src in (("static", STATIC), ("switching", SWITCHING)):
+        for seed in (7, 8):
+            path = workdir / f"{demo}_s{seed}.txt"
+            path.write_text(_short(Path(src).read_text(), path.stem, seed))
+            paths.append(str(path))
+    return paths
+
+
+@pytest.fixture
+def design_calls(monkeypatch):
+    """The arguments of every synthesize and find_common_D call the CLI
+    makes, and a copy of every design synthesize returns."""
+    calls = {"synthesize": [], "find_common_D": [], "designs": []}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name].append(args)
+            res = real(*args)
+            if name == "synthesize":
+                calls["designs"].append((res, copy.deepcopy(res)))
+            return res
+        monkeypatch.setattr(leadersync.cli, name, call)
+
+    counted("synthesize", leadersync.cli.synthesize)
+    counted("find_common_D", leadersync.cli.find_common_D)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+def test_batch_designs_each_distinct_design_once(workdir, capsys,
+                                                 design_calls, command):
+    paths = _demo_batch(workdir)
+    argv = [command, "--scenario"] + paths + ["--out", "batch"]
+    assert main(argv) == 0
+    assert len(design_calls["synthesize"]) == 2
+    assert len(design_calls["find_common_D"]) == 2
+    batch = capsys.readouterr()
+    assert batch.out.count("scenario ") == 4
+    # nothing downstream writes into a shared design
+    for res, before in design_calls["designs"]:
+        for f in dataclasses.fields(res):
+            assert np.array_equal(getattr(res, f.name),
+                                  getattr(before, f.name))
+    # the batch reads as its scenarios run one by one
+    singles = []
+    for path in paths:
+        out = str(workdir / "single" / Path(path).stem)
+        assert main([command, "--scenario", path, "--out", out]) == 0
+        singles.append(capsys.readouterr())
+    assert len(design_calls["synthesize"]) == 6
+    if command != "simulate":  # simulate names its CSV paths
+        assert batch.out == "".join(c.out for c in singles)
+    assert batch.err == "".join(c.err for c in singles)
+    for path in paths:
+        stem = Path(path).stem
+        for f in (workdir / "single" / stem).iterdir():
+            assert (workdir / "batch" / stem / f.name).read_bytes() == \
+                f.read_bytes()
+
+
+def test_each_main_call_designs_again(workdir, capsys, design_calls):
+    paths = _demo_batch(workdir)
+    for _ in range(2):
+        assert main(["verify", "--scenario"] + paths) == 0
+    assert len(design_calls["synthesize"]) == 4
+
+
+def test_scenarios_that_differ_in_what_the_design_reads_are_designed_apart(
+        workdir, capsys, design_calls):
+    static = _short(Path(STATIC).read_text(), "base")
+    D = find_common_D([build_H(t) for t in load_scenario(STATIC).topologies])
+    switching = _short(Path(SWITCHING).read_text(), "modes")
+    tops = [l for l in switching.splitlines() if l.startswith("topology")]
+    variants = {
+        "base": static,
+        "copy": static.replace("x1 2.4 -1.6", "x1 0.0 0.0"),
+        "mu1": static.replace("mu1 1.0", "mu1 2.0"),
+        "D": static + "D " + " ".join(repr(float(d)) for d in D) + "\n",
+        # leader -> 2 becomes 1 -> 2: every follower stays reachable
+        "edge": static.replace("topology 4 0 1 0 2 ",
+                               "topology 4 0 1 1 2 "),
+        "modes": switching,
+        "order": switching.replace(tops[0], "@").replace(tops[1], tops[0])
+                          .replace("@", tops[1]),
+    }
+    paths = []
+    for name, text in variants.items():
+        path = workdir / f"{name}.txt"
+        path.write_text(text)
+        paths.append(str(path))
+    assert main(["synthesize", "--scenario"] + paths) == 0
+    # the copy differs only in an initial state, which no design reads
+    assert len(design_calls["synthesize"]) == len(paths) - 1
+    mu1s = [args[2] for args in design_calls["synthesize"]]
+    assert mu1s == [1.0, 2.0, 1.0, 1.0, 1.0, 1.0]
+    assert design_calls["synthesize"][2][4] is not None
+    orders = [args[5] for args in design_calls["synthesize"][4:]]
+    assert [H.tobytes() for H in orders[0]] == \
+        [H.tobytes() for H in orders[1][::-1]]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+def test_a_failed_design_is_reported_for_each_scenario(workdir, capsys,
+                                                       design_calls, command):
+    paths = []
+    for name in ("u1", "u2"):
+        path = workdir / f"{name}.txt"
+        path.write_text(UNREACHABLE)
+        paths.append(str(path))
+    assert main([command, "--scenario"] + paths) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("assumption failure: Assumption 2") == 2
+    assert design_calls["synthesize"] == []
+
+
+def test_batch_refuses_to_write_one_file_twice(workdir, capsys):
+    text = _short(Path(STATIC).read_text(), "static_demo")
+    for d, seed in (("a", 7), ("b", 8)):
+        (workdir / d).mkdir()
+        (workdir / d / "static.txt").write_text(
+            _short(Path(STATIC).read_text(), "static_demo", seed))
+    batch = ["a/static.txt", "b/static.txt"]
+    assert main(["simulate", "--scenario", *batch, "--out", "OUT"]) == 3
+    captured = capsys.readouterr()
+    traj = "OUT/static/static_demo_trajectory.csv"
+    assert captured.out.count(f"wrote {traj}") == 1
+    assert captured.err == (f"configuration error: {traj} was already "
+                            f"written by an earlier scenario of this batch\n")
+    assert main(["simulate", "--scenario", "a/static.txt", "--out",
+                 "alone"]) == 0
+    capsys.readouterr()
+    for f in (workdir / "alone").iterdir():
+        assert (workdir / "OUT" / "static" / f.name).read_bytes() == \
+            f.read_bytes()
+    for command, written in (("verify", traj),
+                             ("synthesize",
+                              "OUT/static/static_demo_synthesis.txt")):
+        assert main([command, "--scenario", *batch, "--out", "OUT"]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: {written} was already "
+                       f"written by an earlier scenario of this batch\n")
+    # a path is the same file however it is spelt
+    for stem in ("one", "two"):
+        (workdir / f"{stem}.txt").write_text(
+            text + "out_sched ../shared.csv\n")
+    assert main(["verify", "--scenario", "one.txt", "two.txt", "--out",
+                 "S"]) == 3
+    assert capsys.readouterr().err == (
+        "configuration error: S/two/../shared.csv was already written "
+        "by an earlier scenario of this batch\n")
+    # without --out each run writes its CSVs into the working directory
+    assert main(["simulate", "--scenario", *batch]) == 3
+    assert "static_demo_trajectory.csv was already written" in \
+        capsys.readouterr().err
+
+
+def test_scenario_whose_two_outputs_coincide_is_refused(workdir, capsys,
+                                                        design_calls):
+    path = workdir / "same.txt"
+    path.write_text(_short(Path(STATIC).read_text(), "same")
+                    + "out_traj run.csv\nout_sched ./run.csv\n")
+    for command in ("simulate", "verify"):
+        assert main([command, "--scenario", str(path), "--out", "o"]) == 3
+        assert capsys.readouterr().err == (
+            "configuration error: the trajectory and the schedule would "
+            "both be written to o/./run.csv\n")
+    assert not (workdir / "o").exists()
+    assert design_calls["synthesize"] == []
 
 
 # -------------------------------------------------------- failure modes

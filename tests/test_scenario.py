@@ -441,6 +441,25 @@ GOLDEN = [
      "line 10: seed: not an integer: '1.5'", 10),
     ("seed-range", _swap("seed", "seed -1"),
      "line 10: seed must be an unsigned 64-bit integer, got -1", 10),
+    ("seed-digit-limit", _swap("seed", "seed " + "7" * 5000),
+     "line 10: seed: 777777777777... has 5000 digits, too many to read", 10),
+    ("seed-digit-limit-underscores",
+     _swap("seed", "seed " + "1_" * 4500 + "1"),
+     "line 10: seed: 1_1_1_1_1_1_... has 4501 digits, too many to read", 10),
+    ("seed-range-wide", _swap("seed", "seed " + "7" * 4000),
+     "line 10: seed must be an unsigned 64-bit integer, got a 13288-bit "
+     "integer", 10),
+    ("seed-long-token", _swap("seed", "seed " + "7" * 50 + "x"),
+     "line 10: seed: not an integer: '777777777777...'", 10),
+    ("topology-digit-limit", _swap("topology", "topology " + "2" * 5000),
+     "line 6: topology: 222222222222... has 5000 digits, too many to read",
+     6),
+    ("float-token-at-echo-limit", _swap("mu1", "mu1 " + "a" * 40),
+     "line 4: mu1: not a number: '" + "a" * 40 + "'", 4),
+    ("float-long-token", _swap("mu1", "mu1 " + "a" * 41),
+     "line 4: mu1: not a number: 'aaaaaaaaaaaa...'", 4),
+    ("float-long-not-finite", _swap("mu1", "mu1 " + "9" * 5000),
+     "line 4: mu1: value must be finite, got 999999999999...", 4),
     ("x0-entries", _swap("x0", "x0 1.0"),
      "line 12: x0: expected 2 entries", 12),
     ("follower-index", _plus("x3 0 0"),
