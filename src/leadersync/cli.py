@@ -18,7 +18,7 @@ from .errors import (CommonDNotFound, EnumerationTooLarge, InvalidSchedule,
                      InvalidTime, LeaderSyncError, NotStabilizable,
                      ScenarioError, UnreachableGraph)
 from .graph import admissible_laplacians, build_H, leader_reachable
-from .scenario import Scenario, load_model, load_scenario
+from .scenario import Scenario, load_model, load_scenario, read_number
 from .sim import (check_run_memory, check_seed, gen_schedule, lyapunov_trace,
                   simulate, write_schedule_csv, write_trajectory_csv)
 from .synthesis import (SynthesisResult, find_common_D, synthesize,
@@ -333,7 +333,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+def _option_number(kind, tok):
+    """argparse type for a numeric option: kind(tok), or a usage error
+    that shows at most the first 40 characters of the token."""
+    try:
+        return read_number(kind, tok)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    int_opt = functools.partial(_option_number, int)
+    float_opt = functools.partial(_option_number, float)
+
     ap = _Parser(
         prog="leadersync",
         description="Sampled-data leader-following consensus: gain and "
@@ -346,9 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scenario file(s)")
         p.add_argument("--out", default=None, help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=int_opt, default=None,
                            help="override the scenario seed")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=int_opt, default=1,
                        help="accepted for compatibility; scenarios always "
                             "run one after another")
 
@@ -363,9 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "enumerate", help="graph-independent worst-case design")
     pe.add_argument("--model", required=True,
                     help="scenario or model file supplying A, B, mu1, mu2")
-    pe.add_argument("--followers", type=int, required=True)
-    pe.add_argument("--mu1", type=float, default=None)
-    pe.add_argument("--mu2", type=float, default=None)
+    pe.add_argument("--followers", type=int_opt, required=True)
+    pe.add_argument("--mu1", type=float_opt, default=None)
+    pe.add_argument("--mu2", type=float_opt, default=None)
     return ap
 
 

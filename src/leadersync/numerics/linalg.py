@@ -110,13 +110,6 @@ def sym_eig_extremes(S):
                              _per_matrix(vals[..., -1]))
 
 
-def sym_eig_min_vector(S):
-    """Smallest eigenvalue of a symmetric matrix and a unit eigenvector
-    for it, or both for each matrix of a (..., n, n) stack."""
-    vals, vecs = _lapack(np.linalg.eigh, _symmetric(S))
-    return _per_matrix(vals[..., 0]), vecs[..., :, 0]
-
-
 def spectral_norm(M):
     """Largest singular value of a matrix, or of each matrix of a
     (..., rows, cols) stack."""

@@ -104,12 +104,31 @@ def _echo(tok: str) -> str:
     return tok if len(tok) <= _ECHO_MAX else tok[:12] + "..."
 
 
-def _float(tok: str, line: int, what: str) -> float:
+def read_number(kind, tok: str):
+    """kind(tok) for kind int or float. A token that kind refuses
+    raises ValueError with a message that shows at most _ECHO_MAX
+    characters of it, naming the digit count of an integer past
+    int()'s digit limit."""
     try:
-        v = float(tok)
+        return kind(tok)
     except ValueError:
-        raise ScenarioError(f"{what}: not a number: {_echo(tok)!r}",
-                            line=line) from None
+        if kind is int and _INT_RE.fullmatch(tok):
+            digits = sum(c.isdigit() for c in tok)
+            raise ValueError(f"{_echo(tok)} has {digits} digits, too many "
+                             f"to read") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"not {noun}: {_echo(tok)!r}") from None
+
+
+def _read(kind, tok: str, line: int, what: str):
+    try:
+        return read_number(kind, tok)
+    except ValueError as exc:
+        raise ScenarioError(f"{what}: {exc}", line=line) from None
+
+
+def _float(tok: str, line: int, what: str) -> float:
+    v = _read(float, tok, line, what)
     if not math.isfinite(v):
         raise ScenarioError(f"{what}: value must be finite, got {_echo(tok)}",
                             line=line)
@@ -117,15 +136,7 @@ def _float(tok: str, line: int, what: str) -> float:
 
 
 def _int(tok: str, line: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        if _INT_RE.fullmatch(tok):  # past int()'s digit limit
-            digits = sum(c.isdigit() for c in tok)
-            raise ScenarioError(f"{what}: {_echo(tok)} has {digits} digits, "
-                                f"too many to read", line=line) from None
-        raise ScenarioError(f"{what}: not an integer: {_echo(tok)!r}",
-                            line=line) from None
+    return _read(int, tok, line, what)
 
 
 def _floats(entry, key, count=1, expected="one value") -> np.ndarray:

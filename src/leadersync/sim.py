@@ -547,7 +547,8 @@ class ContractionReport:
     T_high is too large for that bound (beta2 >= beta1, so the formula
     no longer certifies decay), bound_feasible is False and the
     applied rho_threshold falls back to 1.0, which still detects
-    growth at the samples.
+    growth at the samples. A beta2 / beta1 past the float range gives
+    rho = inf.
     """
 
     V: np.ndarray
@@ -642,9 +643,14 @@ def lyapunov_trace(result: SimulationResult,
         ratios[~(np.isfinite(V0) & np.isfinite(V1))] = math.inf
 
     beta1 = synth.c1
-    beta2 = synth.c2 * result.schedule.T_high ** 2
+    try:
+        beta2 = synth.c2 * result.schedule.T_high ** 2
+    except OverflowError:  # ** on Python floats raises, not warns
+        beta2 = math.inf
     h = result.schedule.T_low
-    rho = _rho(beta1, beta2, h)
+    # once beta2 / beta1 leaves the float range the formula reads
+    # inf - inf; the factor it tends to there is inf
+    rho = _rho(beta1, beta2, h) if beta2 / beta1 < math.inf else math.inf
     feasible = beta2 < beta1
     threshold = rho if feasible else 1.0
     return ContractionReport(

@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 
-from .errors import CommonDNotFound, DConstructionFailure, NumericalOverflow
+from .errors import (CommonDNotFound, DConstructionFailure, InvalidMatrix,
+                     NumericalOverflow)
 from .graph import _all_nonsingular_M, admissible_laplacians
-from .numerics.linalg import (_as_matrix, _square, solve_care, spectral_norm,
-                              sym_eig_extremes, sym_eig_min_vector)
+from .numerics.linalg import (_as_matrix, _lapack, _square, solve_care,
+                              spectral_norm, sym_eig_extremes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,23 +42,34 @@ class SynthesisResult:
     care_residual: float
 
 
-def _definiteness_margin(d, mats, grad=False):
+def _definiteness_margin(d, Hs, grad=False):
     """Smallest eigenvalue of D H + H^T D over a stack of matrices H.
 
-    d is one scaling for every matrix, shape (N,), or one per matrix,
-    shape (G, N). With grad and one d, also returns a subgradient of
-    that margin with respect to u = log d at the graph attaining it:
-    d lam_min / d u_i = 2 d_i v_i (H v)_i for the unit eigenvector v of
-    lam_min, exact wherever lam_min is simple and attained by one graph.
+    Hs is a (G, N, N) stack of finite square matrices, checked by the
+    caller; d is one scaling for every matrix, shape (N,), or one per
+    matrix, shape (G, N). With grad and one d, also returns a
+    subgradient of that margin with respect to u = log d at the graph
+    attaining it: d lam_min / d u_i = 2 d_i v_i (H v)_i for the unit
+    eigenvector v of lam_min, exact wherever lam_min is simple and
+    attained by one graph.
+
+    S = DH + (DH)^T is symmetric by construction, since floating-point
+    addition commutes, so it goes to LAPACK after one finiteness check
+    and without the symmetry test of sym_eig_extremes. An S past the
+    float range raises InvalidMatrix.
     """
-    Hs = np.asarray(mats, dtype=float)
-    DH = np.asarray(d, dtype=float)[..., :, None] * Hs
-    S = DH + DH.swapaxes(-1, -2)
+    Hs = np.asarray(Hs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        DH = np.asarray(d, dtype=float)[..., :, None] * Hs
+        S = DH + DH.swapaxes(-1, -2)
+    if not np.isfinite(S).all():
+        raise InvalidMatrix("S contains non-finite entries")
     if not grad:
-        return float(np.min(sym_eig_extremes(S).lambda_min))
-    lams, vecs = sym_eig_min_vector(S)
-    k = int(np.argmin(lams))
-    return float(lams[k]), 2.0 * d * vecs[k] * (Hs[k] @ vecs[k])
+        return float(_lapack(np.linalg.eigvalsh, S)[..., 0].min())
+    lams, vecs = _lapack(np.linalg.eigh, S)
+    k = int(lams[:, 0].argmin())
+    v = vecs[k, :, 0]
+    return float(lams[k, 0]), 2.0 * d * v * (Hs[k] @ v)
 
 
 def construct_D(H) -> np.ndarray:
@@ -108,6 +120,8 @@ def find_common_D(Hs) -> np.ndarray:
     for H in mats:
         if H.shape != (n, n):
             raise ValueError("all grounded Laplacians must share one size")
+    # checked once here, so the margin needs no checks of its own per step
+    mats = np.array(mats)
 
     candidates = [np.ones(n)]
     per_graph = []
@@ -135,16 +149,17 @@ def find_common_D(Hs) -> np.ndarray:
     best_margin = margin
     step = 0.25
     for _ in range(500):
-        grad[np.argmax(u)] -= margin
-        gnorm = float(np.linalg.norm(grad))
+        grad[u.argmax()] -= margin
+        gnorm = math.sqrt(grad @ grad)
         if gnorm == 0.0:
             break
         u = u + step * grad / gnorm
-        u -= np.max(u)
-        margin, grad = _definiteness_margin(np.exp(u), mats, grad=True)
+        u -= u.max()
+        d = np.exp(u)
+        margin, grad = _definiteness_margin(d, mats, grad=True)
         if margin > best_margin:
             best_margin = margin
-            best = np.exp(u)
+            best = d
         else:
             step *= 0.9
         if best_margin > 0.0:
@@ -188,7 +203,10 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D) -> SynthesisResult:
         alpha1 = mu1 * d_M / lam1
         alpha2 = 2.0 * alpha1 * norm_DH * norm_PBBP
         alpha3 = alpha2 * alpha2 / (2.0 * d_m * mu2)
-        alpha4 = (norm_A + alpha1 * norm_H * norm_BBP) ** 2 / lam_m
+        try:
+            alpha4 = (norm_A + alpha1 * norm_H * norm_BBP) ** 2 / lam_m
+        except OverflowError:  # ** on Python floats raises, not warns
+            alpha4 = math.inf
         c1 = d_m * mu2 / (2.0 * lam_M)
         c2 = alpha3 * alpha4
     ladder = dict(d_m=d_m, d_M=d_M, lam_m=lam_m, lam_M=lam_M, alpha1=alpha1,

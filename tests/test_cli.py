@@ -389,6 +389,80 @@ def test_ladder_past_the_float_range_is_refused(workdir, capsys):
     assert "alpha3 = inf" in captured.err
 
 
+@pytest.mark.parametrize("command", ["synthesize", "verify"])
+@pytest.mark.parametrize("D,err", [
+    ("1e200 1 1 1", "the parameter ladder left the float range: "
+                    "alpha2 = inf"),
+    ("1e308 1e308 1e308 1e308", "S contains non-finite entries"),
+], ids=["ladder", "margin"])
+def test_scaling_past_the_float_range_is_one_typed_line(workdir, capsys,
+                                                        command, D, err):
+    # 1e200 squares past the float range in the ladder, where ** on a
+    # Python float raises OverflowError; 1e308 overflows D H itself,
+    # which numpy would warn about (an error under the test settings)
+    path = workdir / "huge_D.txt"
+    path.write_text(_short(Path(STATIC).read_text(), "huge_D") + f"D {D}\n")
+    assert main([command, "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {err}\n"
+
+
+HUGE_GAPS = """\
+name huge_gaps
+A 2  -1 0  0 -1
+B 2 1  1 0
+mu1 1.0
+mu2 1.0
+topology 2  0 1  0 2
+T_low 1e150
+T_high 1e155
+grid_h 1e150
+seed 7
+horizon 1e156
+output_dt 1e156
+x0 1.0 -1.0
+x1 2.0 0.5
+x2 -1.0 0.4
+"""
+
+
+def test_verify_bound_past_the_float_range_is_infeasible(workdir, capsys):
+    # T_high ** 2 overflows a Python float: the bound is reported as
+    # infeasible with rho = inf, not as an OverflowError traceback
+    path = workdir / "huge_gaps.txt"
+    path.write_text(HUGE_GAPS)
+    assert main(["verify", "--scenario", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "rho inf (threshold 1, bound infeasible)\n" in captured.out
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("warning: over-bound sampling: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", STATIC, "--seed", "1" * 5000],
+    ["verify", "--scenario", STATIC, "--jobs", "1" * 5000],
+    ["enumerate", "--model", STATIC, "--followers", "1" * 5000],
+    ["enumerate", "--model", STATIC, "--followers", "2", "--mu1", "x" * 5000],
+    ["enumerate", "--model", STATIC, "--followers", "2", "--mu2", "x" * 5000],
+], ids=["seed", "jobs", "followers", "mu1", "mu2"])
+def test_oversized_numeric_option_is_a_bounded_usage_error(workdir, capsys,
+                                                           argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: leadersync") and len(err) < 400
+    message = err.splitlines()[-1]
+    option = argv[-2]
+    if argv[-1][0] == "1":
+        assert message.endswith(f"argument {option}: 111111111111... has "
+                                f"5000 digits, too many to read")
+    else:
+        assert message.endswith(f"argument {option}: not a number: "
+                                f"'xxxxxxxxxxxx...'")
+
+
 def test_verify_batch_jobs(workdir, capsys):
     assert main(["verify", "--scenario", STATIC, SWITCHING,
                  "--out", "batch", "--jobs", "2"]) == 0

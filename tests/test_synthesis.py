@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from leadersync import (SamplingSchedule, Topology, build_H, find_common_D,
-                        synthesize, worst_case_params)
+                        load_scenario, synthesize, worst_case_params)
+from leadersync import synthesis
 from leadersync.errors import (CommonDNotFound, DConstructionFailure,
                                EnumerationTooLarge, InvalidMatrix,
                                LeaderSyncError, NumericalOverflow)
@@ -13,6 +14,7 @@ from leadersync.synthesis import (_definiteness_margin, _rho, _scalings,
                                   construct_D)
 
 import oracles
+from conftest import STATIC, SWITCHING
 from oracles import ContractionInfeasible, contraction_factor
 
 EDGES_1 = frozenset([(0, 1), (0, 2), (3, 2), (1, 3), (4, 3), (2, 4)])
@@ -124,6 +126,54 @@ def test_find_common_D_ascent_stage():
         assert _definiteness_margin(cand, mats) <= 0.0
     d = find_common_D([g1, g2])
     assert _definiteness_margin(d, mats) > 0.0
+
+
+# the bytes of D that each stage of the candidate order returns; the
+# search's arithmetic is pinned, not only the margin of its result
+D_HEX_IDENTITY = "000000000000f03f" * 4
+D_HEX_QUOTIENT = ("1dc7711cc771bc3f000000000000f03f73e501c93a57ae3f"
+                  "000000000000f03f")
+D_HEX_GEO = ("388d22f45bfcd23f5ac6bd443720ec3fcf1d7a716aa3dd3f"
+             "000000000000f03f5e41464b8037e23f")
+D_HEX_ASCENT = ("e8a11f2561a5e03f000000000000f03f721d3e740f76d73f"
+                "a46fc5b0df20e13f88d68af70b3bd53f")
+
+
+@pytest.mark.parametrize("path", [STATIC, SWITCHING])
+def test_find_common_D_bytes_on_the_demos(path):
+    sc = load_scenario(path)
+    d = find_common_D([build_H(t) for t in sc.topologies])
+    assert d.tobytes().hex() == D_HEX_IDENTITY
+
+
+@pytest.mark.parametrize("N,edge_sets,want", [
+    (4, [EDGES_SKEW], D_HEX_QUOTIENT),
+    (5, [EDGES_GEO_1, EDGES_GEO_2], D_HEX_GEO),
+    (5, [EDGES_ASC_1, EDGES_ASC_2], D_HEX_ASCENT),
+], ids=["quotient", "geometric_mean", "ascent"])
+def test_find_common_D_bytes_at_each_stage(N, edge_sets, want):
+    Hs = [build_H(Topology(N, e)) for e in edge_sets]
+    assert find_common_D(Hs).tobytes().hex() == want
+    # a (G, N, N) stack gives the same bytes as a list
+    assert find_common_D(np.array(Hs)).tobytes().hex() == want
+
+
+def test_find_common_D_ascent_margin_evaluations(monkeypatch):
+    # two per-graph verifications in construct_D, four candidates, then
+    # the ascent's start and 50 steps; a change in the count is a change
+    # in the search path, even where D is unchanged
+    calls = []
+    margin = synthesis._definiteness_margin
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("grad", False))
+        return margin(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "_definiteness_margin", counted)
+    Hs = [build_H(Topology(5, EDGES_ASC_1)), build_H(Topology(5, EDGES_ASC_2))]
+    find_common_D(Hs)
+    assert len(calls) == 57
+    assert calls.count(False) == 6
 
 
 def test_find_common_D_unsatisfiable():
