@@ -75,9 +75,11 @@ class _Batch:
     designs: dict = field(default_factory=dict)
     written: set = field(default_factory=set)
 
-    def check_unwritten(self, *paths):
-        """Refuse a scenario's output paths when two of them coincide or
-        the batch already wrote one."""
+    def claim(self, out_dir, *names):
+        """The paths of names in out_dir (the working directory when
+        None), refused when two of them coincide or the batch already
+        wrote one."""
+        paths = [os.path.join(out_dir or "", n) for n in names]
         real = [os.path.realpath(p) for p in paths]
         for i, (p, r) in enumerate(zip(paths, real)):
             if r in self.written:
@@ -86,15 +88,29 @@ class _Batch:
             if r in real[:i]:
                 raise ValueError(f"the trajectory and the schedule would "
                                  f"both be written to {p}")
+        return paths
 
-    def mark_written(self, *paths):
-        self.written.update(os.path.realpath(p) for p in paths)
+    def write(self, out_dir, *files):
+        """Each claimed file, given as (writer, path, *args), written by
+        writer(path, *args), making out_dir first if needed."""
+        self.written.update(os.path.realpath(path)
+                            for _, path, *_ in files)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        for writer, path, *args in files:
+            writer(path, *args)
+
+
+def _write_text(path, text):
+    with open(path, "w", newline="\n") as f:
+        f.write(text)
 
 
 def _synthesize_for(sc: Scenario, Hs, designs: dict) -> SynthesisResult:
-    """Full design for a scenario with grounded Laplacians Hs, checking
-    reachability first so a disconnected graph is reported as the
-    failed assumption rather than as a missing scaling.
+    """Full design for a scenario with the (G, N, N) stack Hs of its
+    grounded Laplacians, checking reachability first so a disconnected
+    graph is reported as the failed assumption rather than as a
+    missing scaling.
 
     designs maps the key of everything the design reads to its result;
     a design found there is returned as it is, and one that raises is
@@ -103,7 +119,7 @@ def _synthesize_for(sc: Scenario, Hs, designs: dict) -> SynthesisResult:
     candidates in that order."""
     key = (sc.A.shape, sc.A.tobytes(), sc.B.shape, sc.B.tobytes(),
            sc.mu1, sc.mu2, None if sc.D is None else sc.D.tobytes(),
-           tuple(H.tobytes() for H in Hs))
+           Hs.shape, Hs.tobytes())
     if key in designs:
         return designs[key]
     for p, t in enumerate(sc.topologies):
@@ -114,6 +130,11 @@ def _synthesize_for(sc: Scenario, Hs, designs: dict) -> SynthesisResult:
     d = sc.D if sc.D is not None else find_common_D(Hs)
     designs[key] = synthesize(sc.A, sc.B, sc.mu1, sc.mu2, d, Hs)
     return designs[key]
+
+
+def _laplacians(sc: Scenario) -> np.ndarray:
+    """The (G, N, N) stack of a scenario's grounded Laplacians."""
+    return np.array([build_H(t) for t in sc.topologies])
 
 
 def _design_lines(res: SynthesisResult) -> list:
@@ -129,82 +150,18 @@ def _design_lines(res: SynthesisResult) -> list:
     return lines
 
 
-def _synthesis_report(sc_name, modes, res: SynthesisResult) -> list:
-    lines = [f"scenario {sc_name}", f"modes {modes}"]
-    lines += _design_lines(res)
-    lines.append(f"care_residual {_g(res.care_residual)}")
-    return lines
-
-
-def _out_paths(batch: _Batch, sc: Scenario, out_dir):
-    """The trajectory and schedule CSV paths of a run, checked against
-    the batch before the run is designed."""
-    traj = sc.out_traj or f"{sc.name}_trajectory.csv"
-    sched = sc.out_sched or f"{sc.name}_schedule.csv"
-    if out_dir:
-        traj = os.path.join(out_dir, traj)
-        sched = os.path.join(out_dir, sched)
-    batch.check_unwritten(traj, sched)
-    return traj, sched
-
-
-def _write_csvs(batch: _Batch, out_dir, traj, sched, result, V):
-    """A run's trajectory and schedule CSVs, making out_dir if needed."""
-    batch.mark_written(traj, sched)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    write_trajectory_csv(traj, result, V)
-    write_schedule_csv(sched, result)
-
-
 def cmd_synthesize(batch: _Batch, path, out_dir=None):
     sc = load_scenario(path)
     if out_dir:
-        report = os.path.join(out_dir, f"{sc.name}_synthesis.txt")
-        batch.check_unwritten(report)
-    res = _synthesize_for(sc, [build_H(t) for t in sc.topologies],
-                          batch.designs)
-    lines = _synthesis_report(sc.name, len(sc.topologies), res)
+        [report] = batch.claim(out_dir, f"{sc.name}_synthesis.txt")
+    res = _synthesize_for(sc, _laplacians(sc), batch.designs)
+    lines = [f"scenario {sc.name}", f"modes {len(sc.topologies)}"]
+    lines += _design_lines(res)
+    lines.append(f"care_residual {_g(res.care_residual)}")
     text = "\n".join(lines) + "\n"
     if out_dir:
-        batch.mark_written(report)
-        os.makedirs(out_dir, exist_ok=True)
-        with open(report, "w", newline="\n") as f:
-            f.write(text)
+        batch.write(out_dir, (_write_text, report, text))
     return EXIT_OK, text, ""
-
-
-def _run_scenario(batch: _Batch, sc: Scenario, seed_override,
-                  need_synthesis: bool):
-    """Design, schedule and simulated run for a scenario.
-
-    A scenario that fixes K is simulated with it; its design is then
-    computed only for the certificate and the T_bar warning, and a
-    design failure is fatal only when need_synthesis is set. A seed
-    override outside the unsigned 64-bit range, then a run over the
-    memory budget, are refused before any grounded Laplacian is built.
-    Returns (synthesis or None, simulation result, warning lines)."""
-    seed = sc.seed if seed_override is None else check_seed(seed_override)
-    check_run_memory(len(sc.topologies), sc.topologies[0].N, sc.A.shape[0],
-                     sc.T_low, sc.horizon, sc.grid_h, sc.output_dt)
-    Hs = [build_H(t) for t in sc.topologies]
-    warn = []
-    if sc.K is None or need_synthesis:
-        synth = _synthesize_for(sc, Hs, batch.designs)
-    else:
-        try:
-            synth = _synthesize_for(sc, Hs, batch.designs)
-        except LeaderSyncError:
-            synth = None
-    K = synth.K if sc.K is None else sc.K
-    if synth is not None and sc.T_high > synth.T_bar:
-        warn.append(f"warning: over-bound sampling: T_high = {_g(sc.T_high)} "
-                    f"exceeds T_bar = {_g(synth.T_bar)}; decay is not "
-                    f"guaranteed")
-    schedule = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, seed)
-    result = simulate(sc.A, sc.B, Hs, sc.signal, K, schedule, sc.x0_leader,
-                      sc.x0_followers, sc.output_dt)
-    return synth, result, warn
 
 
 def _float_range_warning(result, *per_row) -> list:
@@ -222,59 +179,65 @@ def _float_range_warning(result, *per_row) -> list:
     return [f"warning: the state left the float range at t = {_g(t)}"]
 
 
-def cmd_simulate(batch: _Batch, path, out_dir=None, seed_override=None):
+def cmd_run(batch: _Batch, path, out_dir=None, seed_override=None,
+            verify=False):
+    """simulate, or with verify the certificate check, of one scenario.
+
+    The steps, in order: claim the CSV paths (verify writes only with
+    out_dir), refuse a seed override outside the unsigned 64-bit range
+    and a run over the memory budget, design, draw the schedule,
+    simulate, trace the certificate and write the CSVs. A scenario
+    that fixes K is simulated with it, and its design serves only the
+    certificate and the T_bar warning: simulate then runs it even when
+    the design fails, without V. Only the summary lines differ between
+    the two commands."""
     sc = load_scenario(path)
-    traj, sched = _out_paths(batch, sc, out_dir)
-    synth, result, warn = _run_scenario(batch, sc, seed_override,
-                                        need_synthesis=False)
-    lines = [f"scenario {sc.name}"]
-
-    V = None
-    if synth is not None:
-        V = lyapunov_trace(result, synth).V
-    _write_csvs(batch, out_dir, traj, sched, result, V)
-
-    norms = result.error_norms
-    warn += _float_range_warning(result, norms, V)
-    burn = 0.5 * sc.horizon
-    late = norms[result.times >= burn]
-    lines.append(f"intervals {result.modes.shape[0]} "
-                 f"(complete {result.n_complete})")
-    lines.append(f"wrote {traj}")
-    lines.append(f"wrote {sched}")
-    lines.append("final error norms: "
-                 + " ".join(_g(v) for v in norms[-1]))
-    lines.append(f"max error norm (t >= {_g(burn)}): "
-                 f"{_g(float(np.max(late)))}")
-    text = "\n".join(lines) + "\n"
-    return EXIT_OK, text, "".join(w + "\n" for w in warn)
-
-
-def cmd_verify(batch: _Batch, path, out_dir=None, seed_override=None):
-    sc = load_scenario(path)
-    if out_dir:
-        traj, sched = _out_paths(batch, sc, out_dir)
-    # the certificate needs D and P, so a failed design is fatal here
-    synth, result, warn = _run_scenario(batch, sc, seed_override,
-                                        need_synthesis=True)
-    rep = lyapunov_trace(result, synth)
-    warn += _float_range_warning(result, rep.V)
-
-    if out_dir:
-        _write_csvs(batch, out_dir, traj, sched, result, rep.V)
-
-    lines = [f"scenario {sc.name}",
-             f"intervals checked {result.n_complete}",
-             f"interval-max violations {rep.interval_violations} "
-             f"(worst slack {_g(rep.worst_interval_slack)})",
-             f"worst ratio {_g(rep.worst_ratio)}",
-             f"rho {_g(rep.rho)} (threshold {_g(rep.rho_threshold)}, "
-             f"bound {'feasible' if rep.bound_feasible else 'infeasible'})"]
-    if rep.passed:
-        lines.append("verdict PASS")
-        code = EXIT_OK
+    writes = out_dir or not verify
+    if writes:
+        traj, sched = batch.claim(
+            out_dir, sc.out_traj or f"{sc.name}_trajectory.csv",
+            sc.out_sched or f"{sc.name}_schedule.csv")
+    seed = sc.seed if seed_override is None else check_seed(seed_override)
+    check_run_memory(len(sc.topologies), sc.topologies[0].N, sc.A.shape[0],
+                     sc.T_low, sc.horizon, sc.grid_h, sc.output_dt)
+    Hs = _laplacians(sc)
+    warn = []
+    try:
+        synth = _synthesize_for(sc, Hs, batch.designs)
+    except LeaderSyncError:
+        # the certificate needs D and P: only simulate with a fixed K
+        # runs without a design
+        if verify or sc.K is None:
+            raise
+        synth = None
     else:
-        if not rep.ratios_ok:
+        if sc.T_high > synth.T_bar:
+            warn.append(f"warning: over-bound sampling: T_high = "
+                        f"{_g(sc.T_high)} exceeds T_bar = {_g(synth.T_bar)}; "
+                        f"decay is not guaranteed")
+    schedule = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, seed)
+    result = simulate(sc.A, sc.B, Hs, sc.signal,
+                      synth.K if sc.K is None else sc.K, schedule,
+                      sc.x0_leader, sc.x0_followers, sc.output_dt)
+    rep = None if synth is None else lyapunov_trace(result, synth)
+    V = None if rep is None else rep.V
+    if writes:
+        batch.write(out_dir, (write_trajectory_csv, traj, result, V),
+                    (write_schedule_csv, sched, result))
+
+    lines = [f"scenario {sc.name}"]
+    if verify:
+        warn += _float_range_warning(result, V)
+        bound = "feasible" if rep.bound_feasible else "infeasible"
+        lines += [f"intervals checked {result.n_complete}",
+                  f"interval-max violations {rep.interval_violations} "
+                  f"(worst slack {_g(rep.worst_interval_slack)})",
+                  f"worst ratio {_g(rep.worst_ratio)}",
+                  f"rho {_g(rep.rho)} (threshold {_g(rep.rho_threshold)}, "
+                  f"bound {bound})"]
+        if rep.passed:
+            lines.append("verdict PASS")
+        elif not rep.ratios_ok:
             lines.append(f"verdict FAIL: interval {rep.worst_interval} ratio "
                          f"{_g(rep.worst_ratio)} exceeds threshold "
                          f"{_g(rep.rho_threshold)}")
@@ -282,7 +245,19 @@ def cmd_verify(batch: _Batch, path, out_dir=None, seed_override=None):
             lines.append(f"verdict FAIL: {rep.interval_violations} "
                          f"interval-max violations, worst slack "
                          f"{_g(rep.worst_interval_slack)}")
-        code = EXIT_VIOLATION
+        code = EXIT_OK if rep.passed else EXIT_VIOLATION
+    else:
+        norms = result.error_norms
+        warn += _float_range_warning(result, norms, V)
+        burn = 0.5 * sc.horizon
+        late = norms[result.times >= burn]
+        lines += [f"intervals {result.modes.shape[0]} "
+                  f"(complete {result.n_complete})",
+                  f"wrote {traj}", f"wrote {sched}",
+                  "final error norms: " + " ".join(_g(v) for v in norms[-1]),
+                  f"max error norm (t >= {_g(burn)}): "
+                  f"{_g(float(np.max(late)))}"]
+        code = EXIT_OK
     text = "\n".join(lines) + "\n"
     return code, text, "".join(w + "\n" for w in warn)
 
@@ -298,29 +273,6 @@ def cmd_enumerate(model_path, followers, mu1=None, mu2=None):
              f"admissible graphs {count}"]
     lines += _design_lines(res)
     return EXIT_OK, "\n".join(lines) + "\n", ""
-
-
-def _commands(args) -> list:
-    """One call per scenario of a batch, in order, or the one
-    enumerate call. With --out, each scenario of a batch writes into
-    a subdirectory named after its file. The scenario calls share one
-    _Batch, which lives as long as the list."""
-    if args.command == "enumerate":
-        return [functools.partial(cmd_enumerate, args.model, args.followers,
-                                  args.mu1, args.mu2)]
-    batch = _Batch()
-    calls = []
-    for path in args.scenario:
-        out = args.out
-        if out and len(args.scenario) > 1:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            out = os.path.join(out, stem)
-        if args.command == "synthesize":
-            calls.append(functools.partial(cmd_synthesize, batch, path, out))
-        else:
-            cmd = cmd_simulate if args.command == "simulate" else cmd_verify
-            calls.append(functools.partial(cmd, batch, path, out, args.seed))
-    return calls
 
 
 class _Parser(argparse.ArgumentParser):
@@ -382,9 +334,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: the one enumerate call, or one call per
+    scenario of a batch, in order. With --out, each scenario of a
+    batch writes into a subdirectory named after its file. The
+    scenario calls share one _Batch. The exit code is the worst of
+    the calls."""
     args = _build_parser().parse_args(argv)
+    if args.command == "enumerate":
+        calls = [functools.partial(cmd_enumerate, args.model, args.followers,
+                                   args.mu1, args.mu2)]
+    else:
+        batch = _Batch()
+        calls = []
+        for path in args.scenario:
+            out = args.out
+            if out and len(args.scenario) > 1:
+                stem = os.path.splitext(os.path.basename(path))[0]
+                out = os.path.join(out, stem)
+            calls.append(
+                functools.partial(cmd_synthesize, batch, path, out)
+                if args.command == "synthesize" else
+                functools.partial(cmd_run, batch, path, out, args.seed,
+                                  args.command == "verify"))
     worst = EXIT_OK
-    for call in _commands(args):
+    for call in calls:
         try:
             code, out_text, err_text = call()
         except Exception as e:

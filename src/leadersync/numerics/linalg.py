@@ -75,17 +75,18 @@ def _square(M, name="matrix", stack=False):
     return a
 
 
-def _symmetric(S):
+def _symmetric(S, name="S"):
     """Symmetric part of S, a matrix or a (..., n, n) stack of them.
     Each matrix must be symmetric to within SYM_INPUT_TOL
     relative to its own largest entry."""
-    a = _square(S, "S", stack=True)
+    a = _square(S, name, stack=True)
     at = a.swapaxes(-1, -2)
     asym = np.max(np.abs(a - at), axis=(-2, -1))
     bad = asym > SYM_INPUT_TOL * np.max(np.abs(a), axis=(-2, -1))
     if np.any(bad):
         raise InvalidMatrix(
-            f"S is not symmetric: max asymmetry {np.max(asym[bad]):.3e}")
+            f"{name} is not symmetric: max asymmetry "
+            f"{np.max(asym[bad]):.3e}")
     return 0.5 * (a + at)
 
 
@@ -192,14 +193,10 @@ def check_stabilizable(A, B):
 def solve_lyapunov(M, Q):
     """Solve M^T X + X M + Q = 0 for symmetric X via vectorization."""
     m = _square(M, "M")
-    q = _square(Q, "Q")
+    q = _symmetric(Q, "Q")
     n = m.shape[0]
-    if q.shape[0] != n:
+    if q.shape != m.shape:
         raise InvalidMatrix(f"Q must match M, got {q.shape} vs {m.shape}")
-    asym = float(np.max(np.abs(q - q.T)))
-    if asym > SYM_INPUT_TOL * max(1.0, float(np.max(np.abs(q)))):
-        raise InvalidMatrix(f"Q is not symmetric: max asymmetry {asym:.3e}")
-    q = 0.5 * (q + q.T)
     eye = np.eye(n)
     system = np.kron(m.T, eye) + np.kron(eye, m.T)
     try:

@@ -18,7 +18,7 @@ from . import floattext
 from .errors import IncompleteTrace, InvalidSchedule
 from .graph import SwitchingSignal, signal_mode
 from .numerics.linalg import _as_matrix, _square, expm
-from .synthesis import SynthesisResult, _rho
+from .synthesis import SynthesisResult, _laplacian_stack, _rho
 
 MASK64 = (1 << 64) - 1
 
@@ -406,7 +406,7 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
     n, m = b.shape
     if n != a.shape[0]:
         raise ValueError(f"B must have {a.shape[0]} rows, got {n}")
-    Hs = np.array([_square(H, "H") for H in Hs])
+    Hs = _laplacian_stack(Hs)
     if len(Hs) != signal.mode_count:
         raise ValueError(
             f"signal selects among {signal.mode_count} modes but "

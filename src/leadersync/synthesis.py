@@ -72,6 +72,25 @@ def _definiteness_margin(d, Hs, grad=False):
     return float(lams[k, 0]), 2.0 * d * v * (Hs[k] @ v)
 
 
+def _laplacian_stack(Hs) -> np.ndarray:
+    """Hs, a non-empty list of equal-size square matrices or a
+    (G, N, N) stack of them, as one finite float stack. A single 2-D
+    matrix is refused rather than read as a stack of its rows."""
+    mats = []
+    for H in Hs:
+        if np.ndim(H) < 2:
+            raise ValueError(
+                f"Hs must be a list or a (G, N, N) stack of grounded "
+                f"Laplacians; an entry of shape {np.shape(H)} is not a "
+                f"matrix")
+        mats.append(_square(H, "H"))
+    if not mats:
+        raise ValueError("at least one grounded Laplacian is required")
+    if any(H.shape != mats[0].shape for H in mats):
+        raise ValueError("all grounded Laplacians must share one size")
+    return np.array(mats)
+
+
 def construct_D(H) -> np.ndarray:
     """Positive diagonal scaling d with D H + H^T D positive definite.
 
@@ -113,15 +132,9 @@ def find_common_D(Hs) -> np.ndarray:
     The search is incomplete; exhausting it raises CommonDNotFound,
     which does not prove that no scaling exists.
     """
-    mats = [_square(H, "H") for H in Hs]
-    if not mats:
-        raise ValueError("at least one grounded Laplacian is required")
-    n = mats[0].shape[0]
-    for H in mats:
-        if H.shape != (n, n):
-            raise ValueError("all grounded Laplacians must share one size")
     # checked once here, so the margin needs no checks of its own per step
-    mats = np.array(mats)
+    mats = _laplacian_stack(Hs)
+    n = mats.shape[-1]
 
     candidates = [np.ones(n)]
     per_graph = []
@@ -234,9 +247,7 @@ def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
     """
     a = _square(A, "A")
     b = _as_matrix(B, "B")
-    mats = np.array([_square(H, "H") for H in Hs])
-    if not mats.size:
-        raise ValueError("at least one grounded Laplacian is required")
+    mats = _laplacian_stack(Hs)
     N = mats.shape[-1]
     d = np.asarray(D, dtype=float).reshape(-1)
     if d.shape[0] != N:

@@ -476,6 +476,25 @@ def test_verify_batch_jobs(workdir, capsys):
             "switching_demo_trajectory.csv").exists()
 
 
+def test_simulate_and_verify_write_the_same_csvs(workdir, capsys):
+    paths = []
+    for demo, src in (("static", STATIC), ("switching", SWITCHING)):
+        path = workdir / f"{demo}.txt"
+        path.write_text(_short(Path(src).read_text(), demo))
+        paths.append(str(path))
+    for command in ("simulate", "verify"):
+        assert main([command, "--scenario", *paths, "--out", command]) == 0
+    capsys.readouterr()
+    written = sorted(p.relative_to(workdir / "simulate")
+                     for p in (workdir / "simulate").rglob("*.csv"))
+    assert len(written) == 4
+    assert written == sorted(p.relative_to(workdir / "verify")
+                             for p in (workdir / "verify").rglob("*.csv"))
+    for rel in written:
+        assert (workdir / "simulate" / rel).read_bytes() == \
+            (workdir / "verify" / rel).read_bytes()
+
+
 def test_batch_worst_code_wins(workdir, capsys):
     path = _overbound_path(workdir)
     assert main(["verify", "--scenario", STATIC, path]) == 1
@@ -610,6 +629,26 @@ def test_a_failed_design_is_reported_for_each_scenario(workdir, capsys,
     assert captured.out == ""
     assert captured.err.count("assumption failure: Assumption 2") == 2
     assert design_calls["synthesize"] == []
+
+
+def test_a_fixed_gain_is_simulated_when_its_design_fails(workdir, capsys):
+    # follower 4 has no path from the leader, so no design exists
+    text = _short(Path(STATIC).read_text(), "fixed").replace(
+        "topology 4 0 1 0 2 1 3 2 4 3 2 4 3", "topology 4 0 1 1 2 2 3")
+    (workdir / "fixed.txt").write_text(text + "K 0.5 0.5\n")
+    assert main(["simulate", "--scenario", "fixed.txt", "--out", "o"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "wrote o/fixed_trajectory.csv" in captured.out
+    rows = (workdir / "o" / "fixed_trajectory.csv").read_text().splitlines()
+    assert rows[0].endswith(",V") and len(rows) == 1002
+    assert all(row.endswith(",nan") for row in rows[1:])
+    # the certificate needs the design
+    assert main(["verify", "--scenario", "fixed.txt", "--out", "v"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("assumption failure: Assumption 2 ")
+    assert not (workdir / "v").exists()
 
 
 def test_batch_refuses_to_write_one_file_twice(workdir, capsys):

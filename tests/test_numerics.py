@@ -378,6 +378,16 @@ def test_lyapunov_rejects_asymmetric_q():
         solve_lyapunov(-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_lyapunov_and_eigenvalues_share_one_symmetry_rule():
+    # an asymmetry far below 1 but as large as the largest entry is
+    # refused by both, however small the matrix's scale
+    Q = np.array([[0.0, 1e-15], [0.0, 0.0]])
+    with pytest.raises(InvalidMatrix, match="^S is not symmetric"):
+        sym_eig_extremes(Q)
+    with pytest.raises(InvalidMatrix, match="^Q is not symmetric"):
+        solve_lyapunov(-np.eye(2), Q)
+
+
 # ----------------------------------------------------------- CARE
 
 def test_care_scalar_closed_form():

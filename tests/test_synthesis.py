@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from leadersync import (SamplingSchedule, Topology, build_H, find_common_D,
-                        load_scenario, synthesize, worst_case_params)
+from leadersync import (SamplingSchedule, SwitchingSignal, Topology, build_H,
+                        find_common_D, load_scenario, simulate, synthesize,
+                        worst_case_params)
 from leadersync import synthesis
 from leadersync.errors import (CommonDNotFound, DConstructionFailure,
                                EnumerationTooLarge, InvalidMatrix,
@@ -366,6 +367,31 @@ def test_design_entry_points_take_arrays_and_stacks():
         find_common_D([Hs[0], wide])
     with pytest.raises(InvalidMatrix, match="H must be square"):
         synthesize(A_DEMO, B_DEMO, 1.0, 1.0, d, [wide])
+
+
+_STACK_READERS = {
+    "find_common_D": find_common_D,
+    "synthesize": lambda Hs: synthesize(A_DEMO, B_DEMO, 1.0, 1.0,
+                                        np.ones(4), Hs),
+    "simulate": lambda Hs: simulate(
+        A_DEMO, B_DEMO, Hs, SwitchingSignal.static(), np.ones((1, 2)),
+        _uniform_schedule(0.01, 10), [1.0, 0.0], np.ones((4, 2))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_STACK_READERS))
+@pytest.mark.parametrize("Hs,message", [
+    ([np.eye(4), np.eye(3)], "all grounded Laplacians must share one size"),
+    ([], "at least one grounded Laplacian is required"),
+    (build_H(Topology(4, EDGES_1)),
+     "Hs must be a list or a (G, N, N) stack of grounded Laplacians; an "
+     "entry of shape (4,) is not a matrix"),
+], ids=["mismatched", "empty", "one-matrix"])
+def test_every_entry_point_reads_the_laplacian_stack_alike(entry, Hs,
+                                                            message):
+    with pytest.raises(ValueError) as exc:
+        _STACK_READERS[entry](Hs)
+    assert str(exc.value) == message
 
 
 # -------------------------------------------------------- enumeration
