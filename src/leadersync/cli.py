@@ -8,6 +8,7 @@ configuration error, 4 I/O error.
 
 import argparse
 from dataclasses import dataclass, field
+import errno
 import functools
 import os
 import sys
@@ -70,15 +71,20 @@ def _map_exception(e: BaseException):
 @dataclass
 class _Batch:
     """What the scenarios of one CLI invocation share: each distinct
-    design, computed once, and the normalized paths it has written."""
+    design, computed once; the terms of each distinct agent model
+    (A, B, mu1, mu2), its Riccati solution among them, computed once
+    for every design over it (see synthesis._agent_terms); and the
+    normalized paths it has written."""
 
     designs: dict = field(default_factory=dict)
+    agents: dict = field(default_factory=dict)
     written: set = field(default_factory=set)
 
     def claim(self, out_dir, *names):
         """The paths of names in out_dir (the working directory when
         None), refused when two of them coincide or the batch already
-        wrote one."""
+        wrote one, and, as the OSError that making out_dir would
+        raise, when out_dir or a directory on its way is a file."""
         paths = [os.path.join(out_dir or "", n) for n in names]
         real = [os.path.realpath(p) for p in paths]
         for i, (p, r) in enumerate(zip(paths, real)):
@@ -88,6 +94,8 @@ class _Batch:
             if r in real[:i]:
                 raise ValueError(f"the trajectory and the schedule would "
                                  f"both be written to {p}")
+        if out_dir:
+            _check_makeable(out_dir)
         return paths
 
     def write(self, out_dir, *files):
@@ -101,25 +109,46 @@ class _Batch:
             writer(path, *args)
 
 
+def _check_makeable(name):
+    """Raise, without making anything, the error that
+    os.makedirs(name, exist_ok=True) raises when name is a file
+    (FileExistsError) or lies under one (NotADirectoryError, naming
+    the first directory it cannot make). It walks name as makedirs
+    does."""
+    head, tail = os.path.split(name)
+    if not tail:
+        head, tail = os.path.split(head)
+    target = os.path.join(head, tail)
+    if head and tail and not os.path.exists(head):
+        _check_makeable(head)
+    elif os.path.exists(target) and not os.path.isdir(target):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), name)
+    elif head and not os.path.isdir(head):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 name)
+
+
 def _write_text(path, text):
     with open(path, "w", newline="\n") as f:
         f.write(text)
 
 
-def _synthesize_for(sc: Scenario, Hs, designs: dict) -> SynthesisResult:
+def _synthesize_for(sc: Scenario, Hs, batch: _Batch) -> SynthesisResult:
     """Full design for a scenario with the (G, N, N) stack Hs of its
     grounded Laplacians, checking reachability first so a disconnected
     graph is reported as the failed assumption rather than as a
     missing scaling.
 
-    designs maps the key of everything the design reads to its result;
-    a design found there is returned as it is, and one that raises is
-    not stored. H fixes the edge set, so reachability needs no key of
-    its own; the modes stay in order, since find_common_D tries their
-    candidates in that order."""
+    batch.designs maps the key of everything the design reads to its
+    result; a design found there is returned as it is, and one that
+    raises is not stored. H fixes the edge set, so reachability needs
+    no key of its own; the modes stay in order, since find_common_D
+    tries their candidates in that order. A new design reads and
+    fills batch.agents."""
     key = (sc.A.shape, sc.A.tobytes(), sc.B.shape, sc.B.tobytes(),
            sc.mu1, sc.mu2, None if sc.D is None else sc.D.tobytes(),
            Hs.shape, Hs.tobytes())
+    designs = batch.designs
     if key in designs:
         return designs[key]
     for p, t in enumerate(sc.topologies):
@@ -128,7 +157,8 @@ def _synthesize_for(sc: Scenario, Hs, designs: dict) -> SynthesisResult:
                 f"graph mode {p}: some follower has no directed path "
                 f"from the leader")
     d = sc.D if sc.D is not None else find_common_D(Hs)
-    designs[key] = synthesize(sc.A, sc.B, sc.mu1, sc.mu2, d, Hs)
+    designs[key] = synthesize(sc.A, sc.B, sc.mu1, sc.mu2, d, Hs,
+                              agents=batch.agents)
     return designs[key]
 
 
@@ -154,7 +184,7 @@ def cmd_synthesize(batch: _Batch, path, out_dir=None):
     sc = load_scenario(path)
     if out_dir:
         [report] = batch.claim(out_dir, f"{sc.name}_synthesis.txt")
-    res = _synthesize_for(sc, _laplacians(sc), batch.designs)
+    res = _synthesize_for(sc, _laplacians(sc), batch)
     lines = [f"scenario {sc.name}", f"modes {len(sc.topologies)}"]
     lines += _design_lines(res)
     lines.append(f"care_residual {_g(res.care_residual)}")
@@ -203,7 +233,7 @@ def cmd_run(batch: _Batch, path, out_dir=None, seed_override=None,
     Hs = _laplacians(sc)
     warn = []
     try:
-        synth = _synthesize_for(sc, Hs, batch.designs)
+        synth = _synthesize_for(sc, Hs, batch)
     except LeaderSyncError:
         # the certificate needs D and P: only simulate with a fixed K
         # runs without a design
@@ -266,8 +296,8 @@ def cmd_enumerate(model_path, followers, mu1=None, mu2=None):
     ms = load_model(model_path)
     m1 = ms.mu1 if mu1 is None else mu1
     m2 = ms.mu2 if mu2 is None else mu2
-    count, _ = admissible_laplacians(followers)
-    res = worst_case_params(ms.A, ms.B, m1, m2, followers)
+    count, Hs = admissible_laplacians(followers)
+    res = worst_case_params(ms.A, ms.B, m1, m2, followers, Hs=Hs)
     lines = [f"model {ms.name}",
              f"followers {followers}",
              f"admissible graphs {count}"]

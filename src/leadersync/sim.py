@@ -618,7 +618,8 @@ def lyapunov_trace(result: SimulationResult,
 
     with np.errstate(over="ignore", invalid="ignore"):
         e = result.errors
-        V = np.einsum("kia,kia->ki", e @ synth.P, e) @ synth.D
+        eP = (e.reshape(-1, n) @ synth.P).reshape(e.shape)
+        V = np.einsum("kia,kia->ki", eP, e) @ synth.D
         V_samples = V[bidx]
 
         # largest V from each sampling instant up to the next (or the end)

@@ -19,7 +19,8 @@ class SynthesisResult:
 
     D holds the diagonal scaling entries; it is None for the
     graph-independent worst-case design, where d_m and d_M aggregate
-    the per-graph scalings instead.
+    the per-graph scalings instead. P is read-only, since designs over
+    one agent model may share it.
     """
 
     P: np.ndarray
@@ -182,7 +183,46 @@ def find_common_D(Hs) -> np.ndarray:
         "ascent search; one may still exist")
 
 
-def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D) -> SynthesisResult:
+@dataclass(frozen=True, eq=False)
+class _AgentTerms:
+    """The ladder's terms that depend on the agent model (A, B, mu1,
+    mu2) alone: the Riccati solution P, read-only so that designs may
+    share it, its residual and extreme eigenvalues, and the spectral
+    norms of A, P B B^T P and B B^T P."""
+
+    P: np.ndarray
+    care_residual: float
+    lam_min_P: float
+    lam_max_P: float
+    norm_A: float
+    norm_PBBP: float
+    norm_BBP: float
+
+
+def _agent_terms(a, b, mu1, mu2, agents=None) -> _AgentTerms:
+    """The agent terms of (a, b, mu1, mu2). agents, when given, maps
+    the key (a.shape, a bytes, b.shape, b bytes, mu1, mu2) to terms
+    computed before: terms found there are returned as they are, and
+    a solve that raises is not stored."""
+    if agents is not None:
+        key = (a.shape, a.tobytes(), b.shape, b.tobytes(), mu1, mu2)
+        if key in agents:
+            return agents[key]
+    care = solve_care(a, b, mu1, mu2)
+    P = care.P
+    P.flags.writeable = False
+    specP = sym_eig_extremes(P)
+    terms = _AgentTerms(
+        P=P, care_residual=care.residual_norm, lam_min_P=specP.lambda_min,
+        lam_max_P=specP.lambda_max, norm_A=spectral_norm(a),
+        norm_PBBP=spectral_norm(P @ b @ b.T @ P),
+        norm_BBP=spectral_norm(b @ b.T @ P))
+    if agents is not None:
+        agents[key] = terms
+    return terms
+
+
+def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D, agents=None) -> SynthesisResult:
     """Gain, sampling bound and every intermediate over a (G, N, N)
     stack Hs of grounded Laplacians with the diagonal scalings ds that
     certify them: one (N,) scaling for all, or (G, N), one per graph.
@@ -190,34 +230,31 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D) -> SynthesisResult:
     Extremes are taken over the stack, so the bound holds for every
     graph in it. Norms are spectral throughout, and Kronecker factors
     use the product identity for their norms and extreme eigenvalues.
-    The weights are checked by solve_care, which runs first. A term
+    The agent terms come first, from agents when it holds them (see
+    _agent_terms); their Riccati solve checks the weights. A term
     that is not finite, or a T_bar that underflows to 0, raises
     NumericalOverflow: such a design certifies nothing."""
-    care = solve_care(a, b, mu1, mu2)
-    P = care.P
+    agent = _agent_terms(a, b, mu1, mu2, agents)
     if not lam1 > 0.0:
         raise DConstructionFailure(
             f"D does not certify definiteness for every graph: "
             f"lambda_min = {lam1:.3e}")
     d_m = float(np.min(ds))
     d_M = float(np.max(ds))
-    specP = sym_eig_extremes(P)
-    lam_m = d_m * specP.lambda_min
-    lam_M = d_M * specP.lambda_max
+    lam_m = d_m * agent.lam_min_P
+    lam_M = d_M * agent.lam_max_P
 
-    norm_A = spectral_norm(a)
-    norm_PBBP = spectral_norm(P @ b @ b.T @ P)
-    norm_BBP = spectral_norm(b @ b.T @ P)
     # each term below grows with its graph's norm, so the largest
     # norm gives the largest term
     norm_DH = float(np.max(spectral_norm(ds[..., :, None] * Hs)))
     norm_H = float(np.max(spectral_norm(Hs)))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         alpha1 = mu1 * d_M / lam1
-        alpha2 = 2.0 * alpha1 * norm_DH * norm_PBBP
+        alpha2 = 2.0 * alpha1 * norm_DH * agent.norm_PBBP
         alpha3 = alpha2 * alpha2 / (2.0 * d_m * mu2)
         try:
-            alpha4 = (norm_A + alpha1 * norm_H * norm_BBP) ** 2 / lam_m
+            alpha4 = ((agent.norm_A + alpha1 * norm_H * agent.norm_BBP) ** 2
+                      / lam_m)
         except OverflowError:  # ** on Python floats raises, not warns
             alpha4 = math.inf
         c1 = d_m * mu2 / (2.0 * lam_M)
@@ -232,11 +269,12 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D) -> SynthesisResult:
     if not ladder["T_bar"] > 0.0:
         raise NumericalOverflow("the sampling bound T_bar underflowed to 0")
     return SynthesisResult(
-        P=P, D=D, K=alpha1 * (b.T @ P), lam1=lam1, mu1=float(mu1),
-        mu2=float(mu2), care_residual=care.residual_norm, **ladder)
+        P=agent.P, D=D, K=alpha1 * (b.T @ agent.P), lam1=lam1,
+        mu1=float(mu1), mu2=float(mu2), care_residual=agent.care_residual,
+        **ladder)
 
 
-def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
+def synthesize(A, B, mu1, mu2, D, Hs, *, agents=None) -> SynthesisResult:
     """Feedback gain K and maximum sampling interval T_bar.
 
     Evaluates the full parameter ladder for the given diagonal scaling
@@ -244,6 +282,11 @@ def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
     static design is the single-element list. Weights that are not
     positive and finite raise ValueError; a ladder that leaves the
     float range raises NumericalOverflow.
+
+    agents, a dict, lets designs over one agent model share its
+    Riccati solution and the other terms that depend on (A, B, mu1,
+    mu2) alone: the first design fills it and the next ones read it.
+    The returned P is read-only either way.
     """
     a = _square(A, "A")
     b = _as_matrix(B, "B")
@@ -254,10 +297,12 @@ def synthesize(A, B, mu1, mu2, D, Hs) -> SynthesisResult:
         raise ValueError(f"D must have {N} entries, got {d.shape[0]}")
     if np.min(d) <= 0.0:
         raise ValueError("D entries must be strictly positive")
-    return _ladder(a, b, mu1, mu2, mats, d, _definiteness_margin(d, mats), d)
+    return _ladder(a, b, mu1, mu2, mats, d, _definiteness_margin(d, mats), d,
+                   agents)
 
 
-def worst_case_params(A, B, mu1, mu2, N: int) -> SynthesisResult:
+def worst_case_params(A, B, mu1, mu2, N: int, *,
+                      Hs=None) -> SynthesisResult:
     """Graph-independent gain and sampling bound.
 
     Runs the ladder once over the grounded Laplacians of every
@@ -266,10 +311,18 @@ def worst_case_params(A, B, mu1, mu2, N: int) -> SynthesisResult:
     is conservative: the returned T_bar is at most every per-graph
     bound. Weights that are not positive and finite raise ValueError;
     a ladder that leaves the float range raises NumericalOverflow.
+
+    Hs is the stack admissible_laplacians(N) returns, for a caller
+    that has enumerated already; by default it is enumerated here.
     """
     a = _square(A, "A")
     b = _as_matrix(B, "B")
-    _, Hs = admissible_laplacians(N)
+    if Hs is None:
+        _, Hs = admissible_laplacians(N)
+    elif np.shape(Hs)[1:] != (N, N):
+        raise ValueError(f"Hs must be a stack of {N}x{N} grounded "
+                         f"Laplacians, got shape {np.shape(Hs)}")
+    Hs = np.asarray(Hs, dtype=float)
     ds, lam1 = _scalings(Hs)
     return _ladder(a, b, mu1, mu2, Hs, ds, lam1, None)
 

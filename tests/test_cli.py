@@ -1,8 +1,10 @@
 import contextlib
 import copy
 import dataclasses
+import errno
 import inspect
 import io
+import os
 import subprocess
 import sys
 import time
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import leadersync
 import leadersync.cli
 from leadersync import (Topology, build_H, errors, find_common_D,
-                        load_scenario, scenario_text, synthesize)
+                        load_scenario, scenario_text, synthesize,
+                        worst_case_params)
 from leadersync.cli import _map_exception, main
 
 from conftest import STATIC, SWITCHING
@@ -529,9 +532,9 @@ def design_calls(monkeypatch):
     calls = {"synthesize": [], "find_common_D": [], "designs": []}
 
     def counted(name, real):
-        def call(*args):
+        def call(*args, **kwargs):
             calls[name].append(args)
-            res = real(*args)
+            res = real(*args, **kwargs)
             if name == "synthesize":
                 calls["designs"].append((res, copy.deepcopy(res)))
             return res
@@ -579,6 +582,64 @@ def test_each_main_call_designs_again(workdir, capsys, design_calls):
     for _ in range(2):
         assert main(["verify", "--scenario"] + paths) == 0
     assert len(design_calls["synthesize"]) == 4
+
+
+@pytest.fixture
+def care_solves(monkeypatch):
+    """The arguments of every Riccati solve a design makes."""
+    solves = []
+    real = leadersync.synthesis.solve_care
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(leadersync.synthesis, "solve_care", counted)
+    return solves
+
+
+@pytest.mark.parametrize("command", ["synthesize", "verify"])
+def test_designs_over_one_agent_model_share_one_riccati_solve(
+        workdir, capsys, design_calls, care_solves, command):
+    paths = _demo_batch(workdir)
+    assert main([command, "--scenario"] + paths) == 0
+    assert len(design_calls["synthesize"]) == 2
+    assert len(care_solves) == 1
+    (static, _), (switching, _) = design_calls["designs"]
+    assert static.P is switching.P and not static.P.flags.writeable
+    shared = capsys.readouterr()
+    # another mu1 is another agent model
+    Path(paths[2]).write_text(
+        Path(paths[2]).read_text().replace("mu1 1.0", "mu1 2.0"))
+    assert main([command, "--scenario"] + paths) == 0
+    assert len(care_solves) == 3
+    capsys.readouterr()
+    # and nothing is kept from one main() call to the next
+    Path(paths[2]).write_text(
+        Path(paths[2]).read_text().replace("mu1 2.0", "mu1 1.0"))
+    assert main([command, "--scenario"] + paths) == 0
+    assert len(care_solves) == 4
+    assert capsys.readouterr() == shared
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+def test_an_unstabilizable_pair_fails_alike_in_a_batch(workdir, capsys,
+                                                       care_solves, command):
+    paths = []
+    # the same agent model over two graphs: two designs
+    for name, edges in (("u1", "0 1  0 2"), ("u2", "0 1  1 2")):
+        path = workdir / f"{name}.txt"
+        path.write_text(UNSTABILIZABLE.replace("0 1  0 2", edges))
+        paths.append(str(path))
+    assert main([command, "--scenario", paths[0]]) == 2
+    single = capsys.readouterr()
+    assert single.out == ""
+    assert single.err.startswith("assumption failure: Assumption 1 ")
+    assert main([command, "--scenario"] + paths) == 2
+    batch = capsys.readouterr()
+    assert batch.out == "" and batch.err == 2 * single.err
+    # a failed solve is not kept, so each scenario solves and fails
+    assert len(care_solves) == 3
 
 
 def test_scenarios_that_differ_in_what_the_design_reads_are_designed_apart(
@@ -706,6 +767,31 @@ def test_scenario_whose_two_outputs_coincide_is_refused(workdir, capsys,
     assert design_calls["synthesize"] == []
 
 
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+def test_an_out_path_at_or_under_a_file_is_refused_before_the_design(
+        workdir, capsys, design_calls, command):
+    (workdir / "afile").write_text("x\n")
+    paths = _demo_batch(workdir)[:2]
+    before = sorted(workdir.rglob("*"))
+    exists = os.strerror(errno.EEXIST)
+    notdir = os.strerror(errno.ENOTDIR)
+    cases = [([paths[0]], "afile",
+              [f"[Errno {errno.EEXIST}] {exists}: 'afile'"]),
+             ([paths[0]], "afile/sub/dir",
+              [f"[Errno {errno.ENOTDIR}] {notdir}: 'afile/sub'"]),
+             (paths, "afile",
+              [f"[Errno {errno.ENOTDIR}] {notdir}: 'afile/{Path(p).stem}'"
+               for p in paths])]
+    for scenarios, out, errs in cases:
+        assert main([command, "--scenario", *scenarios, "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "".join(f"i/o error: {e}\n" for e in errs)
+    assert design_calls["synthesize"] == []
+    assert design_calls["find_common_D"] == []
+    assert sorted(workdir.rglob("*")) == before
+
+
 # -------------------------------------------------------- failure modes
 
 def test_unreachable_names_assumption_2(workdir, capsys):
@@ -739,6 +825,26 @@ def test_missing_file_exits_4(workdir, capsys):
 
 
 # ------------------------------------------------------------ enumerate
+
+def test_enumerate_enumerates_once(workdir, capsys, monkeypatch):
+    calls = []
+    real = leadersync.graph.admissible_laplacians
+
+    def counted(N):
+        calls.append(N)
+        return real(N)
+
+    for module in (leadersync.cli, leadersync.synthesis):
+        monkeypatch.setattr(module, "admissible_laplacians", counted)
+    assert main(["enumerate", "--model", STATIC, "--followers", "2"]) == 0
+    assert calls == [2]
+    out = capsys.readouterr().out
+    assert "admissible graphs 32\n" in out
+    sc = load_scenario(STATIC)
+    res = worst_case_params(sc.A, sc.B, 1.0, 1.0, 2)
+    assert f"T_bar {res.T_bar:.6g}\n" in out
+
+
 
 def test_enumerate_single_follower_matches_static_design(workdir, capsys):
     assert main(["enumerate", "--model", STATIC, "--followers", "1"]) == 0

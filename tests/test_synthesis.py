@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from leadersync import (SamplingSchedule, SwitchingSignal, Topology, build_H,
 from leadersync import synthesis
 from leadersync.errors import (CommonDNotFound, DConstructionFailure,
                                EnumerationTooLarge, InvalidMatrix,
-                               LeaderSyncError, NumericalOverflow)
+                               LeaderSyncError, NotStabilizable,
+                               NumericalOverflow)
 from leadersync.graph import admissible_laplacians
 from leadersync.synthesis import (_definiteness_margin, _rho, _scalings,
                                   construct_D)
@@ -394,6 +396,52 @@ def test_every_entry_point_reads_the_laplacian_stack_alike(entry, Hs,
     assert str(exc.value) == message
 
 
+def test_designs_over_one_agent_model_share_its_terms(monkeypatch):
+    solves = []
+    real = synthesis.solve_care
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(synthesis, "solve_care", counted)
+    graphs = ([build_H(Topology(4, EDGES_1))],
+              [build_H(Topology(4, EDGES_1)), build_H(Topology(4, EDGES_2))])
+    alone = [synthesize(A_DEMO, B_DEMO, 1.0, 1.0, find_common_D(Hs), Hs)
+             for Hs in graphs]
+    assert len(solves) == 2
+    agents = {}
+    shared = [synthesize(A_DEMO, B_DEMO, 1.0, 1.0, find_common_D(Hs), Hs,
+                         agents=agents) for Hs in graphs]
+    assert len(solves) == 3 and len(agents) == 1
+    # the same floats as designs that solve alone, and one read-only P
+    for got, want in zip(shared, alone):
+        for f in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, f.name),
+                                  getattr(want, f.name)), f.name
+    assert shared[0].P is shared[1].P
+    for res in shared + alone:
+        assert not res.P.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            res.P[0, 0] = 0.0
+    # other weights are another agent model
+    synthesize(A_DEMO, B_DEMO, 2.0, 1.0, np.ones(4), graphs[0], agents=agents)
+    assert len(solves) == 4 and len(agents) == 2
+
+
+@pytest.mark.parametrize("A, B, mu1, error", [
+    (A_DEMO, B_DEMO, -1.0, ValueError),
+    (np.eye(2), np.zeros((2, 1)), 1.0, NotStabilizable),
+], ids=["weight", "unstabilizable"])
+def test_an_agent_solve_that_raises_is_not_stored(A, B, mu1, error):
+    agents = {}
+    H = [build_H(Topology(4, EDGES_1))]
+    for _ in range(2):
+        with pytest.raises(error):
+            synthesize(A, B, mu1, 1.0, np.ones(4), H, agents=agents)
+    assert agents == {}
+
+
 # -------------------------------------------------------- enumeration
 
 def _bruteforce_topologies(N):
@@ -494,6 +542,16 @@ def test_worst_case_stacked_matches_per_graph(A, B, N):
     for key, value in want.items():
         np.testing.assert_allclose(getattr(res, key), value, rtol=1e-12,
                                    atol=0.0, err_msg=key)
+
+
+def test_worst_case_takes_the_enumerated_stack():
+    _, Hs = admissible_laplacians(2)
+    got = worst_case_params(A_DEMO, B_DEMO, 1.0, 1.0, 2, Hs=Hs)
+    want = worst_case_params(A_DEMO, B_DEMO, 1.0, 1.0, 2)
+    for f in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+    with pytest.raises(ValueError, match="stack of 3x3 grounded"):
+        worst_case_params(A_DEMO, B_DEMO, 1.0, 1.0, 3, Hs=Hs)
 
 
 def test_stacked_scalings_reject_a_bad_slice():
