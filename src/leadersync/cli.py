@@ -111,17 +111,21 @@ class _Batch:
 
 def _check_makeable(name):
     """Raise, without making anything, the error that
-    os.makedirs(name, exist_ok=True) raises when name is a file
-    (FileExistsError) or lies under one (NotADirectoryError, naming
-    the first directory it cannot make). It walks name as makedirs
-    does."""
+    os.makedirs(name, exist_ok=True) raises when name is a file or a
+    dangling link (FileExistsError), lies under a file
+    (NotADirectoryError) or under a dangling link (FileNotFoundError),
+    naming the first directory it cannot make. It walks name as
+    makedirs does."""
     head, tail = os.path.split(name)
     if not tail:
         head, tail = os.path.split(head)
     target = os.path.join(head, tail)
     if head and tail and not os.path.exists(head):
+        if os.path.lexists(head):  # a dangling link: mkdir finds no parent
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    name)
         _check_makeable(head)
-    elif os.path.exists(target) and not os.path.isdir(target):
+    elif os.path.lexists(target) and not os.path.isdir(target):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), name)
     elif head and not os.path.isdir(head):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),

@@ -1,10 +1,9 @@
 """Matrix operations: eigenvalues, exponentials, Lyapunov and Riccati solvers.
 
 Wrappers that validate inputs, enforce the tolerances below, and
-raise typed errors. Eigenvalues and singular values come from
-LAPACK through ``numpy.linalg``; the exponential (scaling and squaring
-with an order-7 Pade core) and the matrix sign iteration are numpy
-code here.
+raise typed errors. Eigenvalues, eigenvectors and singular values
+come from LAPACK through ``numpy.linalg``; the exponential (scaling
+and squaring with an order-7 Pade core) is numpy code here.
 """
 
 from dataclasses import dataclass
@@ -28,8 +27,6 @@ EXPM_SCALED_NORM = 0.5      # scale so ||M|| / 2^s <= this
 LYAP_RESIDUAL_TOL = 1e-10   # times (1 + ||Q||_F)
 CARE_RESIDUAL_TOL = 1e-9    # times (1 + ||P||_F^2)
 CARE_SYM_TOL = 1e-10        # absolute asymmetry allowed in P
-SIGN_MAX_ITER = 100
-SIGN_CONV_TOL = 1e-12
 
 # stabilizability test
 EIG_REAL_GUARD = 1e-12      # eigenvalues with Re >= -guard are treated as unstable
@@ -46,10 +43,12 @@ class SymmetricSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class CareSolution:
-    """Positive-definite Riccati solution with its Frobenius residual."""
+    """Positive-definite Riccati solution, read-only, with its
+    Frobenius residual and its extreme eigenvalues."""
 
     P: np.ndarray
     residual_norm: float
+    spectrum: SymmetricSpectrum
 
 
 def _as_matrix(M, name="matrix", stack=False):
@@ -217,40 +216,19 @@ def solve_lyapunov(M, Q):
     return X
 
 
-def _matrix_sign(W):
-    """Matrix sign of W by Newton iteration with determinant scaling,
-    stopped when the relative Frobenius change falls below
-    SIGN_CONV_TOL. A singular or non-finite iterate, or no
-    convergence within SIGN_MAX_ITER steps, raises CareFailure."""
-    n = W.shape[0]
-    X = W
-    # an iterate past the float range is caught below, not warned about
-    with np.errstate(over="ignore"):
-        for _ in range(SIGN_MAX_ITER):
-            ad = abs(np.linalg.det(X))
-            if not math.isfinite(ad) or ad == 0.0:
-                break
-            g = ad ** (-1.0 / n)
-            Xn = 0.5 * (g * X + (1.0 / g) * np.linalg.inv(X))
-            den = np.linalg.norm(Xn)
-            if not math.isfinite(den):
-                break
-            if np.linalg.norm(Xn - X) <= SIGN_CONV_TOL * den:
-                return Xn
-            X = Xn
-    raise CareFailure("matrix sign iteration did not converge")
-
-
 def solve_care(A, B, mu1, mu2):
     """Solve P A + A^T P - mu1 P B B^T P + mu2 I = 0 for the unique
     positive-definite P.
 
-    Matrix sign function of the Hamiltonian pencil, a least-squares
-    extraction of the stable subspace, and one Newton refinement step
-    through the Lyapunov solver. The solution is validated: symmetry,
-    positive definiteness, residual bound, and a strictly stable
-    closed-loop matrix A - mu1 B B^T P. Weights that are not positive
-    and finite raise ValueError.
+    Invariant-subspace method (Laub 1979): one LAPACK eigendecomposition
+    of the Hamiltonian, whose n eigenvectors [V1; V2] with eigenvalues
+    of negative real part give P0 = V2 V1^{-1}, then one Newton
+    (Kleinman) refinement step through the Lyapunov solver. Any other
+    count of such eigenvalues, or a singular V1, raises CareFailure.
+    The solution is validated: symmetry, positive definiteness,
+    residual bound, and a strictly stable closed-loop matrix
+    A - mu1 B B^T P. Weights that are not positive and finite raise
+    ValueError.
     """
     if not (0.0 < mu1 < math.inf and 0.0 < mu2 < math.inf):
         raise ValueError(
@@ -265,11 +243,18 @@ def solve_care(A, B, mu1, mu2):
     R = mu1 * (b @ b.T)
     eye = np.eye(n)
     W = np.block([[a, -R], [-mu2 * eye, -a.T]])
-    S = _matrix_sign(W)
-    lhs = np.vstack([S[:n, n:], S[n:, n:] + eye])
-    rhs = -np.vstack([S[:n, :n] + eye, S[n:, :n]])
+    w, V = _lapack(np.linalg.eig, W)
+    stable = V[:, w.real < 0.0]
+    if stable.shape[1] != n:
+        raise CareFailure(
+            f"the Hamiltonian has {stable.shape[1]} eigenvalues with "
+            f"negative real part, not {n}")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        P0, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        try:  # P0 = V2 V1^{-1}, solved as V1^T P0^T = V2^T
+            P0 = np.linalg.solve(stable[:n].T, stable[n:].T).T.real
+        except np.linalg.LinAlgError as exc:
+            raise CareFailure(
+                f"the stable eigenvectors give no solution: {exc}") from exc
         P0 = 0.5 * (P0 + P0.T)
         closed = a - R @ P0
         # symmetric in exact arithmetic; the product chain is not in floats
@@ -285,6 +270,7 @@ def solve_care(A, B, mu1, mu2):
     if asym > CARE_SYM_TOL:
         raise CareFailure(f"solution asymmetry {asym:.3e} exceeds tolerance")
     P = 0.5 * (P_raw + P_raw.T)
+    P.flags.writeable = False  # designs over one agent model share it
     spectrum = sym_eig_extremes(P)
     if not spectrum.lambda_min > 0.0:
         raise CareFailure(
@@ -300,4 +286,4 @@ def solve_care(A, B, mu1, mu2):
     closed_eigs = eigenvalues(a - mu1 * (b @ b.T) @ P)
     if not np.all(closed_eigs.real < 0.0):
         raise CareFailure("closed-loop matrix is not strictly stable")
-    return CareSolution(P=P, residual_norm=res_norm)
+    return CareSolution(P=P, residual_norm=res_norm, spectrum=spectrum)

@@ -9,8 +9,8 @@ import numpy as np
 from .errors import (CommonDNotFound, DConstructionFailure, InvalidMatrix,
                      NumericalOverflow)
 from .graph import _all_nonsingular_M, admissible_laplacians
-from .numerics.linalg import (_as_matrix, _lapack, _square, solve_care,
-                              spectral_norm, sym_eig_extremes)
+from .numerics.linalg import (CareSolution, _as_matrix, _lapack, _square,
+                              solve_care, spectral_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,26 +137,31 @@ def find_common_D(Hs) -> np.ndarray:
     mats = _laplacian_stack(Hs)
     n = mats.shape[-1]
 
-    candidates = [np.ones(n)]
+    # each candidate is built only once the ones before it have failed
+    cand = np.ones(n)
+    if _definiteness_margin(cand, mats) > 0.0:
+        return cand
     per_graph = []
     for H in mats:
         try:
-            per_graph.append(construct_D(H))
+            cand = construct_D(H)
         except DConstructionFailure:
             continue
-    candidates.extend(per_graph)
+        if _definiteness_margin(cand, mats) > 0.0:
+            return cand
+        per_graph.append(cand)
     if per_graph:
         geo = np.exp(np.mean(np.log(np.vstack(per_graph)), axis=0))
-        candidates.append(geo / np.max(geo))
-    for cand in candidates:
+        cand = geo / np.max(geo)
         if _definiteness_margin(cand, mats) > 0.0:
             return cand
 
-    # projected ascent on u = log d, kept at max u = 0 after every step.
-    # The objective is the margin at d = e^(u - max u); that projection
-    # divides the margin by e^(max u), so its subgradient is the
-    # helper's minus the margin at the argmax index of u
-    u = np.log(candidates[-1])
+    # projected ascent on u = log d from the last candidate, kept at
+    # max u = 0 after every step. The objective is the margin at
+    # d = e^(u - max u); that projection divides the margin by
+    # e^(max u), so its subgradient is the helper's minus the margin
+    # at the argmax index of u
+    u = np.log(cand)
     u -= np.max(u)
     best = np.exp(u)
     margin, grad = _definiteness_margin(best, mats, grad=True)
@@ -186,14 +191,11 @@ def find_common_D(Hs) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _AgentTerms:
     """The ladder's terms that depend on the agent model (A, B, mu1,
-    mu2) alone: the Riccati solution P, read-only so that designs may
-    share it, its residual and extreme eigenvalues, and the spectral
-    norms of A, P B B^T P and B B^T P."""
+    mu2) alone: the Riccati solution, whose P is read-only so that
+    designs may share it, and the spectral norms of A, P B B^T P and
+    B B^T P."""
 
-    P: np.ndarray
-    care_residual: float
-    lam_min_P: float
-    lam_max_P: float
+    care: CareSolution
     norm_A: float
     norm_PBBP: float
     norm_BBP: float
@@ -210,11 +212,8 @@ def _agent_terms(a, b, mu1, mu2, agents=None) -> _AgentTerms:
             return agents[key]
     care = solve_care(a, b, mu1, mu2)
     P = care.P
-    P.flags.writeable = False
-    specP = sym_eig_extremes(P)
     terms = _AgentTerms(
-        P=P, care_residual=care.residual_norm, lam_min_P=specP.lambda_min,
-        lam_max_P=specP.lambda_max, norm_A=spectral_norm(a),
+        care=care, norm_A=spectral_norm(a),
         norm_PBBP=spectral_norm(P @ b @ b.T @ P),
         norm_BBP=spectral_norm(b @ b.T @ P))
     if agents is not None:
@@ -241,8 +240,9 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D, agents=None) -> SynthesisResult:
             f"lambda_min = {lam1:.3e}")
     d_m = float(np.min(ds))
     d_M = float(np.max(ds))
-    lam_m = d_m * agent.lam_min_P
-    lam_M = d_M * agent.lam_max_P
+    P = agent.care.P
+    lam_m = d_m * agent.care.spectrum.lambda_min
+    lam_M = d_M * agent.care.spectrum.lambda_max
 
     # each term below grows with its graph's norm, so the largest
     # norm gives the largest term
@@ -269,8 +269,9 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D, agents=None) -> SynthesisResult:
     if not ladder["T_bar"] > 0.0:
         raise NumericalOverflow("the sampling bound T_bar underflowed to 0")
     return SynthesisResult(
-        P=agent.P, D=D, K=alpha1 * (b.T @ agent.P), lam1=lam1,
-        mu1=float(mu1), mu2=float(mu2), care_residual=agent.care_residual,
+        P=P, D=D, K=alpha1 * (b.T @ P), lam1=lam1,
+        mu1=float(mu1), mu2=float(mu2),
+        care_residual=agent.care.residual_norm,
         **ladder)
 
 

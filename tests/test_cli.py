@@ -622,6 +622,41 @@ def test_designs_over_one_agent_model_share_one_riccati_solve(
     assert capsys.readouterr() == shared
 
 
+def test_a_demo_batch_takes_one_spectrum_of_p_per_agent_model(
+        workdir, capsys, monkeypatch):
+    # the definiteness check of the Riccati solve gives the ladder its
+    # extreme eigenvalues of P; counted at every binding of the function
+    calls = []
+    real = leadersync.numerics.linalg.sym_eig_extremes
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (leadersync.numerics.linalg, leadersync.synthesis):
+        monkeypatch.setattr(module, "sym_eig_extremes", counted,
+                            raising=False)
+    assert main(["synthesize", "--scenario"] + _demo_batch(workdir)) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.count("scenario ") == 4
+
+
+def test_the_demo_designs_build_no_quotient_scaling(workdir, capsys,
+                                                    monkeypatch):
+    # the identity certifies both demos, so no per-graph scaling is built
+    calls = []
+    real = leadersync.synthesis.construct_D
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(leadersync.synthesis, "construct_D", counted)
+    assert main(["synthesize", "--scenario"] + _demo_batch(workdir)) == 0
+    assert calls == []
+    assert "D: 1 1 1 1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
 def test_an_unstabilizable_pair_fails_alike_in_a_batch(workdir, capsys,
                                                        care_solves, command):
@@ -792,6 +827,42 @@ def test_an_out_path_at_or_under_a_file_is_refused_before_the_design(
     assert sorted(workdir.rglob("*")) == before
 
 
+def _makedirs_outcome(call, path):
+    """(class, errno, filename) of the OSError call(path) raises, or
+    None."""
+    try:
+        call(path)
+    except OSError as exc:
+        return type(exc), exc.errno, exc.filename
+    return None
+
+
+@pytest.mark.parametrize("path", [
+    "afile", "afile/sub", "afile/sub/dir", "dangling", "dangling/sub",
+    "lfile", "lfile/sub", "ldir/new", "d", "new/sub"])
+def test_the_out_check_raises_what_makedirs_raises(tmp_path, monkeypatch,
+                                                  path):
+    def tree(root):
+        root.mkdir()
+        (root / "afile").write_text("x\n")
+        (root / "d").mkdir()
+        (root / "dangling").symlink_to(root / "nowhere")
+        (root / "lfile").symlink_to(root / "afile")
+        (root / "ldir").symlink_to(root / "d")
+        return root
+
+    checked = tree(tmp_path / "checked")
+    made = tree(tmp_path / "made")
+    before = sorted(checked.rglob("*"))
+    monkeypatch.chdir(checked)
+    got = _makedirs_outcome(leadersync.cli._check_makeable, path)
+    assert sorted(checked.rglob("*")) == before
+    monkeypatch.chdir(made)
+    want = _makedirs_outcome(
+        lambda p: os.makedirs(p, exist_ok=True), path)
+    assert got == want
+
+
 # -------------------------------------------------------- failure modes
 
 def test_unreachable_names_assumption_2(workdir, capsys):
@@ -876,13 +947,17 @@ def test_enumerate_too_many_followers(workdir, capsys):
 
 def test_enumerate_overflowing_riccati_solution_is_one_typed_line(workdir,
                                                                  capsys):
-    # the Riccati residual overflows; it is refused as a numerical
-    # failure, with no numpy warning (an error under the test settings)
-    assert main(["enumerate", "--model", STATIC, "--followers", "2",
-                 "--mu1", "1e-300", "--mu2", "1e-10"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ")
-    assert "left the float range" in err and err.count("\n") == 1
+    # the Riccati residual overflows, or the rounded solution is
+    # indefinite; each is refused as a numerical failure, with no numpy
+    # warning (an error under the test settings)
+    for mu1, mu2, message in (
+            ("1e-160", "1e-200", "the residual left the float range"),
+            ("1e-300", "1e-10", "solution is not positive definite")):
+        assert main(["enumerate", "--model", STATIC, "--followers", "2",
+                     "--mu1", mu1, "--mu2", mu2]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: " + message)
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("mu1", ["inf", "nan"])

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leadersync.errors import (CareFailure, EigenFailure, InvalidMatrix,
                                LyapunovSingular, NotStabilizable,
@@ -397,6 +398,18 @@ def test_care_scalar_closed_form():
     assert math.isclose(sol.P[0, 0], expected, rel_tol=1e-12)
 
 
+def _assert_care_solves(A, B, mu1, mu2, P):
+    """P is a symmetric, positive-definite, stabilizing solution of the
+    Riccati equation of (A, B, mu1, mu2), up to a scaled residual."""
+    n = A.shape[0]
+    res = P @ A + A.T @ P - mu1 * (P @ B @ B.T @ P) + mu2 * np.eye(n)
+    assert float(np.linalg.norm(res)) < 1e-8 * (1.0 + float(np.linalg.norm(P)) ** 2)
+    assert np.allclose(P, P.T, atol=1e-10)
+    assert sym_eig_extremes(P).lambda_min > 0.0
+    closed = A - mu1 * (B @ B.T @ P)
+    assert np.max(eigenvalues(closed).real) < 0.0
+
+
 def test_care_random_pairs():
     rng = np.random.default_rng(81)
     for _ in range(15):
@@ -405,13 +418,39 @@ def test_care_random_pairs():
         mu1 = float(rng.uniform(0.5, 2.0))
         mu2 = float(rng.uniform(0.5, 2.0))
         sol = solve_care(A, B, mu1, mu2)
-        P = sol.P
-        res = P @ A + A.T @ P - mu1 * (P @ B @ B.T @ P) + mu2 * np.eye(n)
-        assert float(np.linalg.norm(res)) < 1e-8 * (1.0 + float(np.linalg.norm(P)) ** 2)
-        assert np.allclose(P, P.T, atol=1e-10)
-        assert sym_eig_extremes(P).lambda_min > 0.0
-        closed = A - mu1 * (B @ B.T @ P)
-        assert np.max(eigenvalues(closed).real) < 0.0
+        _assert_care_solves(A, B, mu1, mu2, sol.P)
+        assert not sol.P.flags.writeable
+        spectrum = sym_eig_extremes(sol.P)
+        assert (sol.spectrum.lambda_min, sol.spectrum.lambda_max) == \
+            (spectrum.lambda_min, spectrum.lambda_max)
+
+
+def test_care_large_weights_on_the_ring_agent():
+    # the agent of the 16-follower ring benchmark: two coupled copies
+    # of the demo agent, one input each
+    A = np.array([[-0.38, 0.72, 0.05, 0.0], [-0.68, 0.42, 0.0, 0.0],
+                  [0.0, 0.0, -0.38, 0.72], [0.0, 0.05, -0.68, 0.42]])
+    B = np.array([[0.26, 0.0], [0.31, 0.0], [0.0, 0.26], [0.0, 0.31]])
+    for mu1, mu2 in ((1e6, 1e6), (1e4, 1e8), (1e8, 1e4)):
+        _assert_care_solves(A, B, mu1, mu2, solve_care(A, B, mu1, mu2).P)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       m=st.integers(1, 2), log_mu1=st.floats(-3.0, 3.0),
+       log_mu2=st.floats(-3.0, 3.0))
+def test_care_outcomes_are_typed(seed, n, m, log_mu1, log_mu2):
+    # a solution that passes every check, or a typed refusal; never a
+    # numpy warning or another exception
+    A, B = oracles.random_stabilizable(n, m, np.random.default_rng(seed))
+    mu1, mu2 = 10.0 ** log_mu1, 10.0 ** log_mu2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = solve_care(A, B, mu1, mu2)
+        except (CareFailure, NotStabilizable):
+            return
+    _assert_care_solves(A, B, mu1, mu2, sol.P)
 
 
 def test_care_not_stabilizable():
@@ -419,23 +458,27 @@ def test_care_not_stabilizable():
         solve_care(np.eye(2), np.zeros((2, 1)), 1.0, 1.0)
 
 
-def test_care_sign_iteration_past_the_float_range_is_typed():
-    # the determinant of the first sign iterate overflows; the test
-    # settings turn a numpy warning into an error
+def test_care_weights_past_the_float_range_fail_the_refinement():
+    # the Newton step's Lyapunov solve is inaccurate or overflows; the
+    # test settings turn a numpy warning into an error
     A = np.array([[-0.38, 0.72], [-0.68, 0.42]])
     B = np.array([[0.26], [0.31]])
     for mu1, mu2 in ((1e300, 1.0), (1e-200, 1e200)):
-        with pytest.raises(CareFailure, match="did not converge"):
+        with pytest.raises(CareFailure, match="^Newton refinement failed: "):
             solve_care(A, B, mu1, mu2)
 
 
 def test_care_residual_past_the_float_range_is_refused():
-    # P reaches about 1e300, so the refinement's residual overflows to
-    # inf; a bound of 1 + |P|^2, inf too, used to let it through
+    # at (1e-160, 1e-200) P reaches about 1e300, so the refinement's
+    # residual overflows to inf; a bound of 1 + |P|^2, inf too, used to
+    # let it through. At (1e-300, 1e-10) the rounded P is indefinite
     A = np.array([[-0.38, 0.72], [-0.68, 0.42]])
     B = np.array([[0.26], [0.31]])
-    with pytest.raises(CareFailure, match="left the float range"):
-        solve_care(A, B, 1e-300, 1e-10)
+    for mu1, mu2, message in (
+            (1e-160, 1e-200, "^the residual left the float range$"),
+            (1e-300, 1e-10, "^solution is not positive definite")):
+        with pytest.raises(CareFailure, match=message):
+            solve_care(A, B, mu1, mu2)
 
 
 def test_care_rejects_bad_weights():
