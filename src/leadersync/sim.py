@@ -124,35 +124,43 @@ CSV_BLOCK_VALUES = 2048
 # output rows one grouped product of simulate computes at a time, so
 # that its gathered operand and its result stay bounded
 _GROUP_ROWS = 4096
-# 8-byte words a run holds per output row besides its d + n states, N
-# error norms and the d + N squares and sums these or V are computed
-# from: the times and their integer-to-float copy, V, the eight index
-# arrays that place the rows (out_ticks, seg, offset, at_knot, inner,
-# key, order, grouped) and the two arrays out_ticks is sorted and
-# deduplicated from
+# 8-byte words a run holds per output row besides its D = d + n
+# states (the followers' errors and the leader), N error norms and the
+# d + N squares and sums these or V are computed from: the times and
+# their integer-to-float copy, V, the eight index arrays that place the
+# rows (out_ticks, seg, offset, at_knot, inner, key, order, grouped)
+# and the two arrays out_ticks is sorted and deduplicated from
 _ROW_WORDS = 13
-# ... and per sampling interval besides the d + n of its opening state:
-# the ticks, modes, openings and gaps, and the temporaries that snap
-# the instants to the grid
+# ... and per sampling interval besides the D of its opening state: the
+# ticks, modes, openings and gaps, and the temporaries that snap the
+# instants to the grid, which are freed before the table key of each
+# interval is listed
 _INTERVAL_WORDS = 12
+# ... and per table block an interval steps by: the numpy view simulate
+# makes of it once, with its entries in the set and the dict that find
+# it, about 260 bytes under CPython 3.11
+_VIEW_WORDS = 33
 
 
 def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
                   n_rows: int) -> int:
-    """Refuse a run whose transition tables (modes x (L + 1) blocks of
-    d x d, d = N n, plus L + 1 leader blocks and L + 1 input-gain blocks
-    of n x n) and the rest it allocates in simulate, the certificate
-    trace and the trajectory CSV would together exceed SIM_MEMORY_BUDGET
-    bytes: the output rows with their index arrays, error norms and V,
-    the states at the sampling instants, one grouped product, and the
-    CSV's block with the formatter's working memory and tables. Returns
-    the bytes counted."""
-    d = N * n
-    table = 8 * (L + 1) * (modes * d * d + 2 * n * n)
+    """Refuse a run whose transition table (modes x (L + 1) blocks of
+    D x D, D = (N + 1) n, for the followers' errors and the leader) and
+    the rest it allocates in simulate, the certificate trace and the
+    trajectory CSV would together exceed SIM_MEMORY_BUDGET bytes: the
+    two n x n recursions the table is built from, the output rows with
+    their index arrays, error norms and V, the states at the sampling
+    instants, the views of the table blocks the intervals step by, one
+    grouped product, and the CSV's block with the formatter's working
+    memory and tables. Returns the bytes counted."""
+    d, D = N * n, (N + 1) * n
+    table = 8 * modes * (L + 1) * D * D
     block = max(CSV_BLOCK_VALUES, 2 + n + d + N)
-    outputs = (8 * (n_rows * (2 * (d + N) + n + _ROW_WORDS)
-                    + (n_open + 1) * (d + n + _INTERVAL_WORDS)
-                    + 2 * min(n_rows, _GROUP_ROWS) * d)
+    outputs = (8 * (2 * (L + 1) * n * n
+                    + n_rows * (2 * (d + N) + n + _ROW_WORDS)
+                    + (n_open + 1) * (D + _INTERVAL_WORDS)
+                    + min(n_open, modes * (L + 1)) * _VIEW_WORDS
+                    + 2 * min(n_rows, _GROUP_ROWS) * D)
                # 16 bytes per value: the block and the followers' states
                + block * (16 + floattext.WORK_BYTES_PER_VALUE)
                + floattext.TABLE_BYTES)
@@ -161,7 +169,7 @@ def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
         raise InvalidSchedule(
             f"simulation needs {(table + outputs) / mib:.1f} MiB "
             f"({table / mib:.1f} MiB of transition tables for {modes} "
-            f"mode(s) x {L + 1} steps of {d}x{d} blocks, "
+            f"mode(s) x {L + 1} steps of {D}x{D} blocks, "
             f"{outputs / mib:.1f} MiB for {n_rows} output rows), above "
             f"the budget of {SIM_MEMORY_BUDGET / mib:.0f} MiB; shorten the "
             f"longest sampling gap or the horizon, or raise grid_h or "
@@ -340,19 +348,23 @@ class SimulationResult:
 
 def _transition_tables(A: np.ndarray, B: np.ndarray, K: np.ndarray,
                        Hs: np.ndarray, grid_h: float, L: int):
-    """Phi[p, l], the error transition over l = 0..L grid steps of a
-    held input in graph mode p, and Lead[l] = E^l, the leader's.
+    """Phi[p, l], the transition of the state z = [e_1; ...; e_N; x_0]
+    (the followers' errors, then the leader) over l = 0..L grid steps
+    of a held input in graph mode p: modes x (L + 1) blocks of D x D,
+    D = (N + 1) n, in one table.
 
     Every agent shares A, B and K, so one Van Loan exponential of the
     agent, expm([[A, B], [0, 0]] grid_h) with top row [E, Gamma], gives
     the one-step blocks of the network: F = I kron E and
-    G_p = -H_p kron (Gamma K). With Psi_l = E Psi_{l-1} + Gamma
+    G_p = -H_p kron (Gamma K), the leader being agent N + 1, whose row
+    and column of H_p are zero. With Psi_l = E Psi_{l-1} + Gamma
     (Psi_0 = 0) the input gain accumulated over l held steps,
     Phi[p, l] = F^l + sum_{j<l} F^j G_p = I kron E^l - H_p kron (Psi_l K),
-    written block by block into one table.
+    written block by block: the leader's diagonal block is E^l and its
+    coupling blocks are exactly zero.
     """
     N, (n, m) = Hs.shape[1], B.shape
-    d = N * n
+    D = (N + 1) * n
     vl = np.zeros((n + m, n + m))
     vl[:n, :n] = A
     vl[:n, n:] = B
@@ -368,13 +380,13 @@ def _transition_tables(A: np.ndarray, B: np.ndarray, K: np.ndarray,
         negPsiK[l] = E @ negPsiK[l - 1] + negGammaK
     # one table-sized allocation; a zero entry of H_p leaves its block
     # zero, so only the nonzero entries are written
-    Phi = np.zeros((Hs.shape[0], L + 1, d, d))
-    blocks = Phi.reshape(Hs.shape[0], L + 1, N, n, N, n)
+    Phi = np.zeros((Hs.shape[0], L + 1, D, D))
+    blocks = Phi.reshape(Hs.shape[0], L + 1, N + 1, n, N + 1, n)
     for p, i, j in zip(*np.nonzero(Hs)):
         np.multiply(Hs[p, i, j], negPsiK, out=blocks[p, :, i, :, j, :])
-    for i in range(N):
+    for i in range(N + 1):
         blocks[:, :, i, :, i, :] += Lead
-    return Phi, Lead
+    return Phi
 
 
 def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
@@ -386,21 +398,26 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
     stacks the grounded Laplacian of each graph mode. On each interval
     the active graph is the one the switching signal selects at the
     interval's opening instant and the input is the error feedback
-    frozen there, so the error state l grid steps after the opening is
-    Phi[p, l] times the opening state. Since every agent shares A, B
-    and K, the table Phi[p, 0..L] (L the longest interval in grid
-    steps) is assembled as I kron E^l - H_p kron (Psi_l K) from one
-    (n + m) x (n + m) Van Loan exponential of the agent, and the leader
-    advances by the same powers E^l (see _transition_tables). The run
-    then costs one matrix-vector product per interval plus one matrix
-    product per (mode, offset) group of output rows. Outputs are taken
-    at every multiple of output_dt (default grid_h), at every sampling
-    instant, and at the horizon.
+    frozen there. The leader rides along as agent N + 1, uncoupled, so
+    the state z = [e_1; ...; e_N; x_0] of the followers' errors and the
+    leader l grid steps after the opening is Phi[p, l] times the opening
+    state. Since every agent shares A, B and K, the table Phi[p, 0..L]
+    (L the longest interval in grid steps) of D x D blocks,
+    D = (N + 1) n, is assembled as I kron E^l - H_p kron (Psi_l K) from
+    one (n + m) x (n + m) Van Loan exponential of the agent (see
+    _transition_tables). The run then costs one matrix-vector product
+    per interval plus one matrix product per (mode, offset) group of
+    output rows, and errors and leader are written as C-contiguous
+    arrays. Outputs are taken at every multiple of output_dt (default
+    grid_h), at every sampling instant, and at the horizon.
 
     A gap outside the schedule's [T_low, T_high] raises InvalidSchedule,
     as does a run needing more than SIM_MEMORY_BUDGET bytes: the tables
     and output arrays are sized before any of them is allocated. A
     diverging run raises no numpy warning: its states become inf or NaN.
+    A run where the errors or the leader leave the float range is
+    stepped again with the two apart, so that the other keeps its
+    values rather than a NaN from an exact zero block.
     """
     a, b = _square(A, "A"), _as_matrix(B, "B")
     n, m = b.shape
@@ -458,7 +475,7 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
     # output rows: the stride multiples, the horizon, every instant
     off_stride = used_ticks[used_ticks % stride != 0]
     n_rows = grid_rows + int(np.count_nonzero(off_stride != hor))
-    d = N * n
+    d, D = N * n, (N + 1) * n
     L = int(steps.max()) if n_open else 0
     _check_memory(len(Hs), L, N, n, n_open, n_rows)
 
@@ -471,44 +488,60 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
     seg = np.searchsorted(knots, out_ticks, side="right") - 1
     offset = out_ticks - knots[seg]
     at_knot = offset == 0
+    knot_seg = seg[at_knot]
     # every other row is one product per (mode, offset) group: the rows
-    # in key order, and the bounds, mode and offset of each group
+    # in key order, and the bounds and table block of each group
     inner = np.flatnonzero(~at_knot)
     key = mode_idx[seg[inner]] * (L + 1) + offset[inner]
     order = np.argsort(key, kind="stable")
     grouped, key = inner[order], key[order]
+    grouped_seg = seg[grouped]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    group_p, group_l = np.divmod(key[first], L + 1)
-    groups = zip(first.tolist(), np.append(first[1:], key.size).tolist(),
-                 group_p.tolist(), group_l.tolist())
+    groups = list(zip(first.tolist(), np.append(first[1:], key.size).tolist(),
+                      key[first].tolist()))
+    # the table block of each interval
+    keys = (mode_idx * (L + 1) + steps).tolist()
 
     # a diverging run ends in non-finite states, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        Phi, Lead = _transition_tables(a, b, Km, Hs, grid_h, L)
-
-        # states at every opening instant and at the horizon; each
-        # product writes its row of X and Y and is the next one's operand
-        X = np.empty((n_open + 1, d))
-        Y = np.empty((n_open + 1, n))
-        X[0] = (foll0 - lead0[None, :]).reshape(-1)
-        Y[0] = lead0
-        x, y = X[0], Y[0]
-        for s, p, l in zip(range(1, n_open + 1), mode_idx.tolist(),
-                           steps.tolist()):
-            x = Phi[p, l].dot(x, out=X[s])
-            y = Lead[l].dot(y, out=Y[s])
-
+        Phi = _transition_tables(a, b, Km, Hs, grid_h, L).reshape(-1, D, D)
+        # z at every opening instant and at the horizon, and the outputs
+        Z = np.empty((n_open + 1, D))
+        Z[0, :d] = (foll0 - lead0[None, :]).reshape(-1)
+        Z[0, d:] = lead0
         err = np.empty((n_rows, d))
         leader = np.empty((n_rows, n))
-        err[at_knot] = X[seg[at_knot]]
-        leader[at_knot] = Y[seg[at_knot]]
-        grouped_seg = seg[grouped]
-        for a, b, p, l in groups:
-            for lo in range(a, b, _GROUP_ROWS):
-                hi = min(lo + _GROUP_ROWS, b)
-                rows, knot = grouped[lo:hi], grouped_seg[lo:hi]
-                err[rows] = X[knot] @ Phi[p, l].T
-                leader[rows] = Y[knot] @ Lead[l].T
+
+        def propagate(part, outs):
+            """Step columns part of Z by the diagonal table blocks
+            Phi[:, part, part], one product per interval, each writing
+            its row of Z and being the next one's operand; then fill the
+            output rows, one product per (mode, offset) group, each out
+            array taking its columns of the product."""
+            table, states = Phi[:, part, part], Z[:, part]
+            views = {k: table[k] for k in set(keys)}
+            z = states[0]
+            for z_next, k in zip(states[1:], keys):
+                z = views[k].dot(z, out=z_next)
+            for out, cols in outs:
+                out[at_knot] = states[knot_seg, cols]
+            for start, stop, k in groups:
+                block = table[k].T
+                for lo in range(start, stop, _GROUP_ROWS):
+                    hi = min(lo + _GROUP_ROWS, stop)
+                    rows = grouped[lo:hi]
+                    prod = states[grouped_seg[lo:hi]] @ block
+                    for out, cols in outs:
+                        out[rows] = prod[:, cols]
+
+        everything = slice(None)
+        propagate(everything, ((err, slice(0, d)), (leader, slice(d, D))))
+        if not np.isfinite(Z).all():
+            # a non-finite state times an exact zero block is NaN, so a
+            # run that left the float range steps its errors and its
+            # leader apart, the one never touching the other
+            propagate(slice(0, d), ((err, everything),))
+            propagate(slice(d, D), ((leader, everything),))
 
     return SimulationResult(
         times=out_ticks.astype(float) * grid_h, leader=leader,

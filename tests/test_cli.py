@@ -278,8 +278,9 @@ def test_simulate_refuses_output_rows_before_drawing_schedule(workdir,
 def test_run_over_the_memory_budget_is_refused_before_the_design(
         workdir, capsys, monkeypatch, command):
     # 400 followers on a leader-fed ring with every gap 100 grid steps:
-    # the table of any run holds 101 blocks of 800 x 800, about 520 MB,
-    # so the design is not worth computing
+    # the table of any run holds 101 blocks of 802 x 802 (the followers'
+    # errors and the leader), about 520 MB, so the design is not worth
+    # computing
     lines = ["name wide_ring", "A 2  -0.38 0.72  -0.68 0.42",
              "B 2 1  0.26 0.31", "mu1 1.0", "mu2 1.0",
              "topology 400  0 1 " + " ".join(f"{i} {i + 1}"
@@ -297,7 +298,7 @@ def test_run_over_the_memory_budget_is_refused_before_the_design(
     assert main([command, "--scenario", str(path)]) == 3
     err = capsys.readouterr().err
     assert "configuration error" in err
-    assert "transition tables" in err and "101 steps of 800x800" in err
+    assert "transition tables" in err and "101 steps of 802x802" in err
 
 
 def test_output_dt_past_the_horizon_gives_the_same_csvs(workdir, capsys):

@@ -437,6 +437,102 @@ def test_simulate_makes_one_expm_of_the_agent_size(monkeypatch):
     assert sizes == [(3, 3)]
 
 
+@st.composite
+def table_cases(draw):
+    """Dimensions, graph modes, a table length and a matrix seed for
+    _transition_tables."""
+    N, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 2))
+    pair = st.tuples(st.integers(0, N), st.integers(1, N)).filter(
+        lambda e: e[0] != e[1])
+    tops = [Topology(N, frozenset(draw(st.lists(pair, max_size=2 * N))))
+            for _ in range(draw(st.integers(1, 2)))]
+    return dict(N=N, n=n, m=m, tops=tops, L=draw(st.integers(0, 6)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(case=table_cases())
+def test_transition_table_carries_the_leader_uncoupled(case):
+    # z = [e_1; ...; e_N; x_0]: the leader's block of Phi[p, l] is E^l,
+    # its coupling blocks are exact zeros, and the error blocks are
+    # I kron E^l - H_p kron (Psi_l K)
+    N, n, m, L, h = case["N"], case["n"], case["m"], case["L"], 0.05
+    rng = np.random.default_rng(case["seed"])
+    A, B = rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, m))
+    K = rng.uniform(-1, 1, (m, n))
+    Hs = np.stack([build_H(t) for t in case["tops"]])
+    Phi = leadersync.sim._transition_tables(A, B, K, Hs, h, L)
+    d, D = N * n, (N + 1) * n
+    assert Phi.shape == (len(Hs), L + 1, D, D)
+
+    vl = np.zeros((n + m, n + m))
+    vl[:n, :n], vl[:n, n:] = A, B
+    top = leadersync.sim.expm(vl, h)[:n]
+    E, Gamma = top[:, :n], top[:, n:]
+    El, Psi = np.eye(n), np.zeros((n, m))
+    for l in range(L + 1):
+        for p, H in enumerate(Hs):
+            block = Phi[p, l]
+            np.testing.assert_array_equal(block[d:, d:], El)
+            assert np.all(block[d:, :d] == 0.0)
+            assert np.all(block[:d, d:] == 0.0)
+            want = np.kron(np.eye(N), El) - np.kron(H, Psi @ K)
+            assert (np.max(np.abs(block[:d, :d] - want))
+                    <= 1e-15 * np.max(np.abs(want)))
+        El, Psi = E @ El, E @ Psi + Gamma
+
+
+def test_check_memory_counts_the_table_simulate_builds(monkeypatch):
+    # two modes on the switching demo's graphs: with no intervals and no
+    # output rows, only the table term of _check_memory grows with the
+    # mode count
+    tables, counted = [], []
+    build, check = (leadersync.sim._transition_tables,
+                    leadersync.sim._check_memory)
+    monkeypatch.setattr(leadersync.sim, "_transition_tables",
+                        lambda *a: tables.append(build(*a)) or tables[-1])
+    monkeypatch.setattr(leadersync.sim, "_check_memory",
+                        lambda *a: counted.append(a) or check(*a))
+    args, _ = _demo_setup(SWITCHING)
+    res = simulate(*args)
+    [(modes, L, N, n, _, _)] = counted
+    [Phi] = tables
+    assert modes == 2 and Phi.shape == (2, L + 1, (N + 1) * n, (N + 1) * n)
+    assert (check(modes, L, N, n, 0, 0) - check(0, L, N, n, 0, 0)
+            == Phi.nbytes)
+    assert res.errors.flags.c_contiguous and res.leader.flags.c_contiguous
+
+
+@pytest.mark.parametrize("part", ["leader", "errors"])
+def test_a_part_past_the_float_range_leaves_the_other_exact(part):
+    # the leader and the errors step by one table whose coupling blocks
+    # are exact zeros, and an inf times zero is NaN: when one part
+    # overflows, the other must still be what it is in a run without it.
+    # One scalar follower, 300 gaps of 10 grid steps
+    sched = _schedule(np.arange(301) * 0.01, 0.001)
+    H = [np.ones((1, 1))]
+
+    def run(A, K, lead, foll):
+        return simulate([[A]], [[1.0]], H, SwitchingSignal.static(), [[K]],
+                        sched, [lead], [[foll]])
+
+    if part == "leader":
+        # the leader grows by e^10 a second from 1e300, while K = 20
+        # shrinks the errors by about 0.9 a gap
+        bad = run(10.0, 20.0, 1e300, 3e300)
+        ref = run(10.0, 20.0, 0.0, 3e300 - 1e300)
+        kept, lost = "errors", "leader"
+    else:
+        # K = -1000 grows the errors about elevenfold a gap, while the
+        # leader decays
+        bad = run(-1.0, -1000.0, 1.0, 1e300)
+        ref = run(-1.0, -1000.0, 1.0, 1.0)
+        kept, lost = "leader", "errors"
+    assert not np.isfinite(getattr(bad, lost)).all()
+    np.testing.assert_array_equal(getattr(bad, kept), getattr(ref, kept))
+
+
 def test_simulate_mode_chosen_at_interval_opening():
     t_a = Topology(2, frozenset([(0, 1), (1, 2)]))
     t_b = Topology(2, frozenset([(0, 1), (0, 2)]))
