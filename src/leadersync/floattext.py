@@ -24,6 +24,17 @@ fixed notation with at least one digit after the point while the
 decimal exponent lies in [-4, 16), ``e`` notation with a signed
 exponent of at least two digits otherwise. The tables are built on
 first use, not at import.
+
+A block's working memory is the most arrays live at one time, so the
+kernel writes into arrays that are used up, drops each temporary at its
+last use, holds flags as bool, and avoids the ufunc buffers numpy
+allocates for a broadcast operand. The text is gathered 256 values at
+a time, each run freed of its pad bytes before the next. No array of a
+4096-value block reaches 128 KiB, glibc's default mmap threshold, so
+each one reuses heap the process already holds instead of touching
+fresh pages. The kernel keeps to the dtypes of the ufunc loops the
+rest of the package runs, since each new loop pages in more of
+numpy's library code.
 """
 
 import functools
@@ -49,17 +60,20 @@ _DIGITS = 17                # most significant digits a double needs
 _FORMS = 24                 # decimal-point layouts per digit count
 _WIDTH = 25                 # longest text ("-1.2345678901234567e-308"), + sep
 
-# a value's source row: 17 digits after 3 zeros, its exponent's 3
-# digits and a zero pad byte, its separator, then (from byte 32, one
-# uint64 word) the constants; bytes 25-31 are never read
-_ZERO, _DIG0, _EXP, _PAD, _SEP = 0, 3, 20, 23, 24
-(_DOT, _MINUS, _E, _PLUS, _N, _A, _I, _F) = range(32, 40)
-_ROW = 40
-_GATHER_VALUES = 512
+# a value's source row, seven uint32 words: a point, a minus and a
+# zero before its 17 digits, its exponent's 3 digits and a NUL pad
+# byte, then its separator, "e" and "+" (byte 27 is never read); the
+# letters of inf and nan are written over their digits
+_DOT, _MINUS, _ZERO, _DIG0, _EXP, _PAD, _SEP, _E, _PLUS = (
+    0, 1, 2, 3, 20, 23, 24, 25, 26)
+_ROW = 28
+_GATHER_VALUES = 256
 
-# the most bytes format_rows holds per value of its block, and the most
-# the tables take while they are built, for a caller's memory budget
-WORK_BYTES_PER_VALUE = 256
+# the most bytes format_rows holds per value of a block of 4096 values
+# or more (about 100 measured; the gather's fixed 170 KB is spread over
+# them), and the most the tables take while they are built, for a
+# caller's memory budget
+WORK_BYTES_PER_VALUE = 128
 TABLE_BYTES = 1 << 20
 
 
@@ -96,11 +110,12 @@ class _Tables(NamedTuple):
     k: np.ndarray
     pow10: np.ndarray      # 10^0 .. 10^17
     ndigits: np.ndarray    # digits of 2^(be - 1023) by biased exponent be
+    lead: np.ndarray       # ".-0" and the digit 0..9, as uint32
     quads: np.ndarray      # ASCII of 0000..9999, trailing zeros << 32
     form: np.ndarray       # layout by decimal exponent - _E_MIN
     exp_quad: np.ndarray   # ASCII of |exponent| and a NUL, by exp - _E_MIN
     templates: np.ndarray  # source columns of each text (see _layout)
-    consts: np.uint64      # the constant columns as one word
+    tail: np.uint32        # ",e+" and a NUL, the last word of a row
 
 
 @functools.cache
@@ -134,6 +149,8 @@ def _tables() -> _Tables:
     chars = np.empty((10000, 4), dtype=np.uint8)
     for j, p in enumerate((1000, 100, 10, 1)):
         chars[:, j] = np.arange(10000, dtype=np.int16) // p % 10 + ord("0")
+    lead = np.frombuffer(b"".join(b".-0" + bytes([ord("0") + d])
+                                  for d in range(10)), dtype=np.uint32)
     quads = chars.view(np.uint32)[:, 0].astype(np.uint64)
     for p in (10, 100, 1000, 10000):
         quads[::p] += _U1 << _U32
@@ -148,7 +165,7 @@ def _tables() -> _Tables:
     exp_digits[:, :3] = chars[np.abs(E), 1:]
     exp_quad = exp_digits.view(np.uint32)[:, 0]
 
-    templates = np.full((2 * _DIGITS * _FORMS + 5, _WIDTH), _PAD,
+    templates = np.full((2 * _DIGITS * _FORMS + 4, _WIDTH), _PAD,
                         dtype=np.uint8)
     for sign in (0, 1):
         for n in range(1, _DIGITS + 1):
@@ -158,14 +175,15 @@ def _tables() -> _Tables:
                     cols = [_MINUS] + cols
                 templates[(sign * _DIGITS + n - 1) * _FORMS + f,
                           :len(cols)] = cols
+    letters = [_DIG0, _DIG0 + 1, _DIG0 + 2]
     specials = ([_ZERO, _DOT, _ZERO], [_MINUS, _ZERO, _DOT, _ZERO],
-                [_I, _N, _F], [_MINUS, _I, _N, _F], [_N, _A, _N])
+                letters, [_MINUS] + letters)
     for j, cols in enumerate(specials):
         templates[2 * _DIGITS * _FORMS + j, :len(cols)] = cols
     templates[:, -1] = _SEP
-    consts = np.frombuffer(b".-e+naif", dtype=np.uint64)[0]
-    return _Tables(g1, g0, h, k, pow10, ndigits, quads, form, exp_quad,
-                   templates, consts)
+    tail = np.frombuffer(b",e+\0", dtype=np.uint32)[0]
+    return _Tables(g1, g0, h, k, pow10, ndigits, lead, quads, form,
+                   exp_quad, templates, tail)
 
 
 def _layout(n, form):
@@ -186,99 +204,158 @@ def _layout(n, form):
     return digit[:E + 1] + [_DOT] + digit[E + 1:max(n, E + 2)]
 
 
-def _product(a, b):
-    """The 128-bit product of a < 2^63 and b < 2^61, as (low, high)
-    halves."""
-    a1, a0 = a >> _U32, a & _MASK_32
-    b1, b0 = b >> _U32, b & _MASK_32
-    mid = a1 * b0
-    mid += (a0 * b0) >> _U32
-    mid += a0 * b1
-    hi = a1 * b1
-    hi += mid >> _U32
-    return a * b, hi
-
-
-def _plus_shifted(lo, hi, g, s):
-    """The 128-bit hi 2^64 + lo plus g 2^s, as (lo, hi)."""
-    d = g << s
-    lo = lo + d
-    return lo, hi + (g >> (_U64 - s)) + (lo < d)
-
-
-def _minus_shifted(lo, hi, g, s):
-    """The 128-bit hi 2^64 + lo minus g 2^s, as (lo, hi)."""
-    d = g << s
-    return lo - d, hi - (g >> (_U64 - s)) - (lo < d)
+def _high(a, b1, b0, out=None):
+    """The high half of the 128-bit product of a < 2^63 and
+    b = b1 2^32 + b0 < 2^61, from b's 32-bit halves; b0 may be out."""
+    a1 = a >> _U32
+    a0 = a & _MASK_32
+    mid = a0 * b0
+    mid >>= _U32
+    a0 *= b1
+    mid += a0
+    np.multiply(a1, b0, out=a0)
+    mid += a0
+    del a0
+    mid >>= _U32
+    hi = np.multiply(a1, b1, out=out)
+    hi += mid
+    return hi
 
 
 def _rop(y0, y1, x1):
     """cp g 2^-127 rounded to odd, g = g1 2^63 + g0, from g1 cp =
     y1 2^64 + y0 and the high half x1 of g0 cp, as the JDK's rop: the
     floor, with its lowest bit set when the fraction (without the low
-    half of g0 cp) is nonzero."""
-    z = y0 >> _U1
-    z += x1
-    v = y1 + (z >> _U63)
-    z &= _MASK_63
-    z += _MASK_63
-    z >>= _U63
-    v |= z
-    return v
+    half of g0 cp) is nonzero. The arguments are overwritten; the result
+    is y1."""
+    y0 >>= _U1
+    y0 += x1
+    np.right_shift(y0, _U63, out=x1)
+    y1 += x1
+    y0 &= _MASK_63
+    y0 += _MASK_63
+    y0 >>= _U63
+    y1 |= y0
+    return y1
+
+
+def _end(y0, y1, x1, xcarry, g1, g0, s, add):
+    """The rop of g cp for cp = 4c 2^h plus (add) or minus 2^s, an end
+    of the rounding interval, from the products with 4c 2^h: g1 4c 2^h
+    = y1 2^64 + y0 and the high half x1 of g0 4c 2^h, whose low half
+    carries xcarry into x1 when g0 2^s is added or subtracted. s is
+    turned into 64 - s for the high halves and back."""
+    op = np.add if add else np.subtract
+    # the low half of g1 cp, and its carry out (or borrow in)
+    d = g1 << s
+    if add:
+        lo = y0 + d
+        carry = lo < d
+    else:
+        carry = y0 < d
+        lo = y0 - d
+    # the high halves, x1 and y1 moved by g 2^s
+    np.subtract(_U64, s, out=s)
+    np.right_shift(g1, s, out=d)
+    op(y1, d, out=d)
+    op(d, carry, out=d)
+    del carry
+    xh = g0 >> s
+    np.subtract(_U64, s, out=s)
+    op(x1, xh, out=xh)
+    op(xh, xcarry, out=xh)
+    return _rop(lo, d, xh)
 
 
 def _shortest(mag, tab):
     """Shortest decimal of each positive finite double given by its bits:
     a 17-digit significand f (trailing zeros pad the shorter ones) and
-    the decimal exponent of its first digit."""
-    # temporaries are dropped as soon as they are used up, since the
-    # working memory of a block grows with their count
-    t = mag & _MASK_52
+    the decimal exponent of its first digit. mag is overwritten."""
     bq = mag >> _U52
+    c = mag
+    c &= _MASK_52
     # the table row, (bq << 1) | irregular
-    irregular = (t == _U0) & (bq > _U1)
-    row = bq << _U1
+    irregular = c == _U0
+    irregular &= bq > _U1
+    c |= (bq != _U0) * _C_MIN
+    row = bq
+    row <<= _U1
     row += irregular
     row = row.view(np.int64)
-    c = t
-    c |= (bq != _U0) * _C_MIN
-    del bq
     k = tab.k.take(row)
-    g1, g0, h = tab.g1.take(k), tab.g0.take(k), tab.h.take(row)
-    odd = c & _U1
+    h = tab.h.take(row)
+    del row, bq
+    g1, g0 = tab.g1.take(k), tab.g0.take(k)
+    odd = (c & _U1) == _U1
     c <<= _U2
     c <<= h
-    y0, y1 = _product(g1, c)
-    x0, x1 = _product(g0, c)
-    del c
-    vb = _rop(y0, y1, x1)
+    # g1 c and g0 c, the halves of c split once for both
+    y0 = g1 * c
+    x0 = g0 * c
+    c1 = c >> _U32
+    c &= _MASK_32
+    y1 = _high(g1, c1, c)
+    # into c's words, used up here: the caller holds them as mag
+    x1 = _high(g0, c1, c, out=c)
+    del c, c1
     # the ends of the rounding interval scale (4c + 2) 2^h and
     # (4c - 2) 2^h, or (4c - 1) 2^h on the irregular rows, so their
-    # products are those of 4c 2^h plus or minus g1 and g0 shifted
-    up = h
-    up += _U1
-    vbr = _rop(*_plus_shifted(y0, y1, g1, up),
-               _plus_shifted(x0, x1, g0, up)[1])
-    down = up - irregular
-    vbl = _rop(*_minus_shifted(y0, y1, g1, down),
-               _minus_shifted(x0, x1, g0, down)[1])
+    # products are those of 4c 2^h plus or minus g1 and g0 shifted by
+    # h + 1, or by h at the lower end of an irregular row
+    shift = h
+    shift += _U1
+    # the carry out of the low half of g0 cp at either end, taken first
+    # so that x0 is dropped before the ends are computed
+    t = g0 << shift
+    up_carry = (x0 + t) < t
+    shift -= irregular
+    np.left_shift(g0, shift, out=t)
+    down_borrow = x0 < t
+    del t, x0
+    vbl = _end(y0, y1, x1, down_borrow, g1, g0, shift, False)
+    shift += irregular
+    del down_borrow, irregular
+    vbr = _end(y0, y1, x1, up_carry, g1, g0, shift, True)
+    del shift, h, up_carry, g1, g0
+    vb = _rop(y0, y1, x1)
+    del y0, y1, x1
     vbl += odd
     vbr -= odd
+    del odd
 
     # one digit fewer: u' = s', w' = s' + 1 in units of 10^(k + 1)
     s = vb >> _U2
     sp10 = s // _U10
     sp10 *= _U10
-    upin = vbl <= sp10 << _U2
-    wpin = (sp10 + _U10) << _U2 <= vbr
+    t = sp10 << _U2
+    upin = vbl <= t
+    np.add(sp10, _U10, out=t)
+    t <<= _U2
+    wpin = t <= vbr
     # else u = s, w = s + 1 in units of 10^k: the one in the interval,
     # or the closer one when both are, ties to even (the interval is at
     # least 10^k wide, so one of them always is)
-    uin = vbl <= s << _U2
-    win = (s + _U1) << _U2 <= vbr
-    closer_t = (vb & _U3) + (s & _U1) > _U2
-    f = s + (win & (closer_t | ~uin))
-    f = np.where(upin != wpin, sp10 + wpin * _U10, f)
+    np.left_shift(s, _U2, out=t)
+    outside = vbl > t
+    t += _U4
+    win = t <= vbr
+    del vbl, vbr
+    np.bitwise_and(s, _U1, out=t)
+    t += vb & _U3
+    del vb
+    closer = t > _U2
+    del t
+    closer |= outside
+    closer &= win
+    del outside, win
+    f = s
+    f += closer
+    del closer
+    sp10 += wpin * _U10
+    upin = upin != wpin
+    del wpin
+    f = np.where(upin, sp10, f)
+    del sp10, upin
 
     # digit count from the float exponent of f, which can round up to
     # the next power of two but never past a power of ten
@@ -296,27 +373,36 @@ def _text_sources(f, E, tab):
     decimal exponent E - _E_MIN, and the trailing zeros of f. f is
     overwritten."""
     src = np.empty((f.shape[0], _ROW), dtype=np.uint8)
-    src.view(np.uint64)[:, 4] = tab.consts
     words = src.view(np.uint32)
+    words[:, 6] = tab.tail
     words[:, 5] = tab.exp_quad.take(E)
-    lead = f // _E16
-    f -= lead * _E16
-    hi = f // _E8
-    f -= hi * _E8
-    quads = [lead]
-    for x in (hi, f):
-        q = x // _E4
-        x -= q * _E4
-        quads += [q, x]
+    # the first digit and four quads of digits: f's quotients by 10^16,
+    # 10^12, 10^8 and 10^4 in turn, each taken off f, and then f
+    q = np.empty_like(f)
     zeros = None
-    for j, q in enumerate(quads):
-        entry = tab.quads.take(q.view(np.int64))
-        # a uint32 word keeps the entry's low half, the ASCII digits
-        words[:, j] = entry
-        if j:
+    for j, p in enumerate((_E16, _E4 * _E8, _E8, _E4, None)):
+        if p is None:
+            q = f
+        else:
+            np.floor_divide(f, p, out=q)
+        if not j:
+            words[:, 0] = tab.lead.take(q.view(np.int64))
+        else:
+            entry = tab.quads.take(q.view(np.int64))
+            # a uint32 word keeps the entry's low half, the ASCII digits
+            words[:, j] = entry
             entry >>= _U32
-            # a quad of zeros adds its 4 to the zeros before it
-            zeros = entry if j == 1 else entry + (entry == _U4) * zeros
+        if p is not None:
+            q *= p
+            f -= q
+        if j == 1:
+            zeros = entry
+        elif j:
+            # a quad of zeros (4, the one count with bit 2 set) adds its
+            # 4 to the zeros before it
+            np.right_shift(entry, _U2, out=q)
+            zeros *= q
+            zeros += entry
     return src, zeros
 
 
@@ -334,38 +420,55 @@ def format_rows(block: np.ndarray) -> bytes:
     mag = bits & _MASK_63
     special = (mag == _U0) | (mag >= _INF_BITS)
     any_special = bool(special.any())
-    f, E = _shortest(np.where(special, _ONE_BITS, mag) if any_special
-                     else mag, tab)
+    if any_special:
+        np.copyto(mag, _ONE_BITS, where=special)
+    f, E = _shortest(mag, tab)
+    del mag
     E -= _E_MIN
     src, zeros = _text_sources(f, E, tab)
     del f  # its remainders, left by _text_sources
-    src[:, _SEP] = ord(",")
     src.reshape(rows, cols, _ROW)[:, -1, _SEP] = ord("\n")
 
     # the template row: sign, digit count, then layout
-    neg = (bits >> _U63).view(np.int64)
-    layout = neg * _DIGITS
+    layout = (bits >> _U63).view(np.int64)
+    layout *= _DIGITS
     layout += _DIGITS - 1
     layout -= zeros.view(np.int64)
+    del zeros
     layout *= _FORMS
     layout += tab.form.take(E)
+    del E
     if any_special:
-        # 0.0, -0.0, inf, -inf, nan
-        code = np.where(mag == _U0, 0, np.where(mag == _INF_BITS, 2, 4))
-        code += np.where(code < 4, neg, 0)
-        layout = np.where(special, 2 * _DIGITS * _FORMS + code, layout)
+        # 0.0 and -0.0, then the letters of inf and nan and those of
+        # -inf (NaN is written without its sign)
+        mag = bits & _MASK_63
+        nan = mag > _INF_BITS
+        src[nan, _DIG0:_DIG0 + 3] = np.frombuffer(b"nan", dtype=np.uint8)
+        src[mag == _INF_BITS, _DIG0:_DIG0 + 3] = np.frombuffer(
+            b"inf", dtype=np.uint8)
+        code = np.where(mag == _U0, 0, 2)
+        del mag
+        code += np.where(nan, 0, (bits >> _U63).view(np.int64))
+        code += 2 * _DIGITS * _FORMS
+        np.copyto(layout, code, where=special)
+        del nan, code
 
-    # the gather, a few hundred values at a time: its flat index takes
-    # 8 bytes per output byte
-    text = np.empty((nv, _WIDTH), dtype=np.uint8)
-    flat = src.reshape(-1)
-    for lo in range(0, nv, _GATHER_VALUES):
-        hi = min(lo + _GATHER_VALUES, nv)
-        # cast before the offsets are added: a mixed-type add would
-        # allocate casting buffers larger than the index
-        idx = tab.templates.take(layout[lo:hi], axis=0).astype(np.intp)
-        idx += np.arange(lo * _ROW, hi * _ROW, _ROW)[:, None]
-        flat.take(idx, out=text[lo:hi], mode="clip")
-    # the pad bytes dropped (a boolean mask would build an index of
-    # 8 bytes per kept byte)
-    return text.tobytes().translate(None, b"\0")
+    # the gather, a few hundred values at a time (its index takes 8
+    # bytes per output byte), each run of text freed of its pad bytes
+    # (a boolean mask would build an index of 8 bytes per kept byte)
+    step = min(nv, _GATHER_VALUES)
+    # each value's row offset, once per byte: a broadcast add would
+    # allocate ufunc buffers larger than the index
+    offsets = np.repeat(np.arange(0, step * _ROW, _ROW),
+                        _WIDTH).reshape(step, _WIDTH)
+    idx = np.empty((step, _WIDTH), dtype=np.intp)
+    text = np.empty((step, _WIDTH), dtype=np.uint8)
+    pieces = []
+    for lo in range(0, nv, step):
+        m = min(step, nv - lo)
+        np.add(tab.templates.take(layout[lo:lo + m], axis=0), offsets[:m],
+               out=idx[:m])
+        src[lo:lo + m].reshape(-1).take(idx[:m], out=text[:m], mode="clip")
+        pieces.append(text[:m].tobytes().translate(None, b"\0"))
+    del src, layout
+    return b"".join(pieces)

@@ -24,7 +24,7 @@ RANK_REL_TOL = 1e-9         # sigma > tol * sigma_max counts toward rank
 EXPM_SCALED_NORM = 0.5      # scale so ||M|| / 2^s <= this
 
 # Lyapunov / Riccati
-LYAP_RESIDUAL_TOL = 1e-10   # times (1 + ||Q||_F)
+LYAP_RESIDUAL_TOL = 1e-10   # times (1 + ||Q||_F + 2 ||M||_F ||X||_F)
 CARE_RESIDUAL_TOL = 1e-9    # times (1 + ||P||_F^2)
 CARE_SYM_TOL = 1e-10        # absolute asymmetry allowed in P
 
@@ -207,6 +207,12 @@ def solve_lyapunov(M, Q):
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         res_norm = float(np.linalg.norm(m.T @ X + X @ m + q))
         bound = LYAP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(q)))
+        if res_norm > bound:
+            # the backward-error bound: rounding leaves a residual of
+            # order ||M^T X + X M||, so a large X may leave more than
+            # ||Q|| accounts for
+            bound += LYAP_RESIDUAL_TOL * 2.0 * float(
+                np.linalg.norm(m) * np.linalg.norm(X))
     if not math.isfinite(res_norm):
         raise LyapunovSingular("Lyapunov solution left the float range")
     if res_norm > bound:

@@ -120,7 +120,7 @@ CSV_BLOCK_ROWS = 64
 # values the trajectory CSV formats at a time: a block is the most rows
 # that hold this many, so its working memory does not grow with the
 # run or with the column count
-CSV_BLOCK_VALUES = 2048
+CSV_BLOCK_VALUES = 4096
 # output rows one grouped product of simulate computes at a time, so
 # that its gathered operand and its result stay bounded
 _GROUP_ROWS = 4096

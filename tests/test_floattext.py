@@ -14,7 +14,7 @@ import leadersync.sim
 from leadersync.floattext import format_rows
 
 import oracles
-from conftest import STATIC, SWITCHING
+from conftest import STATIC, SWITCHING, ring_setup
 
 
 def _same_as_repr(values, cols):
@@ -82,22 +82,27 @@ def test_format_rows_edge_shapes():
 
 def test_format_rows_working_memory_within_its_bound():
     # the bounds simulate's memory budget counts for the formatter, on a
-    # trajectory CSV's block of values
+    # trajectory CSV's block at the demos' width (16 columns) and at the
+    # 16-follower ring's (86); the block's bytes stay within the 512 KiB
+    # of 2048 values at 256 bytes each that it was first given
     floattext._tables.cache_clear()
     nv = leadersync.sim.CSV_BLOCK_VALUES
+    assert floattext.WORK_BYTES_PER_VALUE * nv <= 256 * 2048
     tracemalloc.start()
     try:
         floattext._tables()
         tables = tracemalloc.get_traced_memory()[1]
         rng = np.random.default_rng(3)
         peaks = []
-        for values in (rng.standard_normal(nv),
-                       np.where(rng.random(nv) < 0.3, np.nan, -1e-300),
-                       np.zeros(nv)):
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            format_rows(values.reshape(-1, 16))
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        for cols in (16, 86):
+            size = nv // cols * cols
+            for values in (rng.standard_normal(size),
+                           np.where(rng.random(size) < 0.3, np.nan, -1e-300),
+                           np.zeros(size)):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                format_rows(values.reshape(-1, cols))
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
     assert tables <= floattext.TABLE_BYTES
@@ -116,11 +121,12 @@ def test_importing_the_cli_builds_no_tables(source_env):
 
 # ------------------------------------------------- the trajectory CSV
 
-def _demo_run(path):
+def _demo_run(path, horizon=None):
     sc = load_scenario(path)
     Hs = [build_H(t) for t in sc.topologies]
     synth = synthesize(sc.A, sc.B, sc.mu1, sc.mu2, find_common_D(Hs), Hs)
-    sched = gen_schedule(sc.T_low, sc.T_high, sc.grid_h, sc.horizon, sc.seed)
+    sched = gen_schedule(sc.T_low, sc.T_high, sc.grid_h,
+                         horizon or sc.horizon, sc.seed)
     res = simulate(sc.A, sc.B, Hs, sc.signal, synth.K, sched, sc.x0_leader,
                    sc.x0_followers, sc.output_dt)
     return res, lyapunov_trace(res, synth).V
@@ -142,6 +148,32 @@ def _diverging_run():
 @pytest.mark.parametrize("path", [STATIC, SWITCHING])
 def test_trajectory_csv_bytes_match_the_repr_writer(path, tmp_path):
     res, V = _demo_run(path)
+    for v in (V, None):
+        write_trajectory_csv(tmp_path / "new.csv", res, v)
+        oracles.write_trajectory_csv_repr(tmp_path / "ref.csv", res, v)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+
+def _ring_run():
+    args, synth = ring_setup(0.5)
+    res = simulate(*args)
+    return res, lyapunov_trace(res, synth).V
+
+
+def _short_demo_run():
+    # the length of the benchmark's demos: 4001 rows
+    return _demo_run(SWITCHING, 4.0)
+
+
+@pytest.mark.parametrize("make_run", [_ring_run, _short_demo_run])
+def test_trajectory_csv_bytes_match_past_one_block(make_run, tmp_path):
+    # the 16-follower ring's 86 columns and a demo's 16, over several
+    # blocks with a partial one last
+    res, V = make_run()
+    n_out, N, n = res.errors.shape
+    rows = leadersync.sim.CSV_BLOCK_VALUES // (2 + (N + 1) * n + N)
+    assert n_out > 3 * rows and n_out % rows
     for v in (V, None):
         write_trajectory_csv(tmp_path / "new.csv", res, v)
         oracles.write_trajectory_csv_repr(tmp_path / "ref.csv", res, v)

@@ -425,6 +425,52 @@ def test_care_random_pairs():
             (spectrum.lambda_min, spectrum.lambda_max)
 
 
+def _from_hex(rows):
+    return np.array([[float.fromhex(x) for x in row] for row in rows])
+
+
+def test_care_solution_bytes_of_the_shipped_agents():
+    # the demo agent and the 16-follower ring's agent at mu1 = mu2 = 1:
+    # a wider Lyapunov residual bound changes no accepted P
+    A = np.array([[-0.38, 0.72], [-0.68, 0.42]])
+    B = np.array([[0.26], [0.31]])
+    assert solve_care(A, B, 1.0, 1.0).P.tobytes() == _from_hex(
+        [["0x1.cdae22e5efa9cp+2", "-0x1.d8471eb0a59dcp+1"],
+         ["-0x1.d8471eb0a59dcp+1", "0x1.95ae66b3f85b5p+2"]]).tobytes()
+    A = np.array([[-0.38, 0.72, 0.05, 0.0], [-0.68, 0.42, 0.0, 0.0],
+                  [0.0, 0.0, -0.38, 0.72], [0.0, 0.05, -0.68, 0.42]])
+    B = np.array([[0.26, 0.0], [0.31, 0.0], [0.0, 0.26], [0.0, 0.31]])
+    assert solve_care(A, B, 1.0, 1.0).P.tobytes() == _from_hex(
+        [["0x1.d26f26a715a1ap+2", "-0x1.e2e1ecb982fd2p+1",
+          "0x1.15edbadd4d30ap+0", "-0x1.5bef7ad398679p-4"],
+         ["-0x1.e2e1ecb982fd2p+1", "0x1.9b5607b51c9e8p+2",
+          "-0x1.c4fc543823f94p-1", "0x1.2e7f5c8c9eadcp-1"],
+         ["0x1.15edbadd4d30ap+0", "-0x1.c4fc543823f94p-1",
+          "0x1.d100e7653349bp+2", "-0x1.d4d56f930a2d6p+1"],
+         ["-0x1.5bef7ad398679p-4", "0x1.2e7f5c8c9eadcp-1",
+          "-0x1.d4d56f930a2d6p+1", "0x1.961469a197c71p+2"]]).tobytes()
+
+
+def test_care_large_solution_passes_the_newton_step():
+    # a pair from a seeded sweep of oracles.random_stabilizable (A scaled
+    # by 0.1, mu1 = mu2 = 1e3): P reaches 2e7, and the Newton step's
+    # Lyapunov residual is within the backward-error bound
+    # LYAP_RESIDUAL_TOL (1 + ||Q|| + 2 ||M|| ||X||) but not within
+    # LYAP_RESIDUAL_TOL (1 + ||Q||), which refused it
+    A = _from_hex(
+        [["-0x1.b980f74aeee8ap-5", "0x1.4d27d09414a99p-3",
+          "-0x1.5bb7e2b6d07dcp-3"],
+         ["-0x1.dcb8f39c36755p-8", "-0x1.0ff83a8d94478p-4",
+          "0x1.a93d2c4893f07p-5"],
+         ["0x1.29f9f6bdb4aa0p-3", "0x1.75f7bc1f6d5b1p-3",
+          "0x1.f2474cc7b2a8fp-5"]])
+    B = _from_hex([["-0x1.2e1a54d6c793dp+1"], ["0x1.b9bafb6efcb29p-2"],
+                   ["0x1.908c1e5ed38e8p+0"]])
+    sol = solve_care(A, B, 1e3, 1e3)
+    _assert_care_solves(A, B, 1e3, 1e3, sol.P)
+    assert sol.spectrum.lambda_max > 1e7
+
+
 def test_care_large_weights_on_the_ring_agent():
     # the agent of the 16-follower ring benchmark: two coupled copies
     # of the demo agent, one input each
@@ -459,12 +505,16 @@ def test_care_not_stabilizable():
 
 
 def test_care_weights_past_the_float_range_fail_the_refinement():
-    # the Newton step's Lyapunov solve is inaccurate or overflows; the
-    # test settings turn a numpy warning into an error
+    # the Newton step's Lyapunov solve overflows, or is within its
+    # backward-error bound but leaves a Riccati residual past the
+    # accuracy gate; the test settings turn a numpy warning into an error
     A = np.array([[-0.38, 0.72], [-0.68, 0.42]])
     B = np.array([[0.26], [0.31]])
-    for mu1, mu2 in ((1e300, 1.0), (1e-200, 1e200)):
-        with pytest.raises(CareFailure, match="^Newton refinement failed: "):
+    for mu1, mu2, message in (
+            (1e300, 1.0, "^residual .* exceeds tolerance$"),
+            (1e-200, 1e200, "^Newton refinement failed: Lyapunov solution "
+                            "left the float range$")):
+        with pytest.raises(CareFailure, match=message):
             solve_care(A, B, mu1, mu2)
 
 

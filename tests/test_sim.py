@@ -16,7 +16,7 @@ from leadersync.errors import IncompleteTrace, InvalidMatrix, InvalidSchedule
 from leadersync.sim import MASK64, _splitmix64
 
 import oracles
-from conftest import STATIC, SWITCHING
+from conftest import STATIC, SWITCHING, ring_setup
 
 A2 = np.array([[-0.38, 0.72], [-0.68, 0.42]])
 B2 = np.array([[0.26], [0.31]])
@@ -677,7 +677,7 @@ def test_run_memory_per_output_row_within_the_budget(tmp_path, monkeypatch):
     # squares as large as the states, which the fixed terms of a short
     # run hide, so the budget must grow at least as fast as the peak
     # between two runs past _GROUP_ROWS output rows
-    peaks, budgets = zip(*(_run_peak(*_ring_setup(horizon),
+    peaks, budgets = zip(*(_run_peak(*ring_setup(horizon),
                                      tmp_path / "traj.csv", monkeypatch)
                            for horizon in (5.0, 8.0)))
     assert peaks[1] <= budgets[1]
@@ -764,23 +764,6 @@ def test_lyapunov_trace_rho_is_the_contraction_factor():
     assert rep.rho == rep.rho_threshold == cf.rho
 
 
-def _ring_setup(horizon):
-    """16 followers of 4 states on a leader-fed ring: the arguments of
-    simulate for a run up to the horizon, and the design."""
-    A = np.array([[-0.38, 0.72, 0.05, 0.0], [-0.68, 0.42, 0.0, 0.0],
-                  [0.0, 0.0, -0.38, 0.72], [0.0, 0.05, -0.68, 0.42]])
-    B = np.array([[0.26, 0.0], [0.31, 0.0], [0.0, 0.26], [0.0, 0.31]])
-    N = 16
-    edges = [(0, i) for i in range(1, N + 1)]
-    edges += [(i, i + 1) for i in range(1, N)] + [(N, 1)]
-    Hs = [build_H(Topology(N, frozenset(edges)))]
-    synth = synthesize(A, B, 1.0, 1.0, find_common_D(Hs), Hs)
-    rng = np.random.default_rng(3)
-    return (A, B, Hs, SwitchingSignal.static(), synth.K,
-            gen_schedule(0.001, 0.04, 0.001, horizon, 9),
-            rng.uniform(-3, 3, 4), rng.uniform(-3, 3, (N, 4))), synth
-
-
 def _demo_setup(path, output_dt=None):
     """The arguments of simulate for a scenario file's run, with its
     output pitch replaced, and the design."""
@@ -794,7 +777,7 @@ def _demo_setup(path, output_dt=None):
 
 
 def _ring_run():
-    args, synth = _ring_setup(0.5)
+    args, synth = ring_setup(0.5)
     return simulate(*args), synth
 
 
