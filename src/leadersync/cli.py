@@ -22,8 +22,8 @@ from .graph import admissible_laplacians, build_H, leader_reachable
 from .scenario import Scenario, load_model, load_scenario, read_number
 from .sim import (check_run_memory, check_seed, gen_schedule, lyapunov_trace,
                   simulate, write_schedule_csv, write_trajectory_csv)
-from .synthesis import (SynthesisResult, find_common_D, synthesize,
-                        worst_case_params)
+from .synthesis import (SynthesisResult, _agent_key, find_common_D,
+                        synthesize, worst_case_params)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -149,9 +149,8 @@ def _synthesize_for(sc: Scenario, Hs, batch: _Batch) -> SynthesisResult:
     no key of its own; the modes stay in order, since find_common_D
     tries their candidates in that order. A new design reads and
     fills batch.agents."""
-    key = (sc.A.shape, sc.A.tobytes(), sc.B.shape, sc.B.tobytes(),
-           sc.mu1, sc.mu2, None if sc.D is None else sc.D.tobytes(),
-           Hs.shape, Hs.tobytes())
+    key = _agent_key(sc.A, sc.B, sc.mu1, sc.mu2) + (
+        None if sc.D is None else sc.D.tobytes(), Hs.shape, Hs.tobytes())
     designs = batch.designs
     if key in designs:
         return designs[key]

@@ -128,8 +128,9 @@ def expm(M, t=1.0):
     order-7 Pade approximant is taken, and the result is squared back.
     """
     overflow = "matrix exponential overflowed the float range"
-    a = _square(M, "M") * float(t)
-    nrm = float(np.abs(a).sum(axis=0).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        a = _square(M, "M") * float(t)
+        nrm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(nrm):
         raise NumericalOverflow(overflow)
     s_pow = 0
@@ -206,13 +207,11 @@ def solve_lyapunov(M, Q):
     X = 0.5 * (X + X.T)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         res_norm = float(np.linalg.norm(m.T @ X + X @ m + q))
-        bound = LYAP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(q)))
-        if res_norm > bound:
-            # the backward-error bound: rounding leaves a residual of
-            # order ||M^T X + X M||, so a large X may leave more than
-            # ||Q|| accounts for
-            bound += LYAP_RESIDUAL_TOL * 2.0 * float(
-                np.linalg.norm(m) * np.linalg.norm(X))
+        # the backward-error bound: rounding leaves a residual of order
+        # ||M^T X + X M||, so a large X may leave more than ||Q|| allows
+        bound = (LYAP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(q)))
+                 + LYAP_RESIDUAL_TOL * 2.0 * float(np.linalg.norm(m)
+                                                   * np.linalg.norm(X)))
     if not math.isfinite(res_norm):
         raise LyapunovSingular("Lyapunov solution left the float range")
     if res_norm > bound:

@@ -136,10 +136,6 @@ _ROW_WORDS = 13
 # instants to the grid, which are freed before the table key of each
 # interval is listed
 _INTERVAL_WORDS = 12
-# ... and per table block an interval steps by: the numpy view simulate
-# makes of it once, with its entries in the set and the dict that find
-# it, about 260 bytes under CPython 3.11
-_VIEW_WORDS = 33
 
 
 def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
@@ -148,10 +144,10 @@ def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
     D x D, D = (N + 1) n, for the followers' errors and the leader) and
     the rest it allocates in simulate, the certificate trace and the
     trajectory CSV would together exceed SIM_MEMORY_BUDGET bytes: the
-    two n x n recursions the table is built from, the output rows with
-    their index arrays, error norms and V, the states at the sampling
-    instants, the views of the table blocks the intervals step by, one
-    grouped product, and the CSV's block with the formatter's working
+    pair of (L + 1) x n x n tables the table is built from, the output
+    rows with their index arrays, error norms and V, the states at the
+    sampling instants, one grouped product, and the CSV's block with
+    the followers' states formed for it and the formatter's working
     memory and tables. Returns the bytes counted."""
     d, D = N * n, (N + 1) * n
     table = 8 * modes * (L + 1) * D * D
@@ -159,10 +155,10 @@ def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
     outputs = (8 * (2 * (L + 1) * n * n
                     + n_rows * (2 * (d + N) + n + _ROW_WORDS)
                     + (n_open + 1) * (D + _INTERVAL_WORDS)
-                    + min(n_open, modes * (L + 1)) * _VIEW_WORDS
                     + 2 * min(n_rows, _GROUP_ROWS) * D)
-               # 16 bytes per value: the block and the followers' states
-               + block * (16 + floattext.WORK_BYTES_PER_VALUE)
+               # 24 bytes per value: the block, and the followers' states
+               # with the buffer numpy allocates for their broadcast sum
+               + block * (24 + floattext.WORK_BYTES_PER_VALUE)
                + floattext.TABLE_BYTES)
     if table + outputs > SIM_MEMORY_BUDGET:
         mib = 1 << 20
@@ -360,8 +356,9 @@ def _transition_tables(A: np.ndarray, B: np.ndarray, K: np.ndarray,
     and column of H_p are zero. With Psi_l = E Psi_{l-1} + Gamma
     (Psi_0 = 0) the input gain accumulated over l held steps,
     Phi[p, l] = F^l + sum_{j<l} F^j G_p = I kron E^l - H_p kron (Psi_l K),
-    written block by block: the leader's diagonal block is E^l and its
-    coupling blocks are exactly zero.
+    written block by block from the pair (E^l, -Psi_l K), one recursion
+    with one stacked product per step: the leader's diagonal block is
+    E^l and its coupling blocks are exactly zero.
     """
     N, (n, m) = Hs.shape[1], B.shape
     D = (N + 1) * n
@@ -370,22 +367,20 @@ def _transition_tables(A: np.ndarray, B: np.ndarray, K: np.ndarray,
     vl[:n, n:] = B
     top = expm(vl, grid_h)[:n]
     E, negGammaK = top[:, :n], top[:, n:] @ -K
-    # the small recursions, with negPsiK[l] = -Psi_l K
-    Lead = np.empty((L + 1, n, n))
-    negPsiK = np.empty((L + 1, n, n))
-    Lead[0] = np.eye(n)
-    negPsiK[0] = 0.0
+    # R[:, l] = (E^l, -Psi_l K) = E R[:, l - 1] + (0, -Gamma K)
+    R = np.zeros((2, L + 1, n, n))
+    R[0, 0] = np.eye(n)
     for l in range(1, L + 1):
-        Lead[l] = E @ Lead[l - 1]
-        negPsiK[l] = E @ negPsiK[l - 1] + negGammaK
+        np.matmul(E, R[:, l - 1], out=R[:, l])
+        R[1, l] += negGammaK
     # one table-sized allocation; a zero entry of H_p leaves its block
     # zero, so only the nonzero entries are written
     Phi = np.zeros((Hs.shape[0], L + 1, D, D))
     blocks = Phi.reshape(Hs.shape[0], L + 1, N + 1, n, N + 1, n)
     for p, i, j in zip(*np.nonzero(Hs)):
-        np.multiply(Hs[p, i, j], negPsiK, out=blocks[p, :, i, :, j, :])
+        np.multiply(Hs[p, i, j], R[1], out=blocks[p, :, i, :, j, :])
     for i in range(N + 1):
-        blocks[:, :, i, :, i, :] += Lead
+        blocks[:, :, i, :, i, :] += R[0]
     return Phi
 
 
@@ -404,12 +399,13 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
     state. Since every agent shares A, B and K, the table Phi[p, 0..L]
     (L the longest interval in grid steps) of D x D blocks,
     D = (N + 1) n, is assembled as I kron E^l - H_p kron (Psi_l K) from
-    one (n + m) x (n + m) Van Loan exponential of the agent (see
-    _transition_tables). The run then costs one matrix-vector product
-    per interval plus one matrix product per (mode, offset) group of
-    output rows, and errors and leader are written as C-contiguous
-    arrays. Outputs are taken at every multiple of output_dt (default
-    grid_h), at every sampling instant, and at the horizon.
+    one (n + m) x (n + m) Van Loan exponential of the agent and one
+    recursion of two n x n tables (see _transition_tables). The run then
+    costs one matrix-vector product per interval, by its table block,
+    plus one matrix product per (mode, offset) group of output rows, and
+    errors and leader are written as C-contiguous arrays. Outputs are
+    taken at every multiple of output_dt (default grid_h), at every
+    sampling instant, and at the horizon.
 
     A gap outside the schedule's [T_low, T_high] raises InvalidSchedule,
     as does a run needing more than SIM_MEMORY_BUDGET bytes: the tables
@@ -445,7 +441,8 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
     ticks = _grid_ticks(schedule.instants, grid_h, "sampling instant")
     if ticks.size == 0 or ticks[0] != 0:
         raise InvalidSchedule("schedule must start at t = 0")
-    if np.any(np.diff(ticks) <= 0):
+    gap_ticks = np.diff(ticks)
+    if np.any(gap_ticks <= 0):
         raise InvalidSchedule("sampling instants must strictly increase")
     if ticks[-1] < hor:
         raise InvalidSchedule(
@@ -455,14 +452,14 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
     # intervals that open inside the window, truncated at the horizon
     n_open = int(np.searchsorted(ticks, hor, side="left"))
     starts = ticks[:n_open]
-    steps = np.minimum(ticks[1:n_open + 1], hor) - starts
-    n_complete = int(np.count_nonzero(ticks[1:n_open + 1] <= hor))
+    steps = np.minimum(gap_ticks[:n_open], hor - starts)
     used_ticks = ticks[:int(np.searchsorted(ticks, hor, side="right"))]
+    n_complete = used_ticks.size - 1
     mode_idx = signal_mode(signal, schedule.instants[:n_open])
 
     # lyapunov_trace takes rho from [T_low, T_high], so no gap may leave it
     tol = GRID_DIV_TOL * max(1.0, abs(schedule.T_high))
-    gaps = np.diff(ticks[:n_open + 1]) * grid_h
+    gaps = gap_ticks[:n_open] * grid_h
     outside = ~((gaps >= schedule.T_low - tol)
                 & (gaps <= schedule.T_high + tol))
     if outside.any():
@@ -470,7 +467,7 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
         raise InvalidSchedule(
             f"sampling gap {gaps[s]} at t = {ticks[s] * grid_h} is outside "
             f"[T_low, T_high] = [{schedule.T_low}, {schedule.T_high}]")
-    del gaps, outside  # not counted by _check_memory
+    del gap_ticks, gaps, outside  # not counted by _check_memory
 
     # output rows: the stride multiples, the horizon, every instant
     off_stride = used_ticks[used_ticks % stride != 0]
@@ -519,10 +516,9 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
             output rows, one product per (mode, offset) group, each out
             array taking its columns of the product."""
             table, states = Phi[:, part, part], Z[:, part]
-            views = {k: table[k] for k in set(keys)}
             z = states[0]
             for z_next, k in zip(states[1:], keys):
-                z = views[k].dot(z, out=z_next)
+                z = table[k].dot(z, out=z_next)
             for out, cols in outs:
                 out[at_knot] = states[knot_seg, cols]
             for start, stop, k in groups:

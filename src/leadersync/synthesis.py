@@ -201,13 +201,17 @@ class _AgentTerms:
     norm_BBP: float
 
 
+def _agent_key(a, b, mu1, mu2) -> tuple:
+    """The key of the agent model (a, b, mu1, mu2) in an agents dict."""
+    return (a.shape, a.tobytes(), b.shape, b.tobytes(), mu1, mu2)
+
+
 def _agent_terms(a, b, mu1, mu2, agents=None) -> _AgentTerms:
     """The agent terms of (a, b, mu1, mu2). agents, when given, maps
-    the key (a.shape, a bytes, b.shape, b bytes, mu1, mu2) to terms
-    computed before: terms found there are returned as they are, and
-    a solve that raises is not stored."""
+    _agent_key to terms computed before: terms found there are
+    returned as they are, and a solve that raises is not stored."""
     if agents is not None:
-        key = (a.shape, a.tobytes(), b.shape, b.tobytes(), mu1, mu2)
+        key = _agent_key(a, b, mu1, mu2)
         if key in agents:
             return agents[key]
     care = solve_care(a, b, mu1, mu2)
@@ -221,11 +225,12 @@ def _agent_terms(a, b, mu1, mu2, agents=None) -> _AgentTerms:
     return terms
 
 
-def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D, agents=None) -> SynthesisResult:
+def _ladder(a, b, mu1, mu2, Hs, ds, lam1, agents=None) -> SynthesisResult:
     """Gain, sampling bound and every intermediate over a (G, N, N)
     stack Hs of grounded Laplacians with the diagonal scalings ds that
-    certify them: one (N,) scaling for all, or (G, N), one per graph.
-    lam1 is the smallest margin lam_min(D H + H^T D) over the stack.
+    certify them: one (N,) scaling for all, the result's D, or (G, N),
+    one per graph (D None). lam1 is the smallest margin
+    lam_min(D H + H^T D) over the stack.
     Extremes are taken over the stack, so the bound holds for every
     graph in it. Norms are spectral throughout, and Kronecker factors
     use the product identity for their norms and extreme eigenvalues.
@@ -269,7 +274,7 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, D, agents=None) -> SynthesisResult:
     if not ladder["T_bar"] > 0.0:
         raise NumericalOverflow("the sampling bound T_bar underflowed to 0")
     return SynthesisResult(
-        P=P, D=D, K=alpha1 * (b.T @ P), lam1=lam1,
+        P=P, D=ds if ds.ndim == 1 else None, K=alpha1 * (b.T @ P), lam1=lam1,
         mu1=float(mu1), mu2=float(mu2),
         care_residual=agent.care.residual_norm,
         **ladder)
@@ -298,7 +303,7 @@ def synthesize(A, B, mu1, mu2, D, Hs, *, agents=None) -> SynthesisResult:
         raise ValueError(f"D must have {N} entries, got {d.shape[0]}")
     if np.min(d) <= 0.0:
         raise ValueError("D entries must be strictly positive")
-    return _ladder(a, b, mu1, mu2, mats, d, _definiteness_margin(d, mats), d,
+    return _ladder(a, b, mu1, mu2, mats, d, _definiteness_margin(d, mats),
                    agents)
 
 
@@ -325,7 +330,7 @@ def worst_case_params(A, B, mu1, mu2, N: int, *,
                          f"Laplacians, got shape {np.shape(Hs)}")
     Hs = np.asarray(Hs, dtype=float)
     ds, lam1 = _scalings(Hs)
-    return _ladder(a, b, mu1, mu2, Hs, ds, lam1, None)
+    return _ladder(a, b, mu1, mu2, Hs, ds, lam1)
 
 
 def _rho(beta1: float, beta2: float, h: float) -> float:

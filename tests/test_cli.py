@@ -376,6 +376,25 @@ def test_verify_fails_when_V_leaves_the_float_range(workdir, capsys, x0):
     assert "left the float range" in captured.err
 
 
+def test_verify_names_interval_violations_when_the_ratios_pass(
+        workdir, capsys, monkeypatch):
+    # no shipped run reaches this verdict, so the report is stubbed:
+    # every ratio within rho, but V rises inside two intervals
+    trace = leadersync.cli.lyapunov_trace
+
+    def stub(result, synth):
+        return dataclasses.replace(trace(result, synth),
+                                   interval_violations=2,
+                                   worst_interval_slack=0.25)
+
+    monkeypatch.setattr(leadersync.cli, "lyapunov_trace", stub)
+    assert main(["verify", "--scenario", STATIC]) == 1
+    out = capsys.readouterr().out
+    assert "interval-max violations 2 (worst slack 0.25)\n" in out
+    assert out.endswith(
+        "verdict FAIL: 2 interval-max violations, worst slack 0.25\n")
+
+
 def test_ladder_past_the_float_range_is_refused(workdir, capsys):
     # a subnormal mu2 is positive and finite but overflows alpha3; the
     # design that would certify nothing (T_bar 0, rho nan) is refused
@@ -840,7 +859,7 @@ def _makedirs_outcome(call, path):
 
 @pytest.mark.parametrize("path", [
     "afile", "afile/sub", "afile/sub/dir", "dangling", "dangling/sub",
-    "lfile", "lfile/sub", "ldir/new", "d", "new/sub"])
+    "lfile", "lfile/sub", "ldir/new", "d", "new/sub", "afile/"])
 def test_the_out_check_raises_what_makedirs_raises(tmp_path, monkeypatch,
                                                   path):
     def tree(root):
@@ -1028,16 +1047,25 @@ def test_module_entry_point(tmp_path, source_env):
 
 
 def test_verify_leaves_numpy_ma_unimported(tmp_path, source_env):
-    # numpy.ma costs about 11 ms to import and no run needs it
+    # numpy.ma costs about 11 ms to import, and no command needs it or
+    # the other modules below: each would add its import to every run
+    unused = ["numpy.ma", "numpy.polynomial", "numpy.random", "scipy"]
+    commands = [["verify", "--scenario", STATIC],
+                ["simulate", "--scenario", STATIC, "--out", "sim"],
+                ["synthesize", "--scenario", STATIC],
+                ["enumerate", "--model", STATIC, "--followers", "3"]]
     code = ("import sys\n"
             "from leadersync.cli import main\n"
-            f"code = main(['verify', '--scenario', {STATIC!r}])\n"
-            "print('exit', code, 'numpy.ma' in sys.modules)\n")
+            f"for argv in {commands!r}:\n"
+            "    code = main(argv)\n"
+            f"    loaded = [m for m in {unused!r} if m in sys.modules]\n"
+            "    print('exit', argv[0], code, loaded)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=tmp_path, env=source_env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "verdict PASS" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "exit 0 False"
+    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("exit ")] \
+        == [f"exit {argv[0]} 0 []" for argv in commands]
 
 
 def test_diverging_run_warns_once_without_numpy_warnings(tmp_path,

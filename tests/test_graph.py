@@ -135,6 +135,15 @@ def test_switching_signal_validation():
     with pytest.raises(ValueError):
         SwitchingSignal(mode_count=1, period=1.0, phases=((0, 1.0),),
                         events=((0.0, 0),))
+    for kwargs, message in (
+            (dict(period=1.0), "^a periodic signal needs at least one phase$"),
+            (dict(period=1.0, phases=((0, 1.0), (1, 0.0))),
+             "^phase duration must be positive, got 0.0$"),
+            (dict(events=((0.0, 0),), phases=((0, 1.0),)),
+             "^an event signal cannot carry phases$"),
+            (dict(events=((0.0, 0), (0.5, 2))), "^mode 2 is outside 0..1$")):
+        with pytest.raises(ValueError, match=message):
+            SwitchingSignal(mode_count=2, **kwargs)
 
 
 def test_signal_mode_periodic_demo_pattern():

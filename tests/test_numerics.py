@@ -70,11 +70,16 @@ def test_expm_determinant_identity():
 
 
 def test_expm_overflow_raises():
-    # the typed error is the only report: no numpy warning escapes
+    # the typed error is the only report: no numpy warning escapes, when
+    # the squaring overflows or when the 1-norm of M t already does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalOverflow):
-            expm(np.array([[2000.0, 0.0], [0.0, 2000.0]]))
+        for M, t in (([[2000.0, 0.0], [0.0, 2000.0]], 1.0),
+                     ([[1e308, 0.0], [1e308, 0.0]], 1.0),
+                     ([[10.0, 0.0], [0.0, 0.0]], 1e308),
+                     ([[1.0, 0.0], [0.0, 0.0]], math.inf)):
+            with pytest.raises(NumericalOverflow):
+                expm(np.array(M), t)
 
 
 def test_expm_rejects_nonsquare():
@@ -374,6 +379,12 @@ def test_lyapunov_singular_pencil():
         solve_lyapunov(M, np.eye(2))
 
 
+def test_lyapunov_rejects_a_q_of_another_size():
+    with pytest.raises(InvalidMatrix,
+                       match=r"^Q must match M, got \(3, 3\) vs \(2, 2\)$"):
+        solve_lyapunov(-np.eye(2), np.eye(3))
+
+
 def test_lyapunov_rejects_asymmetric_q():
     with pytest.raises(InvalidMatrix):
         solve_lyapunov(-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -502,6 +513,40 @@ def test_care_outcomes_are_typed(seed, n, m, log_mu1, log_mu2):
 def test_care_not_stabilizable():
     with pytest.raises(NotStabilizable):
         solve_care(np.eye(2), np.zeros((2, 1)), 1.0, 1.0)
+
+
+def test_a_nearly_uncontrollable_pair_is_refused_as_not_stabilizable():
+    # a pair from a seeded sweep of oracles.random_stabilizable with A
+    # scaled by 10: controllable by construction (a companion block
+    # under a similarity), but its controllability matrix is singular
+    # to within rounding, and the rank test under RANK_REL_TOL refuses
+    # it. The refusal is deliberate: at this conditioning the rank test
+    # cannot tell the pair from an uncontrollable one
+    A = _from_hex(
+        [["0x1.0009da84c35c0p+3", "-0x1.fa059d2c31fa9p+5",
+          "-0x1.7277b54fd679cp+5", "-0x1.12486be097995p+5",
+          "-0x1.0791166880842p+5"],
+         ["0x1.4dbfce962bc95p+3", "-0x1.cb0a895afb6abp+4",
+          "-0x1.67a024edf6e34p+4", "-0x1.92bbadcdc5c9cp+4",
+          "-0x1.74a0958ed0b8cp+4"],
+         ["-0x1.2e94b4e334e29p+4", "0x1.fb7c294b9536bp+4",
+          "0x1.522e86438fba6p+3", "0x1.2074d8885a17dp+5",
+          "0x1.13a2c456b0c8cp+5"],
+         ["-0x1.101fb91f40dd9p+1", "-0x1.8d85cabaade63p+3",
+          "-0x1.2447ffbcc8b8bp+3", "-0x1.db0665fdc3c2ap+2",
+          "-0x1.3f5a04e0737cdp+1"],
+         ["0x1.e9c2ffb49c660p+2", "0x1.0af3260cbeeddp+2",
+          "0x1.1638f39e749bap+4", "0x1.28e3ac5e0ae1ep+1",
+          "-0x1.acf540d1f06c6p+2"]])
+    B = _from_hex([["0x1.8dce198dafce0p-5"], ["-0x1.9b8307dda8387p-2"],
+                   ["0x1.e9a09e82ee175p+0"], ["-0x1.1da6ab265f566p-8"],
+                   ["-0x1.11130fc711460p+0"]])
+    ctrb = np.hstack([np.linalg.matrix_power(A, j) @ B for j in range(5)])
+    sig = singular_values(ctrb)
+    assert sig[-1] / sig[0] < 1e-12
+    assert not check_stabilizable(A, B)
+    with pytest.raises(NotStabilizable):
+        solve_care(A, B, 1.0, 1.0)
 
 
 def test_care_weights_past_the_float_range_fail_the_refinement():

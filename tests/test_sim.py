@@ -619,6 +619,25 @@ def test_simulate_rejects_off_grid_schedules():
                  _schedule([0.1, 0.3], 0.1), X0L, X0F)
 
 
+def test_simulate_refuses_a_repeated_instant_and_a_sub_grid_pitch():
+    static = SwitchingSignal.static()
+    with pytest.raises(InvalidSchedule,
+                       match="^sampling instants must strictly increase$"):
+        simulate(A2, B2, [H1], static, [[0.5, 0.5]],
+                 _schedule([0.0, 0.3, 0.3, 0.6], 0.1, horizon=0.6),
+                 X0L, X0F)
+    sched = _schedule([0.0, 0.3], 0.1)
+    with pytest.raises(InvalidSchedule,
+                       match="^output_dt must be positive, got 0.0$"):
+        simulate(A2, B2, [H1], static, [[0.5, 0.5]], sched, X0L, X0F,
+                 output_dt=0.0)
+    # 1e-13 is within GRID_DIV_TOL of zero grid steps, so it snaps to 0
+    with pytest.raises(InvalidSchedule,
+                       match="^output_dt = 1e-13 is below the grid pitch$"):
+        simulate(A2, B2, [H1], static, [[0.5, 0.5]], sched, X0L, X0F,
+                 output_dt=1e-13)
+
+
 def test_simulate_refuses_gaps_outside_the_declared_window():
     # the static demo sampled every 0.05 s, 2.7 times T_bar, under a
     # declared window of [0.001, 0.001]: the certificate trace would
@@ -682,6 +701,43 @@ def test_run_memory_per_output_row_within_the_budget(tmp_path, monkeypatch):
                            for horizon in (5.0, 8.0)))
     assert peaks[1] <= budgets[1]
     assert peaks[1] - peaks[0] <= budgets[1] - budgets[0]
+
+
+def test_trajectory_csv_peak_memory_within_its_term(tmp_path, monkeypatch):
+    # the writer's term of _check_memory, which is all it counts with no
+    # table, recursion, interval or output row: 24 bytes per value of a
+    # block of max(CSV_BLOCK_VALUES, columns) values (the block, the
+    # followers' states and the buffer numpy allocates for their
+    # broadcast sum), the formatter's working bytes per value and its
+    # tables. The ring's 86 columns give blocks of 47 rows, whose
+    # states take 24 KB
+    args, synth = ring_setup(0.5)
+    res = simulate(*args)
+    V = lyapunov_trace(res, synth).V
+    res.error_norms  # computed once per run and counted per output row
+    _, N, n = res.errors.shape
+    ft = leadersync.floattext
+
+    def writer_peak():
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(tmp_path / "traj.csv", res, V)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def csv_term():
+        return leadersync.sim._check_memory(0, -1, N, n, -1, 0)
+
+    ft._tables.cache_clear()
+    assert writer_peak() <= csv_term()
+    # without the formatter's work and tables, the peak is the block,
+    # the states and their buffer (with the file's buffer and the
+    # header): about 93 KB, above the 16 bytes per value once counted
+    monkeypatch.setattr(ft, "format_rows", lambda b: b"")
+    monkeypatch.setattr(ft, "WORK_BYTES_PER_VALUE", 0)
+    monkeypatch.setattr(ft, "TABLE_BYTES", 0)
+    assert writer_peak() <= csv_term()
 
 
 # --------------------------------------------------- leader_trajectory
@@ -809,6 +865,8 @@ def test_lyapunov_trace_rejects_a_design_of_another_size():
     for D in (np.ones(3), None):
         with pytest.raises(ValueError, match="4 entries"):
             lyapunov_trace(res, dataclasses.replace(synth, D=D))
+    with pytest.raises(ValueError, match="^the design's P must be 2x2$"):
+        lyapunov_trace(res, dataclasses.replace(synth, P=np.eye(3)))
 
 
 def test_lyapunov_trace_rejects_sparse_outputs():
@@ -823,6 +881,12 @@ def test_lyapunov_trace_rejects_sparse_outputs():
         res, instants=res.instants + 0.5)
     with pytest.raises(IncompleteTrace):
         lyapunov_trace(shifted, synth)
+    repeated = res.boundary_idx.copy()
+    repeated[1] = repeated[0]
+    with pytest.raises(IncompleteTrace,
+                       match="^boundary indices must strictly increase$"):
+        lyapunov_trace(dataclasses.replace(res, boundary_idx=repeated),
+                       synth)
 
 
 # --------------------------------------------------------- CSV writers
