@@ -20,9 +20,6 @@ SYM_INPUT_TOL = 1e-12       # relative asymmetry tolerated on input
 # singular values / rank
 RANK_REL_TOL = 1e-9         # sigma > tol * sigma_max counts toward rank
 
-# matrix exponential (scaling and squaring, order-7 Pade core)
-EXPM_SCALED_NORM = 0.5      # scale so ||M|| / 2^s <= this
-
 # Lyapunov / Riccati
 LYAP_RESIDUAL_TOL = 1e-10   # times (1 + ||Q||_F + 2 ||M||_F ||X||_F)
 CARE_RESIDUAL_TOL = 1e-9    # times (1 + ||P||_F^2)
@@ -34,11 +31,10 @@ EIG_REAL_GUARD = 1e-12      # eigenvalues with Re >= -guard are treated as unsta
 
 @dataclass(frozen=True)
 class SymmetricSpectrum:
-    """Extreme eigenvalues of a symmetric matrix: floats for one
-    matrix, arrays over the leading axes for a stack of them."""
+    """Extreme eigenvalues of a symmetric matrix."""
 
-    lambda_min: float | np.ndarray
-    lambda_max: float | np.ndarray
+    lambda_min: float
+    lambda_max: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,26 +63,22 @@ def _as_matrix(M, name="matrix", stack=False):
     return a
 
 
-def _square(M, name="matrix", stack=False):
-    a = _as_matrix(M, name, stack)
-    if a.shape[-2] != a.shape[-1]:
+def _square(M, name="matrix"):
+    a = _as_matrix(M, name)
+    if a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
     return a
 
 
 def _symmetric(S, name="S"):
-    """Symmetric part of S, a matrix or a (..., n, n) stack of them.
-    Each matrix must be symmetric to within SYM_INPUT_TOL
-    relative to its own largest entry."""
-    a = _square(S, name, stack=True)
-    at = a.swapaxes(-1, -2)
-    asym = np.max(np.abs(a - at), axis=(-2, -1))
-    bad = asym > SYM_INPUT_TOL * np.max(np.abs(a), axis=(-2, -1))
-    if np.any(bad):
+    """Symmetric part of S, which must be symmetric to within
+    SYM_INPUT_TOL relative to its largest entry."""
+    a = _square(S, name)
+    asym = float(np.max(np.abs(a - a.T)))
+    if asym > SYM_INPUT_TOL * float(np.max(np.abs(a))):
         raise InvalidMatrix(
-            f"{name} is not symmetric: max asymmetry "
-            f"{np.max(asym[bad]):.3e}")
-    return 0.5 * (a + at)
+            f"{name} is not symmetric: max asymmetry {asym:.3e}")
+    return 0.5 * (a + a.T)
 
 
 def _lapack(solver, a, **kwargs):
@@ -97,23 +89,17 @@ def _lapack(solver, a, **kwargs):
         raise EigenFailure(f"LAPACK {solver.__name__} failed: {exc}") from exc
 
 
-def _per_matrix(x):
-    """A float for one matrix, the array of values for a stack."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def sym_eig_extremes(S):
-    """Minimum and maximum eigenvalues of a symmetric matrix, or of
-    each matrix of a (..., n, n) stack."""
+    """Minimum and maximum eigenvalues of a symmetric matrix."""
     vals = _lapack(np.linalg.eigvalsh, _symmetric(S))
-    return SymmetricSpectrum(_per_matrix(vals[..., 0]),
-                             _per_matrix(vals[..., -1]))
+    return SymmetricSpectrum(float(vals[0]), float(vals[-1]))
 
 
 def spectral_norm(M):
     """Largest singular value of a matrix, or of each matrix of a
     (..., rows, cols) stack."""
-    return _per_matrix(singular_values(M)[..., 0])
+    top = singular_values(M)[..., 0]
+    return float(top) if top.ndim == 0 else top
 
 
 # order-7 Pade coefficients b0..b7 of e^x
@@ -124,8 +110,10 @@ _PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
 def expm(M, t=1.0):
     """Matrix exponential e^(M t) by scaling and squaring.
 
-    M t is scaled so its 1-norm is at most EXPM_SCALED_NORM, the
-    order-7 Pade approximant is taken, and the result is squared back.
+    M t is scaled by the least power of two that takes its 1-norm to
+    at most 1/2, the order-7 Pade approximant is taken, and the result
+    is squared back. A result past the float range raises
+    NumericalOverflow.
     """
     overflow = "matrix exponential overflowed the float range"
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -133,10 +121,11 @@ def expm(M, t=1.0):
         nrm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(nrm):
         raise NumericalOverflow(overflow)
-    s_pow = 0
-    if nrm > EXPM_SCALED_NORM:
-        s_pow = int(math.ceil(math.log2(nrm / EXPM_SCALED_NORM)))
-    A = a / (2.0 ** s_pow)
+    # the least s with nrm / 2^s <= 1/2, read off the binary exponent
+    # of nrm = frac 2^exp (1/2 <= frac < 1): exact for every finite norm
+    frac, exp = math.frexp(nrm)
+    s_pow = max(0, exp + (frac > 0.5))
+    A = np.ldexp(a, -s_pow)
     b0, b1, b2, b3, b4, b5, b6, b7 = _PADE7
     eye = np.eye(a.shape[0])
     A2 = A @ A
@@ -198,7 +187,8 @@ def solve_lyapunov(M, Q):
     if q.shape != m.shape:
         raise InvalidMatrix(f"Q must match M, got {q.shape} vs {m.shape}")
     eye = np.eye(n)
-    system = np.kron(m.T, eye) + np.kron(eye, m.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        system = np.kron(m.T, eye) + np.kron(eye, m.T)
     try:
         x = np.linalg.solve(system, -q.reshape(-1))
     except np.linalg.LinAlgError as exc:
@@ -245,7 +235,8 @@ def solve_care(A, B, mu1, mu2):
         raise NotStabilizable(
             "(A, B) is not stabilizable: an uncontrollable mode has "
             "nonnegative real part")
-    R = mu1 * (b @ b.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        R = mu1 * (b @ b.T)
     eye = np.eye(n)
     W = np.block([[a, -R], [-mu2 * eye, -a.T]])
     w, V = _lapack(np.linalg.eig, W)

@@ -175,7 +175,13 @@ def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
 
 def _output_grid(horizon: float, grid_h: float, output_dt: float | None):
     """Horizon and output pitch (default grid_h) in grid steps, and the
-    number of output rows at the pitch multiples and the horizon."""
+    number of output rows at the pitch multiples and the horizon. A
+    grid_h that is not positive or a negative horizon, NaN for either,
+    raises InvalidSchedule."""
+    if not grid_h > 0.0:
+        raise InvalidSchedule(f"grid_h must be positive, got {grid_h}")
+    if not horizon >= 0.0:
+        raise InvalidSchedule(f"horizon must not be negative, got {horizon}")
     hor = _grid_ticks(horizon, grid_h, "horizon")
     out_dt = grid_h if output_dt is None else float(output_dt)
     if not out_dt > 0.0:
@@ -673,10 +679,8 @@ def lyapunov_trace(result: SimulationResult,
         ratios[~(np.isfinite(V0) & np.isfinite(V1))] = math.inf
 
     beta1 = synth.c1
-    try:
-        beta2 = synth.c2 * result.schedule.T_high ** 2
-    except OverflowError:  # ** on Python floats raises, not warns
-        beta2 = math.inf
+    T_high = result.schedule.T_high
+    beta2 = synth.c2 * (T_high * T_high)
     h = result.schedule.T_low
     # once beta2 / beta1 leaves the float range the formula reads
     # inf - inf; the factor it tends to there is inf

@@ -257,11 +257,8 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, agents=None) -> SynthesisResult:
         alpha1 = mu1 * d_M / lam1
         alpha2 = 2.0 * alpha1 * norm_DH * agent.norm_PBBP
         alpha3 = alpha2 * alpha2 / (2.0 * d_m * mu2)
-        try:
-            alpha4 = ((agent.norm_A + alpha1 * norm_H * agent.norm_BBP) ** 2
-                      / lam_m)
-        except OverflowError:  # ** on Python floats raises, not warns
-            alpha4 = math.inf
+        closed = agent.norm_A + alpha1 * norm_H * agent.norm_BBP
+        alpha4 = closed * closed / lam_m
         c1 = d_m * mu2 / (2.0 * lam_M)
         c2 = alpha3 * alpha4
     ladder = dict(d_m=d_m, d_M=d_M, lam_m=lam_m, lam_M=lam_M, alpha1=alpha1,

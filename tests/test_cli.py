@@ -5,10 +5,12 @@ import errno
 import inspect
 import io
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1139,3 +1141,59 @@ def test_cli_never_raises_on_mutated_scenarios(tmp_path_factory, text):
                 contextlib.redirect_stderr(sink):
             code = main(argv)
         assert isinstance(code, int) and 0 <= code <= 4, (argv, code)
+
+
+# values at both ends of the float range, signed zeros and moderate ones
+EXTREMES = ["1.5e+308", "-1.5e+308", "1e+308", "-1e+308", "5e+307",
+            "1e-308", "1e-320", "0", "-0.0", "1e+154", "1e+200", "3", "-3",
+            "1e-30", "1e+30"]
+EXTREME_KEYS = ["A", "B", "mu1", "mu2", "x0", "x1", "K", "D", "grid_h",
+                "T_low", "T_high", "horizon"]
+# the static demo under a fixed gain, on its own grid and on a grid of
+# 1 s, where an entry of A near the float limit reaches the exponential
+# of the agent unscaled
+EXTREME_BASES = [
+    Path(STATIC).read_text().replace("horizon 30.0", "horizon 0.05")
+    + "K 0.5 0.5\n"]
+EXTREME_BASES.append(
+    EXTREME_BASES[0].replace("T_low 0.001", "T_low 1.0")
+    .replace("T_high 0.018", "T_high 2.0")
+    .replace("grid_h 0.001", "grid_h 1.0")
+    .replace("horizon 0.05", "horizon 4.0"))
+
+
+def _extreme_scenario(rng, base):
+    """base with one entry of each of 1-3 keys set to an extreme value;
+    a D line is added when D is drawn."""
+    lines = [ln.split() for ln in base.splitlines()]
+    for key in rng.sample(EXTREME_KEYS, rng.randint(1, 3)):
+        if key == "D":
+            lines.append(["D", "1", "1", "1", "1"])
+        line = next(ln for ln in lines if ln[0] == key)
+        first = {"A": 2, "B": 3}.get(key, 1)  # after the dimensions
+        line[rng.randrange(first, len(line))] = rng.choice(EXTREMES)
+    return "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+def test_cli_meets_extreme_values_with_an_exit_code(tmp_path, monkeypatch):
+    # overflow, underflow and zero anywhere in a scenario end in an exit
+    # code, with no traceback and no numpy warning; under a fixed gain
+    # simulate runs even where the design fails
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(11)
+    sink = io.StringIO()
+    for k in range(200):
+        path = tmp_path / f"extreme{k}.txt"
+        path.write_text(_extreme_scenario(rng, EXTREME_BASES[k % 2]))
+        for argv in (["synthesize", "--scenario", str(path)],
+                     ["verify", "--scenario", str(path)],
+                     ["simulate", "--scenario", str(path),
+                      "--out", str(tmp_path / f"out{k}")],
+                     ["enumerate", "--model", str(path), "--followers", "2"]):
+            with warnings.catch_warnings(), \
+                    contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(sink):
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert isinstance(code, int) and 0 <= code <= 4, \
+                (path.read_text(), argv, code)

@@ -638,6 +638,27 @@ def test_simulate_refuses_a_repeated_instant_and_a_sub_grid_pitch():
                  output_dt=1e-13)
 
 
+def test_simulate_refuses_a_negative_horizon_and_a_non_positive_pitch():
+    # each is refused before it is divided by; check_run_memory, which
+    # sizes a run before its schedule is drawn, refuses them too
+    static = SwitchingSignal.static()
+    cases = [((0.1, -0.3), "^horizon must not be negative, got -0.3$"),
+             ((0.1, math.nan), "^horizon must not be negative, got nan$")]
+    cases += [((h, 0.3), f"^grid_h must be positive, got {h}$")
+              for h in (0.0, -0.1, math.nan)]
+    for (grid_h, horizon), message in cases:
+        sched = SamplingSchedule(instants=[0.0, 0.3], T_low=0.3, T_high=0.3,
+                                 grid_h=grid_h, seed=0, horizon=horizon)
+        with pytest.raises(InvalidSchedule, match=message):
+            simulate(A2, B2, [H1], static, [[0.5, 0.5]], sched, X0L, X0F)
+        with pytest.raises(InvalidSchedule):
+            leadersync.sim.check_run_memory(1, 4, 2, 0.3, horizon, grid_h)
+    # a zero horizon is one output row, the initial state
+    res = simulate(A2, B2, [H1], static, [[0.5, 0.5]],
+                   _schedule([0.0, 0.3], 0.1, horizon=0.0), X0L, X0F)
+    assert res.times.tolist() == [0.0]
+
+
 def test_simulate_refuses_gaps_outside_the_declared_window():
     # the static demo sampled every 0.05 s, 2.7 times T_bar, under a
     # declared window of [0.001, 0.001]: the certificate trace would
