@@ -327,7 +327,10 @@ def _option_number(kind, tok):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it
+    as it is, and help reads the terminal width when it is printed."""
     int_opt = functools.partial(_option_number, int)
     float_opt = functools.partial(_option_number, float)
 

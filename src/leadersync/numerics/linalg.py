@@ -19,6 +19,7 @@ SYM_INPUT_TOL = 1e-12       # relative asymmetry tolerated on input
 
 # singular values / rank
 RANK_REL_TOL = 1e-9         # sigma > tol * sigma_max counts toward rank
+NORM_PRUNE_SLACK = 1e-9     # rounding cover of max_spectral_norm's bound
 
 # Lyapunov / Riccati
 LYAP_RESIDUAL_TOL = 1e-10   # times (1 + ||Q||_F + 2 ||M||_F ||X||_F)
@@ -102,6 +103,37 @@ def spectral_norm(M):
     return float(top) if top.ndim == 0 else top
 
 
+def max_spectral_norm(M):
+    """The largest spectral norm over a (..., rows, cols) stack, equal
+    bit for bit to float(np.max(spectral_norm(M))), but taking the SVD
+    only of the slices that can set it.
+
+    The SVD of the slice with the largest Frobenius norm gives a lower
+    bound; a slice whose Frobenius norm times 1 + NORM_PRUNE_SLACK
+    falls short of it cannot reach it, and one stacked spectral_norm
+    call takes the others. The slack covers rounding: LAPACK's SVD is
+    backward stable, its values being those of M + E with
+    ||E||_2 <= p u ||M||_2 (u the unit roundoff, p a modest function of
+    rows x cols), so by Weyl's inequality each computed value is within
+    p u ||M||_2 <= p u ||M||_F of the exact one; the Frobenius norms,
+    taken with the entries scaled by a power of two to at most 1 so
+    that their squares neither overflow nor, for a slice that can reach
+    the bound, underflow, are within (rows x cols + 2) u of theirs.
+    With p <= rows x cols, the slack covers both for matrices of up to
+    4e6 entries (2000 x 2000). A stack with a non-finite entry raises
+    InvalidMatrix, as singular_values does."""
+    a = _as_matrix(M, "M", stack=True)
+    stack = a.reshape(-1, *a.shape[-2:])
+    if stack.shape[0] == 1:
+        return spectral_norm(stack[0])
+    _, exp = math.frexp(float(np.abs(stack).max()))
+    scaled = np.ldexp(stack, -exp)
+    fro = np.sqrt(np.einsum("gij,gij->g", scaled, scaled))
+    bound = math.ldexp(spectral_norm(stack[fro.argmax()]), -exp)
+    keep = fro * (1.0 + NORM_PRUNE_SLACK) >= bound
+    return float(spectral_norm(stack[keep]).max())
+
+
 # order-7 Pade coefficients b0..b7 of e^x
 _PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
           56.0, 1.0)
@@ -180,7 +212,9 @@ def check_stabilizable(A, B):
 
 
 def solve_lyapunov(M, Q):
-    """Solve M^T X + X M + Q = 0 for symmetric X via vectorization."""
+    """Solve M^T X + X M + Q = 0 for symmetric X via vectorization.
+    A Kronecker system or a solution past the float range raises
+    LyapunovSingular."""
     m = _square(M, "M")
     q = _symmetric(Q, "Q")
     n = m.shape[0]
@@ -189,6 +223,9 @@ def solve_lyapunov(M, Q):
     eye = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         system = np.kron(m.T, eye) + np.kron(eye, m.T)
+    if not np.all(np.isfinite(system)):
+        raise LyapunovSingular(
+            "vectorized Lyapunov system left the float range")
     try:
         x = np.linalg.solve(system, -q.reshape(-1))
     except np.linalg.LinAlgError as exc:

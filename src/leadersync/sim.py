@@ -223,14 +223,16 @@ def check_run_memory(modes: int, N: int, n: int, T_low: float,
                      horizon: float, grid_h: float,
                      output_dt: float | None = None) -> None:
     """The memory checks of gen_schedule and simulate that need no
-    schedule: the instants the horizon may need, then the output rows
-    at the output_dt multiples and the horizon with the tables up to
-    min(T_low, horizon), a length some interval of every run reaches.
-    Raises InvalidSchedule when either exceeds SIM_MEMORY_BUDGET, so a
-    run that gen_schedule or simulate would refuse is refused before
-    its schedule is drawn."""
-    _check_schedule_memory(T_low, horizon)
+    schedule, once the horizon and output_dt are checked as simulate
+    checks them: the instants the horizon may need, then the output
+    rows at the output_dt multiples and the horizon with the tables up
+    to min(T_low, horizon), a length some interval of every run
+    reaches. Raises InvalidSchedule, naming the horizon when it is NaN,
+    infinite or negative, and when either check exceeds
+    SIM_MEMORY_BUDGET, so a run that gen_schedule or simulate would
+    refuse is refused before its schedule is drawn."""
     hor, _, rows = _output_grid(horizon, grid_h, output_dt)
+    _check_schedule_memory(T_low, horizon)
     L = min(_grid_ticks(T_low, grid_h, "T_low"), hor)
     _check_memory(modes, L, N, n, 0, rows)
 
@@ -493,9 +495,12 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
     at_knot = offset == 0
     knot_seg = seg[at_knot]
     # every other row is one product per (mode, offset) group: the rows
-    # in key order, and the bounds and table block of each group
+    # in key order, and the bounds and table block of each group; keys
+    # of the least unsigned type that holds them, which numpy sorts by
+    # radix up to 16 bits (in the same order as the int64 keys)
     inner = np.flatnonzero(~at_knot)
-    key = mode_idx[seg[inner]] * (L + 1) + offset[inner]
+    key = (mode_idx[seg[inner]] * (L + 1) + offset[inner]).astype(
+        np.min_scalar_type(len(Hs) * (L + 1) - 1))
     order = np.argsort(key, kind="stable")
     grouped, key = inner[order], key[order]
     grouped_seg = seg[grouped]

@@ -10,7 +10,7 @@ from .errors import (CommonDNotFound, DConstructionFailure, InvalidMatrix,
                      NumericalOverflow)
 from .graph import _all_nonsingular_M, admissible_laplacians
 from .numerics.linalg import (CareSolution, _as_matrix, _lapack, _square,
-                              solve_care, spectral_norm)
+                              max_spectral_norm, solve_care, spectral_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +251,8 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, agents=None) -> SynthesisResult:
 
     # each term below grows with its graph's norm, so the largest
     # norm gives the largest term
-    norm_DH = float(np.max(spectral_norm(ds[..., :, None] * Hs)))
-    norm_H = float(np.max(spectral_norm(Hs)))
+    norm_DH = max_spectral_norm(ds[..., :, None] * Hs)
+    norm_H = max_spectral_norm(Hs)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         alpha1 = mu1 * d_M / lam1
         alpha2 = 2.0 * alpha1 * norm_DH * agent.norm_PBBP

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import errno
+import hashlib
 import inspect
 import io
 import os
@@ -431,6 +432,21 @@ def test_scaling_past_the_float_range_is_one_typed_line(workdir, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"numerical failure: {err}\n"
+
+
+def test_a_lyapunov_system_past_the_float_range_is_one_typed_line(
+        workdir, capsys):
+    # the Newton step's Kronecker system doubles the -1e308 of A to -inf;
+    # it is refused by name, not later as an indefinite solution
+    path = workdir / "huge_a.txt"
+    path.write_text(Path(STATIC).read_text().replace(
+        "A 2 -0.38 0.72 -0.68 0.42", "A 2 -0.38 -0.38 0.42 -1e308"))
+    assert main(["synthesize", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical failure: ")
+    assert "left the float range" in captured.err
 
 
 HUGE_GAPS = """\
@@ -939,6 +955,21 @@ def test_enumerate_enumerates_once(workdir, capsys, monkeypatch):
 
 
 
+@pytest.mark.parametrize("followers, digest", [
+    (1, "06e4282102eb2b45c2f69e355b2ee4a8ac15a9b7cf602fe7522d80d03a0503a5"),
+    (2, "ac44c44d8cee2c1be24c103f6738a8050a43bf070ee56b6d5873319592f42eee"),
+    (3, "9bf67fffcab9a3c35b2ce5906ac269f00daac0da2cf756c7d04b39be99e53447")])
+def test_enumerate_output_is_pinned(workdir, capsys, followers, digest):
+    # the largest norms over the stack are taken from the SVD of only
+    # the graphs that can set them; the bytes are those of the SVD of
+    # every graph
+    assert main(["enumerate", "--model", STATIC,
+                 "--followers", str(followers)]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == ""
+
+
 def test_enumerate_single_follower_matches_static_design(workdir, capsys):
     assert main(["enumerate", "--model", STATIC, "--followers", "1"]) == 0
     out = capsys.readouterr().out
@@ -1037,6 +1068,35 @@ def test_readme_library_example():
 
 
 # ------------------------------------------------------------ subprocess
+
+def test_the_parser_is_built_once_per_process():
+    assert leadersync.cli._build_parser() is leadersync.cli._build_parser()
+
+
+def test_a_reused_parser_prints_what_a_fresh_process_prints(
+        workdir, capsys, monkeypatch, source_env):
+    # a usage error, then valid commands, in one process: each prints
+    # what it prints in a process of its own, the usage text wrapped at
+    # the width set when it is printed, not when the parser was built
+    leadersync.cli._build_parser()
+    monkeypatch.setenv("COLUMNS", "50")
+    source_env["COLUMNS"] = "50"
+    for argv in (["enumerate", "--model", STATIC, "--followers", "two"],
+                 ["enumerate", "--model", STATIC, "--followers", "2"],
+                 ["synthesize", "--scenario", STATIC, "--bogus"],
+                 ["synthesize", "--scenario", STATIC, SWITCHING]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "leadersync", *argv],
+                              capture_output=True, text=True, cwd=workdir,
+                              env=source_env, timeout=300)
+        assert (code, captured.out, captured.err) == (
+            proc.returncode, proc.stdout, proc.stderr), argv
+    assert code == 0
+
 
 def test_module_entry_point(tmp_path, source_env):
     proc = subprocess.run(

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from leadersync.errors import (CareFailure, EigenFailure, InvalidMatrix,
                                LyapunovSingular, NotStabilizable,
                                NumericalOverflow)
+from leadersync.graph import admissible_laplacians
 from leadersync.numerics.linalg import (check_stabilizable, eigenvalues, expm,
-                                        singular_values, solve_care,
-                                        solve_lyapunov, spectral_norm,
-                                        sym_eig_extremes)
+                                        max_spectral_norm, singular_values,
+                                        solve_care, solve_lyapunov,
+                                        spectral_norm, sym_eig_extremes)
+from leadersync.synthesis import _scalings
 
 import oracles
 
@@ -165,16 +167,58 @@ def test_stacked_wrappers_check_every_slice():
             spectral_norm(np.stack([good, bad]))
 
 
+def _stacked_max(M):
+    return float(np.max(spectral_norm(M)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_max_spectral_norm_is_the_stacked_max_on_admissible_graphs(N):
+    # the two stacks the graph-independent design takes norms of
+    _, Hs = admissible_laplacians(N)
+    ds, _ = _scalings(Hs)
+    for M in (Hs, ds[..., :, None] * Hs):
+        assert max_spectral_norm(M) == _stacked_max(M)
+
+
+def test_max_spectral_norm_is_the_stacked_max_on_near_ties():
+    # slices within a few ulps of the one that sets the norm, at scales
+    # whose squares would overflow or underflow unscaled
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        G = int(rng.integers(2, 30))
+        shape = (G, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        M = rng.standard_normal(shape) * 10.0 ** rng.uniform(-250, 250)
+        top = int(rng.integers(G))
+        ties = rng.integers(G, size=int(rng.integers(1, G + 1)))
+        scale = 1.0 + 1e-14 * rng.integers(-2, 3, size=ties.size)
+        M[ties] = M[top] * scale[:, None, None]
+        assert max_spectral_norm(M) == _stacked_max(M)
+    tiny = np.stack([1e-200 * np.eye(3), 1e-170 * np.eye(3)])
+    assert max_spectral_norm(tiny) == _stacked_max(tiny) == 1e-170
+    assert max_spectral_norm(np.eye(3)[None]) == 1.0
+    assert max_spectral_norm(np.zeros((4, 2, 2))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_max_spectral_norm_refuses_a_non_finite_slice_anywhere(bad):
+    for k in range(4):
+        M = np.stack([np.eye(2) * (j + 1.0) for j in range(4)])
+        M[k, 1, 0] = bad
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            max_spectral_norm(M)
+
+
 @pytest.mark.parametrize("wrapper, solver", [
     (sym_eig_extremes, "eigvalsh"), (eigenvalues, "eigvals"),
-    (singular_values, "svd"), (spectral_norm, "svd")])
+    (singular_values, "svd"), (spectral_norm, "svd"),
+    (max_spectral_norm, "svd")])
 def test_lapack_failure_is_typed(monkeypatch, wrapper, solver):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
     monkeypatch.setattr(np.linalg, solver, fail)
     with pytest.raises(EigenFailure, match="did not converge"):
         wrapper(np.eye(3))
-    if wrapper in (singular_values, spectral_norm):
+    if wrapper in (singular_values, spectral_norm, max_spectral_norm):
         with pytest.raises(EigenFailure, match="did not converge"):
             wrapper(np.stack([np.eye(3), np.eye(3)]))
 
@@ -368,6 +412,13 @@ def test_lyapunov_singular_pencil():
     # eigenvalues 1 and -1 sum to zero, so the operator is singular
     M = np.diag([1.0, -1.0])
     with pytest.raises(LyapunovSingular):
+        solve_lyapunov(M, np.eye(2))
+
+
+def test_lyapunov_refuses_a_system_past_the_float_range():
+    # the Kronecker sum doubles the -1e308 on its diagonal to -inf
+    M = np.diag([-1e308, -1.0])
+    with pytest.raises(LyapunovSingular, match="left the float range"):
         solve_lyapunov(M, np.eye(2))
 
 

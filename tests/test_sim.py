@@ -533,6 +533,31 @@ def test_a_part_past_the_float_range_leaves_the_other_exact(part):
     np.testing.assert_array_equal(getattr(bad, kept), getattr(ref, kept))
 
 
+@pytest.mark.parametrize("grid_h, itemsize", [(1e-3, 2), (1e-5, 4)])
+def test_simulate_groups_rows_in_the_order_of_int64_keys(monkeypatch, grid_h,
+                                                         itemsize):
+    # one scalar follower sampled every 0.7 s: 699 and 69999 distinct
+    # (mode, offset) keys, below and above the 2^16 that numpy sorts by
+    # radix; the narrow keys give the stable order of the int64 ones
+    argsort, sorts = np.argsort, []
+
+    def recorded(a, *args, **kwargs):
+        order = argsort(a, *args, **kwargs)
+        if kwargs.get("kind") == "stable":
+            sorts.append((a, order))
+        return order
+
+    monkeypatch.setattr(np, "argsort", recorded)
+    H = build_H(Topology(1, frozenset([(0, 1)])))
+    res = simulate([[-0.5]], [[1.0]], [H], SwitchingSignal.static(), [[0.3]],
+                   gen_schedule(0.7, 0.7, grid_h, 0.7, 1), [1.0], [[2.0]])
+    assert res.times.shape[0] == round(0.7 / grid_h) + 1
+    [(key, order)] = sorts
+    assert key.dtype.itemsize == itemsize
+    assert np.unique(key).size == round(0.7 / grid_h) - 1
+    assert np.array_equal(order, argsort(key.astype(np.int64), kind="stable"))
+
+
 def test_simulate_mode_chosen_at_interval_opening():
     t_a = Topology(2, frozenset([(0, 1), (1, 2)]))
     t_b = Topology(2, frozenset([(0, 1), (0, 2)]))
@@ -640,10 +665,14 @@ def test_simulate_refuses_a_repeated_instant_and_a_sub_grid_pitch():
 
 def test_simulate_refuses_a_negative_horizon_and_a_non_positive_pitch():
     # each is refused before it is divided by; check_run_memory, which
-    # sizes a run before its schedule is drawn, refuses them too
+    # sizes a run before its schedule is drawn, refuses them alike,
+    # naming the horizon rather than the instants it would need
     static = SwitchingSignal.static()
     cases = [((0.1, -0.3), "^horizon must not be negative, got -0.3$"),
-             ((0.1, math.nan), "^horizon must not be negative, got nan$")]
+             ((0.1, -1.0), "^horizon must not be negative, got -1.0$"),
+             ((0.1, math.nan), "^horizon must not be negative, got nan$"),
+             ((0.1, math.inf), r"^horizon = inf is not a whole number of "
+                               r"grid steps \(grid_h = 0.1\)$")]
     cases += [((h, 0.3), f"^grid_h must be positive, got {h}$")
               for h in (0.0, -0.1, math.nan)]
     for (grid_h, horizon), message in cases:
@@ -651,7 +680,7 @@ def test_simulate_refuses_a_negative_horizon_and_a_non_positive_pitch():
                                  grid_h=grid_h, seed=0, horizon=horizon)
         with pytest.raises(InvalidSchedule, match=message):
             simulate(A2, B2, [H1], static, [[0.5, 0.5]], sched, X0L, X0F)
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(InvalidSchedule, match=message):
             leadersync.sim.check_run_memory(1, 4, 2, 0.3, horizon, grid_h)
     # a zero horizon is one output row, the initial state
     res = simulate(A2, B2, [H1], static, [[0.5, 0.5]],
