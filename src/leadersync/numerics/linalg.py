@@ -24,7 +24,6 @@ NORM_PRUNE_SLACK = 1e-9     # rounding cover of max_spectral_norm's bound
 # Lyapunov / Riccati
 LYAP_RESIDUAL_TOL = 1e-10   # times (1 + ||Q||_F + 2 ||M||_F ||X||_F)
 CARE_RESIDUAL_TOL = 1e-9    # times (1 + ||P||_F^2)
-CARE_SYM_TOL = 1e-10        # absolute asymmetry allowed in P
 
 # stabilizability test
 EIG_REAL_GUARD = 1e-12      # eigenvalues with Re >= -guard are treated as unstable
@@ -59,7 +58,7 @@ def _as_matrix(M, name="matrix", stack=False):
         a = a.reshape(-1, 1)
     if (a.ndim > 2 and not stack) or a.size == 0:
         raise InvalidMatrix(f"{name} must be a 2-D array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidMatrix(f"{name} contains non-finite entries")
     return a
 
@@ -120,12 +119,13 @@ def max_spectral_norm(M):
     that their squares neither overflow nor, for a slice that can reach
     the bound, underflow, are within (rows x cols + 2) u of theirs.
     With p <= rows x cols, the slack covers both for matrices of up to
-    4e6 entries (2000 x 2000). A stack with a non-finite entry raises
-    InvalidMatrix, as singular_values does."""
+    4e6 entries (2000 x 2000). A stack of one or two slices goes
+    straight to one stacked spectral_norm call. A stack with a
+    non-finite entry raises InvalidMatrix, as singular_values does."""
     a = _as_matrix(M, "M", stack=True)
     stack = a.reshape(-1, *a.shape[-2:])
-    if stack.shape[0] == 1:
-        return spectral_norm(stack[0])
+    if stack.shape[0] <= 2:  # the bound's own SVD would save none
+        return float(spectral_norm(stack).max())
     _, exp = math.frexp(float(np.abs(stack).max()))
     scaled = np.ldexp(stack, -exp)
     fro = np.sqrt(np.einsum("gij,gij->g", scaled, scaled))
@@ -192,23 +192,33 @@ def singular_values(M):
 def check_stabilizable(A, B):
     """True iff every eigenvalue of A with nonnegative real part is
     controllable through B (rank test on the pencil [A - lambda I, B])."""
+    return _stabilizable(*_agent_pair(A, B))
+
+
+def _agent_pair(A, B):
+    """A as a finite square matrix and B as a finite matrix with as
+    many rows."""
     a = _square(A, "A")
     b = _as_matrix(B, "B")
+    if b.shape[0] != a.shape[0]:
+        raise InvalidMatrix(f"B must have {a.shape[0]} rows, got {b.shape[0]}")
+    return a, b
+
+
+def _stabilizable(a, b):
+    """check_stabilizable on a finite square a and a finite b with as
+    many rows: one stacked SVD of the pencils of every eigenvalue with
+    Re >= -EIG_REAL_GUARD. A pencil's n singular values come sorted
+    descending, so it has full row rank when the least exceeds
+    RANK_REL_TOL times the largest, which a zero pencil's does not."""
     n = a.shape[0]
-    if b.shape[0] != n:
-        raise InvalidMatrix(f"B must have {n} rows, got {b.shape[0]}")
-    eye = np.eye(n)
-    for lam in eigenvalues(a):
-        if lam.real < -EIG_REAL_GUARD:
-            continue
-        pencil = np.hstack([a - lam * eye, b])
-        sig = _lapack(np.linalg.svd, pencil, compute_uv=False)
-        smax = float(sig[0])
-        if smax == 0.0:
-            return False
-        if int(np.sum(sig > RANK_REL_TOL * smax)) < n:
-            return False
-    return True
+    lams = _lapack(np.linalg.eigvals, a).astype(complex)
+    lams = lams[lams.real >= -EIG_REAL_GUARD]
+    pencils = np.empty((lams.size, n, n + b.shape[1]), dtype=complex)
+    pencils[:, :, :n] = a - lams[:, None, None] * np.eye(n)
+    pencils[:, :, n:] = b
+    sig = _lapack(np.linalg.svd, pencils, compute_uv=False)
+    return bool(np.all(sig[:, -1] > RANK_REL_TOL * sig[:, 0]))
 
 
 def solve_lyapunov(M, Q):
@@ -217,13 +227,29 @@ def solve_lyapunov(M, Q):
     LyapunovSingular."""
     m = _square(M, "M")
     q = _symmetric(Q, "Q")
-    n = m.shape[0]
     if q.shape != m.shape:
         raise InvalidMatrix(f"Q must match M, got {q.shape} vs {m.shape}")
+    return _lyapunov(m, q)
+
+
+def _kron_sum(mt):
+    """kron(mt, I) + kron(I, mt) of a square mt, by broadcasting: entry
+    (i n + j, k n + l) is mt[i, k] [j == l] + [i == k] mt[j, l], the
+    same sums of the same terms as the np.kron form."""
+    n = mt.shape[0]
     eye = np.eye(n)
+    system = (mt[:, None, :, None] * eye[None, :, None, :]
+              + eye[:, None, :, None] * mt[None, :, None, :])
+    return system.reshape(n * n, n * n)
+
+
+def _lyapunov(m, q):
+    """solve_lyapunov on a finite square m and a symmetric q of its
+    size."""
+    n = m.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        system = np.kron(m.T, eye) + np.kron(eye, m.T)
-    if not np.all(np.isfinite(system)):
+        system = _kron_sum(m.T)
+    if not np.isfinite(system).all():
         raise LyapunovSingular(
             "vectorized Lyapunov system left the float range")
     try:
@@ -255,34 +281,37 @@ def solve_care(A, B, mu1, mu2):
     Invariant-subspace method (Laub 1979): one LAPACK eigendecomposition
     of the Hamiltonian, whose n eigenvectors [V1; V2] with eigenvalues
     of negative real part give P0 = V2 V1^{-1}, then one Newton
-    (Kleinman) refinement step through the Lyapunov solver. Any other
-    count of such eigenvalues, or a singular V1, raises CareFailure.
-    The solution is validated: symmetry, positive definiteness,
-    residual bound, and a strictly stable closed-loop matrix
-    A - mu1 B B^T P. Weights that are not positive and finite raise
-    ValueError.
+    (Kleinman) refinement step through the Lyapunov core, whose
+    solution is symmetric by construction. Any other count of such
+    eigenvalues, or a singular V1, raises CareFailure. The solution is
+    validated: positive definiteness, residual bound, and a strictly
+    stable closed-loop matrix A - mu1 B B^T P. Weights that are not
+    positive and finite raise ValueError.
     """
     if not (0.0 < mu1 < math.inf and 0.0 < mu2 < math.inf):
         raise ValueError(
             f"mu1 and mu2 must be positive and finite, got {mu1}, {mu2}")
-    a = _square(A, "A")
-    b = _as_matrix(B, "B")
+    a, b = _agent_pair(A, B)
     n = a.shape[0]
-    if not check_stabilizable(a, b):  # which checks B's row count too
+    if not _stabilizable(a, b):
         raise NotStabilizable(
             "(A, B) is not stabilizable: an uncontrollable mode has "
             "nonnegative real part")
+    eye = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         R = mu1 * (b @ b.T)
-    eye = np.eye(n)
-    W = np.block([[a, -R], [-mu2 * eye, -a.T]])
-    w, V = _lapack(np.linalg.eig, W)
-    stable = V[:, w.real < 0.0]
-    if stable.shape[1] != n:
-        raise CareFailure(
-            f"the Hamiltonian has {stable.shape[1]} eigenvalues with "
-            f"negative real part, not {n}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        # the Hamiltonian [[A, -R], [-mu2 I, -A^T]], filled by blocks
+        W = np.empty((2 * n, 2 * n))
+        W[:n, :n] = a
+        W[:n, n:] = -R
+        W[n:, :n] = -mu2 * eye
+        W[n:, n:] = -a.T
+        w, V = _lapack(np.linalg.eig, W)
+        stable = V[:, w.real < 0.0]
+        if stable.shape[1] != n:
+            raise CareFailure(
+                f"the Hamiltonian has {stable.shape[1]} eigenvalues with "
+                f"negative real part, not {n}")
         try:  # P0 = V2 V1^{-1}, solved as V1^T P0^T = V2^T
             P0 = np.linalg.solve(stable[:n].T, stable[n:].T).T.real
         except np.linalg.LinAlgError as exc:
@@ -295,14 +324,11 @@ def solve_care(A, B, mu1, mu2):
         Q_nk = 0.5 * (Q_nk + Q_nk.T)
     if not (np.isfinite(closed).all() and np.isfinite(Q_nk).all()):
         raise CareFailure("the stable-subspace solution left the float range")
+    # both finite, Q_nk symmetric: the Lyapunov core takes them as they are
     try:
-        P_raw = solve_lyapunov(closed, Q_nk)
+        P = _lyapunov(closed, Q_nk)
     except LyapunovSingular as exc:
         raise CareFailure(f"Newton refinement failed: {exc}") from exc
-    asym = float(np.max(np.abs(P_raw - P_raw.T)))
-    if asym > CARE_SYM_TOL:
-        raise CareFailure(f"solution asymmetry {asym:.3e} exceeds tolerance")
-    P = 0.5 * (P_raw + P_raw.T)
     P.flags.writeable = False  # designs over one agent model share it
     spectrum = sym_eig_extremes(P)
     if not spectrum.lambda_min > 0.0:
@@ -316,7 +342,6 @@ def solve_care(A, B, mu1, mu2):
         raise CareFailure("the residual left the float range")
     if res_norm > CARE_RESIDUAL_TOL * (1.0 + p_norm * p_norm):
         raise CareFailure(f"residual {res_norm:.3e} exceeds tolerance")
-    closed_eigs = eigenvalues(a - mu1 * (b @ b.T) @ P)
-    if not np.all(closed_eigs.real < 0.0):
+    if not (eigenvalues(a - R @ P).real < 0.0).all():
         raise CareFailure("closed-loop matrix is not strictly stable")
     return CareSolution(P=P, residual_norm=res_norm, spectrum=spectrum)

@@ -43,8 +43,14 @@ class SynthesisResult:
     care_residual: float
 
 
+# a positive margin counts only above MARGIN_FLOOR N ||S||_2: ten
+# machine epsilons per order of S
+MARGIN_FLOOR = 10.0 * float(np.finfo(float).eps)
+
+
 def _definiteness_margin(d, Hs, grad=False):
-    """Smallest eigenvalue of D H + H^T D over a stack of matrices H.
+    """Smallest eigenvalue of D H + H^T D over a stack of matrices H,
+    or 0.0 where it is positive but within rounding of 0.
 
     Hs is a (G, N, N) stack of finite square matrices, checked by the
     caller; d is one scaling for every matrix, shape (N,), or one per
@@ -58,6 +64,14 @@ def _definiteness_margin(d, Hs, grad=False):
     addition commutes, so it goes to LAPACK after one finiteness check
     and without the symmetry test of sym_eig_extremes. An S past the
     float range raises InvalidMatrix.
+
+    The computed eigenvalues of S are those of S + E with ||E||_2 of
+    order N eps ||S||_2 (Golub & Van Loan, Matrix Computations, 4th
+    ed., 2013, Section 8.1), so a margin up to the floor
+    MARGIN_FLOOR N ||S||_2 certifies nothing; it is returned as 0.0.
+    A positive margin makes every S definite, so ||S||_2 is the largest
+    eigenvalue already at hand; where that eigenvalue overflows, the
+    floor does too, and the margin certifies nothing.
     """
     Hs = np.asarray(Hs, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -66,11 +80,22 @@ def _definiteness_margin(d, Hs, grad=False):
     if not np.isfinite(S).all():
         raise InvalidMatrix("S contains non-finite entries")
     if not grad:
-        return float(_lapack(np.linalg.eigvalsh, S)[..., 0].min())
+        lams = _lapack(np.linalg.eigvalsh, S)
+        return _above_floor(float(lams[..., 0].min()), lams)
     lams, vecs = _lapack(np.linalg.eigh, S)
     k = int(lams[:, 0].argmin())
     v = vecs[k, :, 0]
-    return float(lams[k, 0]), 2.0 * d * v * (Hs[k] @ v)
+    return (_above_floor(float(lams[k, 0]), lams),
+            2.0 * d * v * (Hs[k] @ v))
+
+
+def _above_floor(margin, lams):
+    """margin, or 0.0 when it is positive but not above the rounding
+    floor of the eigenvalues lams (see _definiteness_margin)."""
+    if margin > 0.0 and margin <= (MARGIN_FLOOR * lams.shape[-1]
+                                   * float(lams[..., -1].max())):
+        return 0.0
+    return margin
 
 
 def _laplacian_stack(Hs) -> np.ndarray:
@@ -129,9 +154,11 @@ def find_common_D(Hs) -> np.ndarray:
 
     Candidate order: the identity, each per-matrix construct_D, their
     elementwise geometric mean, then 500 steps of projected gradient
-    ascent on log d maximizing the normalized definiteness margin.
-    The search is incomplete; exhausting it raises CommonDNotFound,
-    which does not prove that no scaling exists.
+    ascent on log d maximizing the normalized definiteness margin. A
+    candidate counts when its margin is above rounding (see
+    _definiteness_margin). The search is incomplete; exhausting it
+    raises CommonDNotFound, which does not prove that no scaling
+    exists.
     """
     # checked once here, so the margin needs no checks of its own per step
     mats = _laplacian_stack(Hs)
@@ -216,10 +243,10 @@ def _agent_terms(a, b, mu1, mu2, agents=None) -> _AgentTerms:
             return agents[key]
     care = solve_care(a, b, mu1, mu2)
     P = care.P
-    terms = _AgentTerms(
-        care=care, norm_A=spectral_norm(a),
-        norm_PBBP=spectral_norm(P @ b @ b.T @ P),
-        norm_BBP=spectral_norm(b @ b.T @ P))
+    norm_A, norm_PBBP, norm_BBP = spectral_norm(
+        np.stack([a, P @ b @ b.T @ P, b @ b.T @ P])).tolist()
+    terms = _AgentTerms(care=care, norm_A=norm_A, norm_PBBP=norm_PBBP,
+                        norm_BBP=norm_BBP)
     if agents is not None:
         agents[key] = terms
     return terms
@@ -230,7 +257,8 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, agents=None) -> SynthesisResult:
     stack Hs of grounded Laplacians with the diagonal scalings ds that
     certify them: one (N,) scaling for all, the result's D, or (G, N),
     one per graph (D None). lam1 is the smallest margin
-    lam_min(D H + H^T D) over the stack.
+    lam_min(D H + H^T D) over the stack, as _definiteness_margin gives
+    it: 0.0 when it is within rounding of 0.
     Extremes are taken over the stack, so the bound holds for every
     graph in it. Norms are spectral throughout, and Kronecker factors
     use the product identity for their norms and extreme eigenvalues.
@@ -241,8 +269,8 @@ def _ladder(a, b, mu1, mu2, Hs, ds, lam1, agents=None) -> SynthesisResult:
     agent = _agent_terms(a, b, mu1, mu2, agents)
     if not lam1 > 0.0:
         raise DConstructionFailure(
-            f"D does not certify definiteness for every graph: "
-            f"lambda_min = {lam1:.3e}")
+            f"D does not certify definiteness for every graph to within "
+            f"rounding: lambda_min = {lam1:.3e}")
     d_m = float(np.min(ds))
     d_M = float(np.max(ds))
     P = agent.care.P

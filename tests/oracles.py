@@ -292,6 +292,30 @@ def random_stabilizable(n, m, rng):
     return T @ A @ np.linalg.inv(T), T @ B
 
 
+def stabilizable_pbh(A, B, guard, rank_tol):
+    """The PBH rank test one eigenvalue at a time, written out as the
+    reference for the stacked test of
+    leadersync.numerics.linalg.check_stabilizable: each eigenvalue
+    lambda of A with Re lambda >= -guard must leave the pencil
+    [A - lambda I, B] with n singular values above rank_tol times its
+    largest."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    B = np.asarray(B, dtype=float).reshape(n, -1)
+    eye = np.eye(n)
+    for lam in np.linalg.eigvals(A).astype(complex):
+        if lam.real < -guard:
+            continue
+        pencil = np.hstack([A - lam * eye, B])
+        sig = np.linalg.svd(pencil, compute_uv=False)
+        smax = float(sig[0])
+        if smax == 0.0:
+            return False
+        if int(np.sum(sig > rank_tol * smax)) < n:
+            return False
+    return True
+
+
 def propagate_grid(Fs, Gs, mode_idx, steps, xbar0):
     """Sampled closed loop advanced one grid step at a time.
 

@@ -417,15 +417,18 @@ def test_ladder_past_the_float_range_is_refused(workdir, capsys):
 
 @pytest.mark.parametrize("command", ["synthesize", "verify"])
 @pytest.mark.parametrize("D,err", [
-    ("1e200 1 1 1", "the parameter ladder left the float range: "
-                    "alpha2 = inf"),
+    ("1e307 1e307 1e307 1e307", "the parameter ladder left the float "
+                                "range: alpha3 = inf"),
     ("1e308 1e308 1e308 1e308", "S contains non-finite entries"),
-], ids=["ladder", "margin"])
+    ("1e200 1 1 1", "D does not certify definiteness for every graph to "
+                    "within rounding: lambda_min = 0.000e+00"),
+], ids=["ladder", "margin", "rounding"])
 def test_scaling_past_the_float_range_is_one_typed_line(workdir, capsys,
                                                         command, D, err):
-    # 1e200 squares past the float range in the ladder, where ** on a
+    # 1e307 squares past the float range in the ladder, where ** on a
     # Python float raises OverflowError; 1e308 overflows D H itself,
-    # which numpy would warn about (an error under the test settings)
+    # which numpy would warn about (an error under the test settings);
+    # beside 1e200 the margin of D H + H^T D is within rounding of 0
     path = workdir / "huge_D.txt"
     path.write_text(_short(Path(STATIC).read_text(), "huge_D") + f"D {D}\n")
     assert main([command, "--scenario", str(path)]) == 2
@@ -918,6 +921,39 @@ def test_unstabilizable_names_assumption_1(workdir, capsys):
     assert main(["synthesize", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert "Assumption 1" in err
+
+
+# D = I makes D H + H^T D exactly singular on this graph, though
+# eigvalsh may put its least eigenvalue a few ulps above 0
+NOISE_FAMILY = """\
+name noise
+A 1  0.5
+B 1 1  1.0
+mu1 1.0
+mu2 1.0
+topology 4  4 1  1 2  3 2  1 3  4 3  1 4  2 4  0 4
+T_low 0.001
+T_high 0.002
+grid_h 0.001
+seed 7
+horizon 1.0
+x0 1.0
+x1 1.0
+x2 1.0
+x3 1.0
+x4 1.0
+"""
+
+
+def test_a_scaling_margin_within_rounding_is_passed_over(workdir, capsys):
+    path = workdir / "noise.txt"
+    path.write_text(NOISE_FAMILY)
+    assert main(["synthesize", "--scenario", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "D: 1 0.243243 0.189189 0.555985" in lines
+    assert "lam1 0.212634" in lines
+    T_bar = [float(ln.split()[1]) for ln in lines if ln.startswith("T_bar ")]
+    assert T_bar[0] > 1e-6
 
 
 def test_parse_error_exits_3(workdir, capsys):

@@ -9,10 +9,12 @@ from leadersync.errors import (CareFailure, EigenFailure, InvalidMatrix,
                                LyapunovSingular, NotStabilizable,
                                NumericalOverflow)
 from leadersync.graph import admissible_laplacians
-from leadersync.numerics.linalg import (check_stabilizable, eigenvalues, expm,
-                                        max_spectral_norm, singular_values,
-                                        solve_care, solve_lyapunov,
-                                        spectral_norm, sym_eig_extremes)
+from leadersync.numerics.linalg import (EIG_REAL_GUARD, RANK_REL_TOL,
+                                        _kron_sum, check_stabilizable,
+                                        eigenvalues, expm, max_spectral_norm,
+                                        singular_values, solve_care,
+                                        solve_lyapunov, spectral_norm,
+                                        sym_eig_extremes)
 from leadersync.synthesis import _scalings
 
 import oracles
@@ -197,6 +199,27 @@ def test_max_spectral_norm_is_the_stacked_max_on_near_ties():
     assert max_spectral_norm(tiny) == _stacked_max(tiny) == 1e-170
     assert max_spectral_norm(np.eye(3)[None]) == 1.0
     assert max_spectral_norm(np.zeros((4, 2, 2))) == 0.0
+
+
+def test_max_spectral_norm_takes_two_slices_in_one_svd_call(monkeypatch):
+    # two slices within a few ulps of each other, in either order and at
+    # scales whose squares would overflow or underflow unscaled; the
+    # Frobenius bound could save no SVD, so there is one stacked call
+    rng = np.random.default_rng(26)
+    cases = []
+    for _ in range(300):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        M = rng.standard_normal(shape) * 10.0 ** rng.uniform(-250, 250)
+        tie = M * (1.0 + 1e-14 * int(rng.integers(-2, 3)))
+        cases += [np.stack([M, tie]), np.stack([tie, M])]
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1)
+                        or svd(*a, **k))
+    for S in cases:
+        calls.clear()
+        assert max_spectral_norm(S) == _stacked_max(S)
+        assert len(calls) == 2  # one here, one for the reference
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -433,6 +456,53 @@ def test_lyapunov_rejects_asymmetric_q():
         solve_lyapunov(-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kron_sum_is_the_kron_form_bit_for_bit(n):
+    # signed zeros included, and sums past the float range
+    rng = np.random.default_rng(40 + n)
+    eye = np.eye(n)
+    for scale in (1.0, 1e-310, 1e308):
+        M = rng.uniform(-1.7, 1.7, (n, n)) * scale
+        M[rng.random((n, n)) < 0.3] = 0.0
+        M[rng.random((n, n)) < 0.3] = -0.0
+        with np.errstate(over="ignore"):
+            want = np.kron(M, eye) + np.kron(eye, M)
+            assert _kron_sum(M).tobytes() == want.tobytes()
+
+
+# an eigenvalue pair sums to -5e-16: the system solves, but its
+# residual is far past the backward-error bound
+M_NEAR_SINGULAR = np.array([
+    [-6.51755322338121, 7.70915512498187, 1.5398432976613101],
+    [-5.124019145011241, 7.197023588786743, 1.6312148175555066],
+    [2.111558440918134, -6.882535107620486, -2.3552507162085354]])
+
+
+@pytest.mark.parametrize("M, Q, error, message", [
+    (np.ones((2, 3)), np.eye(2), InvalidMatrix,
+     r"^M must be square, got shape \(2, 3\)$"),
+    (np.array([[np.nan]]), np.eye(1), InvalidMatrix,
+     "^M contains non-finite entries$"),
+    (-np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]]), InvalidMatrix,
+     "^Q contains non-finite entries$"),
+    (-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), InvalidMatrix,
+     "^Q is not symmetric: max asymmetry 1.000e\\+00$"),
+    (np.diag([-1e308, -1.0]), np.eye(2), LyapunovSingular,
+     "^vectorized Lyapunov system left the float range$"),
+    (np.diag([1.0, -1.0]), np.eye(2), LyapunovSingular,
+     "^vectorized Lyapunov system is singular: "),
+    (np.array([[-1e-170]]), np.array([[1e160]]), LyapunovSingular,
+     "^Lyapunov solution left the float range$"),
+    (M_NEAR_SINGULAR, np.eye(3), LyapunovSingular,
+     "^Lyapunov residual .* exceeds tolerance; an eigenvalue pair of M "
+     "likely sums to zero$"),
+], ids=["square", "finite_m", "finite_q", "symmetric_q", "system_range",
+        "singular", "solution_range", "residual"])
+def test_lyapunov_keeps_each_refusal_message(M, Q, error, message):
+    with pytest.raises(error, match=message):
+        solve_lyapunov(M, Q)
+
+
 def test_lyapunov_and_eigenvalues_share_one_symmetry_rule():
     # an asymmetry far below 1 but as large as the largest entry is
     # refused by both, however small the matrix's scale
@@ -558,14 +628,10 @@ def test_care_not_stabilizable():
         solve_care(np.eye(2), np.zeros((2, 1)), 1.0, 1.0)
 
 
-def test_a_nearly_uncontrollable_pair_is_refused_as_not_stabilizable():
-    # a pair from a seeded sweep of oracles.random_stabilizable with A
-    # scaled by 10: controllable by construction (a companion block
-    # under a similarity), but its controllability matrix is singular
-    # to within rounding, and the rank test under RANK_REL_TOL refuses
-    # it. The refusal is deliberate: at this conditioning the rank test
-    # cannot tell the pair from an uncontrollable one
-    A = _from_hex(
+# a pair controllable in exact arithmetic but singular to within
+# rounding (see the test below)
+NEARLY_UNCONTROLLABLE = (
+    _from_hex(
         [["0x1.0009da84c35c0p+3", "-0x1.fa059d2c31fa9p+5",
           "-0x1.7277b54fd679cp+5", "-0x1.12486be097995p+5",
           "-0x1.0791166880842p+5"],
@@ -580,16 +646,74 @@ def test_a_nearly_uncontrollable_pair_is_refused_as_not_stabilizable():
           "-0x1.3f5a04e0737cdp+1"],
          ["0x1.e9c2ffb49c660p+2", "0x1.0af3260cbeeddp+2",
           "0x1.1638f39e749bap+4", "0x1.28e3ac5e0ae1ep+1",
-          "-0x1.acf540d1f06c6p+2"]])
-    B = _from_hex([["0x1.8dce198dafce0p-5"], ["-0x1.9b8307dda8387p-2"],
-                   ["0x1.e9a09e82ee175p+0"], ["-0x1.1da6ab265f566p-8"],
-                   ["-0x1.11130fc711460p+0"]])
+          "-0x1.acf540d1f06c6p+2"]]),
+    _from_hex([["0x1.8dce198dafce0p-5"], ["-0x1.9b8307dda8387p-2"],
+               ["0x1.e9a09e82ee175p+0"], ["-0x1.1da6ab265f566p-8"],
+               ["-0x1.11130fc711460p+0"]]))
+
+
+def test_a_nearly_uncontrollable_pair_is_refused_as_not_stabilizable():
+    # a pair from a seeded sweep of oracles.random_stabilizable with A
+    # scaled by 10: controllable by construction (a companion block
+    # under a similarity), but its controllability matrix is singular
+    # to within rounding, and the rank test under RANK_REL_TOL refuses
+    # it. The refusal is deliberate: at this conditioning the rank test
+    # cannot tell the pair from an uncontrollable one
+    A, B = NEARLY_UNCONTROLLABLE
     ctrb = np.hstack([np.linalg.matrix_power(A, j) @ B for j in range(5)])
     sig = singular_values(ctrb)
     assert sig[-1] / sig[0] < 1e-12
     assert not check_stabilizable(A, B)
     with pytest.raises(NotStabilizable):
         solve_care(A, B, 1.0, 1.0)
+
+
+def _pbh_pair(seed, n, m, scale, kind):
+    """A pair for the stacked PBH sweep: oracles.random_stabilizable
+    with A scaled, the same with an unstable mode that B cannot reach
+    mixed in by a similarity, or either with B = 0."""
+    rng = np.random.default_rng(seed)
+    A, B = oracles.random_stabilizable(n, m, rng)
+    A = scale * A
+    if kind == "uncontrollable":
+        A = np.block([[A, np.zeros((n, 1))],
+                      [np.zeros((1, n)), rng.uniform(0.0, 2.0, (1, 1))]])
+        B = np.vstack([B, np.zeros((1, m))])
+        T = rng.standard_normal((n + 1, n + 1)) + 3.0 * np.eye(n + 1)
+        A, B = T @ A @ np.linalg.inv(T), T @ B
+    elif kind == "zero_b":
+        B = np.zeros_like(B)
+    return A, B
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       m=st.integers(1, 3), scale=st.sampled_from([0.1, 1.0, 10.0]),
+       kind=st.sampled_from(["stabilizable", "uncontrollable", "zero_b"]))
+def test_stacked_pbh_test_matches_the_per_eigenvalue_reference(
+        seed, n, m, scale, kind):
+    A, B = _pbh_pair(seed, n, m, scale, kind)
+    want = oracles.stabilizable_pbh(A, B, EIG_REAL_GUARD, RANK_REL_TOL)
+    assert check_stabilizable(A, B) == want
+    if kind == "uncontrollable":
+        assert not want
+
+
+def test_stacked_pbh_test_on_the_pinned_pairs():
+    A, B = NEARLY_UNCONTROLLABLE
+    assert oracles.stabilizable_pbh(A, B, EIG_REAL_GUARD, RANK_REL_TOL) \
+        is check_stabilizable(A, B) is False
+    # every eigenvalue stable: no pencil to stack
+    assert check_stabilizable(-np.eye(3), np.zeros((3, 1))) is True
+    # a single input through a repeated unstable mode
+    assert check_stabilizable(np.eye(2), np.ones((2, 1))) is False
+    assert check_stabilizable(np.eye(2), np.eye(2)) is True
+    # marginal modes, at 0 and on the imaginary axis, that B cannot
+    # reach count as unstable
+    assert check_stabilizable(np.diag([0.0, 1.0]), [[0.0], [1.0]]) is False
+    rotation = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    assert check_stabilizable(rotation, [[0.0], [0.0], [1.0]]) is False
+    assert check_stabilizable(rotation, [[0.0], [1.0], [0.0]]) is True
 
 
 def test_care_weights_past_the_float_range_fail_the_refinement():

@@ -13,6 +13,7 @@ from leadersync.errors import (CommonDNotFound, DConstructionFailure,
                                LeaderSyncError, NotStabilizable,
                                NumericalOverflow)
 from leadersync.graph import admissible_laplacians
+from leadersync.numerics.linalg import spectral_norm
 from leadersync.synthesis import (_definiteness_margin, _rho, _scalings,
                                   construct_D)
 
@@ -177,6 +178,39 @@ def test_find_common_D_ascent_margin_evaluations(monkeypatch):
     find_common_D(Hs)
     assert len(calls) == 57
     assert calls.count(False) == 6
+
+
+def test_find_common_D_bytes_on_the_ring():
+    # the benchmark's 16-follower ring, every follower fed by the leader
+    N = 16
+    edges = [(0, i) for i in range(1, N + 1)]
+    edges += [(i, i + 1) for i in range(1, N)] + [(N, 1)]
+    d = find_common_D([build_H(Topology(N, frozenset(edges)))])
+    assert d.tobytes().hex() == "000000000000f03f" * N
+
+
+# D H + H^T D at D = I is exactly singular on this graph, an integer
+# matrix of determinant 0, and eigvalsh may put its least eigenvalue a
+# few ulps above 0
+EDGES_NOISE = frozenset([(4, 1), (1, 2), (3, 2), (1, 3), (4, 3), (1, 4),
+                         (2, 4), (0, 4)])
+
+
+def test_a_margin_within_rounding_certifies_nothing():
+    H = build_H(Topology(4, EDGES_NOISE))
+    assert np.array_equal(H, [[1, 0, 0, -1], [-1, 2, -1, 0],
+                              [-1, 0, 2, -1], [-1, -1, 0, 3]])
+    assert oracles.det_cofactor(H + H.T) == 0.0
+    # the floor is relative to ||S||, so no scale of H lifts the margin
+    for scale in (1.0, 1e-150, 1e150):
+        assert _definiteness_margin(np.ones(4), [scale * H]) <= 0.0
+    d = find_common_D([H])
+    assert np.array_equal(d, construct_D(H))
+    assert math.isclose(_definiteness_margin(d, [H]), 0.2126, rel_tol=1e-3)
+    A, B = [[0.5]], [[1.0]]
+    assert synthesize(A, B, 1.0, 1.0, d, [H]).T_bar > 1e-6
+    with pytest.raises(DConstructionFailure, match="does not certify"):
+        synthesize(A, B, 1.0, 1.0, np.ones(4), [H])
 
 
 def test_find_common_D_unsatisfiable():
@@ -530,6 +564,21 @@ def _per_graph_worst_case(A, B, mu1, mu2, N):
 A_RING = np.array([[-0.38, 0.72, 0.05, 0.0], [-0.68, 0.42, 0.0, 0.0],
                    [0.0, 0.0, -0.38, 0.72], [0.0, 0.05, -0.68, 0.42]])
 B_RING = np.array([[0.26, 0.0], [0.31, 0.0], [0.0, 0.26], [0.0, 0.31]])
+
+
+def test_agent_norms_match_one_matrix_at_a_time():
+    # one stacked spectral_norm call gives each norm bit for bit
+    rng = np.random.default_rng(77)
+    pairs = [(A_DEMO, B_DEMO), (A_RING, B_RING)]
+    pairs += [oracles.random_stabilizable(int(rng.integers(1, 6)),
+                                          int(rng.integers(1, 4)), rng)
+              for _ in range(20)]
+    for A, B in pairs:
+        terms = synthesis._agent_terms(A, B, 1.0, 1.0)
+        P = terms.care.P
+        assert (terms.norm_A, terms.norm_PBBP, terms.norm_BBP) == (
+            spectral_norm(A), spectral_norm(P @ B @ B.T @ P),
+            spectral_norm(B @ B.T @ P))
 
 
 @pytest.mark.parametrize("N", [2, 3])
