@@ -201,10 +201,11 @@ def _float_range_warning(result, *per_row) -> list:
     """One warning line when the leader state or a per-row array (the
     error norms, V; None is skipped) of a run stops being finite,
     naming the first output time at which it does. The squares in the
-    norms and in V overflow once the state passes about 1e154."""
-    bad = ~np.isfinite(result.leader).all(axis=1)
-    for a in per_row:
-        if a is not None:
+    norms and in V overflow once the state passes about 1e154. Only an
+    array with a value that is not finite is scanned row by row."""
+    bad = np.zeros(result.times.shape[0], dtype=bool)
+    for a in (result.leader, *per_row):
+        if a is not None and not np.isfinite(a).all():
             bad |= ~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
     if not bad.any():
         return []

@@ -128,14 +128,17 @@ _GROUP_ROWS = 4096
 # states (the followers' errors and the leader), N error norms and the
 # d + N squares and sums these or V are computed from: the times and
 # their integer-to-float copy, V, the eight index arrays that place the
-# rows (out_ticks, seg, offset, at_knot, inner, key, order, grouped)
-# and the two arrays out_ticks is sorted and deduplicated from
+# rows (out_ticks, seg, offset, inner, key, order, grouped, and the knot
+# each grouped row follows) and the two arrays out_ticks is sorted and
+# deduplicated from
 _ROW_WORDS = 13
 # ... and per sampling interval besides the D of its opening state: the
 # ticks, modes, openings and gaps, and the temporaries that snap the
 # instants to the grid, which are freed before the table key of each
-# interval is listed
-_INTERVAL_WORDS = 12
+# interval is listed (12); and, while the intervals are stepped, the
+# view of each distinct table block they use with its entries in the
+# block map and in the set of keys that map is built from (232 bytes)
+_INTERVAL_WORDS = 41
 
 
 def _check_memory(modes: int, L: int, N: int, n: int, n_open: int,
@@ -346,8 +349,14 @@ class SimulationResult:
         """Euclidean norm of each follower's error at each output row,
         (rows, N), computed once per run; inf or NaN where the state
         left the float range, without a numpy warning."""
+        e = self.errors
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.linalg.norm(self.errors, axis=2)
+            # summed component by component, in the order numpy's norm
+            # sums fewer than 8, with no temporary as large as errors
+            sq = e[..., 0] * e[..., 0]
+            for j in range(1, e.shape[2]):
+                sq += e[..., j] * e[..., j]
+            return np.sqrt(sq, out=sq)
 
 
 def _transition_tables(A: np.ndarray, B: np.ndarray, K: np.ndarray,
@@ -484,21 +493,23 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
     L = int(steps.max()) if n_open else 0
     _check_memory(len(Hs), L, N, n, n_open, n_rows)
 
-    # output rows: the knot (opening instant or horizon) each follows,
-    # and the grid steps past it
+    # output rows: the row of each knot (opening instant or horizon),
+    # the knot each row follows, counted from the knot rows' marks, and
+    # the grid steps past it
     out_ticks = np.sort(np.concatenate(
         (np.arange(0, hor + 1, stride), used_ticks, [hor])))
     out_ticks = out_ticks[np.append(True, out_ticks[1:] != out_ticks[:-1])]
     knots = np.append(starts, hor)
-    seg = np.searchsorted(knots, out_ticks, side="right") - 1
+    knot_rows = np.searchsorted(out_ticks, knots)
+    seg = np.zeros(n_rows, dtype=np.intp)
+    seg[knot_rows[1:]] = 1
+    np.cumsum(seg, out=seg)
     offset = out_ticks - knots[seg]
-    at_knot = offset == 0
-    knot_seg = seg[at_knot]
     # every other row is one product per (mode, offset) group: the rows
     # in key order, and the bounds and table block of each group; keys
     # of the least unsigned type that holds them, which numpy sorts by
     # radix up to 16 bits (in the same order as the int64 keys)
-    inner = np.flatnonzero(~at_knot)
+    inner = np.flatnonzero(offset)
     key = (mode_idx[seg[inner]] * (L + 1) + offset[inner]).astype(
         np.min_scalar_type(len(Hs) * (L + 1) - 1))
     order = np.argsort(key, kind="stable")
@@ -525,21 +536,29 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
             Phi[:, part, part], one product per interval, each writing
             its row of Z and being the next one's operand; then fill the
             output rows, one product per (mode, offset) group, each out
-            array taking its columns of the product."""
+            array taking its columns of the product. Each out array and
+            its columns are written as 1-D arrays of whole-row records,
+            so that a row write is one 1-D assignment."""
             table, states = Phi[:, part, part], Z[:, part]
+            # one view per table block an interval uses, not per interval
+            blocks = {k: table[k] for k in set(keys)}
             z = states[0]
             for z_next, k in zip(states[1:], keys):
-                z = table[k].dot(z, out=z_next)
+                z = blocks[k].dot(z, out=z_next)
+            recs = []
             for out, cols in outs:
-                out[at_knot] = states[knot_seg, cols]
+                row = np.dtype((np.void, out.shape[1] * out.itemsize))
+                rec = out.view(row)[:, 0]
+                rec[knot_rows] = states[:, cols].view(row)[:, 0]
+                recs.append((rec, cols, row))
             for start, stop, k in groups:
                 block = table[k].T
                 for lo in range(start, stop, _GROUP_ROWS):
                     hi = min(lo + _GROUP_ROWS, stop)
                     rows = grouped[lo:hi]
-                    prod = states[grouped_seg[lo:hi]] @ block
-                    for out, cols in outs:
-                        out[rows] = prod[:, cols]
+                    prod = states.take(grouped_seg[lo:hi], axis=0) @ block
+                    for rec, cols, row in recs:
+                        rec[rows] = prod[:, cols].view(row)[:, 0]
 
         everything = slice(None)
         propagate(everything, ((err, slice(0, d)), (leader, slice(d, D))))
@@ -554,7 +573,7 @@ def simulate(A, B, Hs, signal: SwitchingSignal, K, schedule: SamplingSchedule,
         times=out_ticks.astype(float) * grid_h, leader=leader,
         errors=err.reshape(n_rows, N, n),
         instants=used_ticks.astype(float) * grid_h, modes=mode_idx,
-        boundary_idx=np.searchsorted(out_ticks, used_ticks),
+        boundary_idx=knot_rows[:used_ticks.size],
         n_complete=n_complete, schedule=schedule)
 
 
@@ -600,7 +619,7 @@ class ContractionReport:
     bound_feasible: bool
     rho_threshold: float
 
-    @property
+    @functools.cached_property
     def worst_interval(self) -> int | None:
         if np.isnan(self.ratios).all():
             return None
@@ -657,9 +676,11 @@ def lyapunov_trace(result: SimulationResult,
             f"the dense output times")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        e = result.errors
-        eP = (e.reshape(-1, n) @ synth.P).reshape(e.shape)
-        V = np.einsum("kia,kia->ki", eP, e) @ synth.D
+        # the terms (e_i P)_a e_ia of every row, then their sum weighted by D_i
+        e = result.errors.reshape(-1, n)
+        eP = e @ synth.P
+        eP *= e
+        V = eP.reshape(-1, N * n) @ np.repeat(synth.D, n)
         V_samples = V[bidx]
 
         # largest V from each sampling instant up to the next (or the end)

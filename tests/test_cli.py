@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import errno
+import functools
 import hashlib
 import inspect
 import io
@@ -174,15 +175,19 @@ def test_usage_errors_exit_3(workdir, capsys, argv):
 
 
 def test_simulate_takes_the_error_norms_once(workdir, capsys, monkeypatch):
-    norm, calls = np.linalg.norm, []
+    # the summary and the CSV read one computation of the norms
+    cls = leadersync.sim.SimulationResult
+    norms, calls = cls.__dict__["error_norms"].func, []
 
-    def counted(x, *args, **kwargs):
-        calls.append(kwargs.get("axis"))
-        return norm(x, *args, **kwargs)
+    def counted(result):
+        calls.append(result)
+        return norms(result)
 
-    monkeypatch.setattr(np.linalg, "norm", counted)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cls, "error_norms")
+    monkeypatch.setattr(cls, "error_norms", prop)
     assert main(["simulate", "--scenario", STATIC]) == 0
-    assert calls.count(2) == 1
+    assert len(calls) == 1
     rows = (workdir / "static_demo_trajectory.csv").read_text().splitlines()
     final = rows[-1].split(",")[-5:-1]
     assert "final error norms: " + " ".join(f"{float(v):.6g}" for v in final) \
@@ -1188,6 +1193,31 @@ def test_diverging_run_warns_once_without_numpy_warnings(tmp_path,
         assert "Traceback" not in proc.stderr
         assert "over-bound sampling" in proc.stderr
     assert "verdict FAIL" in proc.stdout
+
+
+def test_verify_warns_once_when_only_V_leaves_the_float_range(workdir, capsys,
+                                                             monkeypatch):
+    # errors of about 1e154 are finite, but e' P e passes the float
+    # range at t = 0; the run decays, so V is finite later
+    base = load_scenario(STATIC)
+    sc = dataclasses.replace(base, name="huge_v", horizon=0.5,
+                             x0_followers=base.x0_followers * 1e154,
+                             out_traj=None, out_sched=None)
+    path = workdir / "huge_v.txt"
+    path.write_text(scenario_text(sc))
+    runs, simulate = [], leadersync.cli.simulate
+    monkeypatch.setattr(leadersync.cli, "simulate",
+                        lambda *a: runs.append(simulate(*a)) or runs[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--scenario", str(path)]) == 1
+    [res] = runs
+    assert np.isfinite(res.errors).all() and np.isfinite(res.leader).all()
+    out, err = capsys.readouterr()
+    assert err.splitlines().count(
+        "warning: the state left the float range at t = 0") == 1
+    assert err.count("float range") == 1
+    assert "verdict FAIL" in out
 
 
 # ----------------------------------------------------------------- fuzz

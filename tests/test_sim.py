@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -48,6 +49,38 @@ def _held_inputs(res, Hs, K):
     x = res.errors[res.boundary_idx[:n_open]].reshape(n_open, -1)
     u = [-(np.kron(Hs[p], K) @ x[s]) for s, p in enumerate(res.modes)]
     return np.array(u).reshape(n_open, N, K.shape[0])
+
+
+def _norms_of(errors):
+    return leadersync.sim.SimulationResult(
+        times=None, leader=None, errors=errors, instants=None, modes=None,
+        boundary_idx=None, n_complete=0, schedule=None).error_norms
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_error_norms_sum_the_components_as_norm_does(n):
+    # below 8 components numpy's norm sums the squares in order, as the
+    # component sum does, so the bits agree; above, pairwise summation
+    # may move the last places
+    rng = np.random.default_rng(n)
+    e = rng.standard_normal((300, 3, n)) \
+        * 10.0 ** rng.uniform(-150, 150, (300, 3, 1))
+    got, want = _norms_of(e), np.linalg.norm(e, axis=2)
+    if n < 8:
+        _same_bits(got, want)
+    else:
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
+def test_error_norms_of_non_finite_rows_warn_nothing():
+    e = np.array([[[3.0, 4.0], [1e200, 1e200]],
+                  [[np.inf, 0.0], [np.nan, 1.0]],
+                  [[-np.inf, np.inf], [0.0, 0.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _norms_of(e)
+    want = np.array([[5.0, np.inf], [np.inf, np.nan], [np.inf, 0.0]])
+    np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------- SplitMix64
@@ -558,6 +591,105 @@ def test_simulate_groups_rows_in_the_order_of_int64_keys(monkeypatch, grid_h,
     assert np.array_equal(order, argsort(key.astype(np.int64), kind="stable"))
 
 
+def _scattered_rows(A, B, Hs, K, schedule, x0l, x0f, modes, output_dt):
+    """errors and leader of a run, filled as an earlier build filled
+    them: each row's knot by a searchsorted of every row into the knots,
+    the knot rows and each (mode, offset) group's opening states
+    gathered by fancy indexing, one product per group, and a 2-D
+    scatter per out array; a run that leaves the float range is
+    stepped again with the errors and the leader apart."""
+    h = schedule.grid_h
+    ticks = np.rint(schedule.instants / h).astype(np.int64)
+    hor = round(schedule.horizon / h)
+    stride = 1 if output_dt is None else round(output_dt / h)
+    n_open = int(np.searchsorted(ticks, hor, side="left"))
+    starts = ticks[:n_open]
+    steps = np.minimum(np.diff(ticks)[:n_open], hor - starts)
+    Hs = np.array(Hs, dtype=float)
+    N, n = Hs.shape[-1], len(x0l)
+    d, D, L = N * n, (N + 1) * n, int(steps.max())
+    out_ticks = np.unique(np.concatenate(
+        (np.arange(0, hor + 1, stride), ticks[ticks <= hor], [hor])))
+    knots = np.append(starts, hor)
+    seg = np.searchsorted(knots, out_ticks, side="right") - 1
+    offset = out_ticks - knots[seg]
+    at_knot = offset == 0
+    inner = np.flatnonzero(~at_knot)
+    key = modes[seg[inner]] * (L + 1) + offset[inner]
+    Phi = leadersync.sim._transition_tables(
+        np.asarray(A, dtype=float), np.asarray(B, dtype=float),
+        np.asarray(K, dtype=float), Hs, h, L).reshape(-1, D, D)
+    Z = np.empty((n_open + 1, D))
+    Z[0, :d] = (np.asarray(x0f) - np.asarray(x0l)[None, :]).reshape(-1)
+    Z[0, d:] = x0l
+    err, leader = np.empty((out_ticks.size, d)), np.empty((out_ticks.size, n))
+
+    def fill(part, outs):
+        table, states = Phi[:, part, part], Z[:, part]
+        for s, k in enumerate(modes * (L + 1) + steps):
+            table[k].dot(states[s], out=states[s + 1])
+        for out, cols in outs:
+            out[at_knot] = states[seg[at_knot], cols]
+        for k in np.unique(key):
+            rows = inner[key == k]
+            prod = states[seg[rows]] @ table[k].T
+            for out, cols in outs:
+                out[rows] = prod[:, cols]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        fill(slice(None), ((err, slice(0, d)), (leader, slice(d, D))))
+        if not np.isfinite(Z).all():
+            fill(slice(0, d), ((err, slice(None)),))
+            fill(slice(d, D), ((leader, slice(None)),))
+    return err.reshape(-1, N, n), leader
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(run=small_runs())
+def test_simulate_rows_equal_the_scattered_fill(run):
+    # the record writes of simulate give the bits of a 2-D scatter, with
+    # instants on and off the output stride, in one or two modes
+    N, n, m, h = run["N"], run["n"], run["m"], 0.05
+    rng = np.random.default_rng(run["seed"])
+    A, B = rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, m))
+    K = rng.uniform(-1, 1, (m, n))
+    x0l, x0f = rng.uniform(-3, 3, n), rng.uniform(-3, 3, (N, n))
+    ticks = np.concatenate([[0], np.cumsum(run["gaps"])])
+    hor = int(ticks[-1]) - run["cut"]
+    sig = SwitchingSignal(mode_count=len(run["tops"]),
+                          events=tuple(zip(ticks[:-1] * h, run["mode_seq"])))
+    Hs = [build_H(t) for t in run["tops"]]
+    sched = _schedule(ticks * h, h, horizon=hor * h)
+    for output_dt in (None, run["stride"] * h):
+        res = simulate(A, B, Hs, sig, K, sched, x0l, x0f, output_dt=output_dt)
+        err, leader = _scattered_rows(A, B, Hs, K, sched, x0l, x0f,
+                                      res.modes, output_dt)
+        _same_bits(res.errors, err)
+        _same_bits(res.leader, leader)
+
+
+@pytest.mark.parametrize("part", ["leader", "errors"])
+def test_simulate_rows_equal_the_scattered_fill_past_the_float_range(part):
+    # the fallback pass writes its rows as records too; gaps of 7 grid
+    # steps and an output every 3 put rows inside the intervals
+    sched = _schedule(np.arange(301) * 0.007, 0.001)
+    H = [np.ones((1, 1))]
+    a, k, lead, foll = ((10.0, 20.0, 1e300, 3e300) if part == "leader"
+                        else (-1.0, -1000.0, 1.0, 1e300))
+    res = simulate([[a]], [[1.0]], H, SwitchingSignal.static(), [[k]], sched,
+                   [lead], [[foll]], output_dt=0.003)
+    assert not np.isfinite(getattr(res, part)).all()
+    err, leader = _scattered_rows([[a]], [[1.0]], H, [[k]], sched, [lead],
+                                  [[foll]], res.modes, 0.003)
+    _same_bits(res.errors, err)
+    _same_bits(res.leader, leader)
+
+
 def test_simulate_mode_chosen_at_interval_opening():
     t_a = Topology(2, frozenset([(0, 1), (1, 2)]))
     t_b = Topology(2, frozenset([(0, 1), (0, 2)]))
@@ -831,6 +963,25 @@ def test_lyapunov_trace_counts_non_finite_V_as_ratio_inf():
     assert np.all(rep.ratios == math.inf)
     assert rep.worst_interval == 0 and rep.worst_ratio == math.inf
     assert not rep.ratios_ok and not rep.passed
+
+
+def test_report_finds_the_worst_interval_once(monkeypatch):
+    # passed, ratios_ok, worst_ratio and worst_interval all read the one
+    # worst interval, which the report finds once
+    synth = _synth_static()
+    sched = gen_schedule(0.001, 0.018, 0.001, 0.5, 5)
+    res = simulate(A2, B2, [H1], SwitchingSignal.static(), synth.K, sched,
+                   X0L, X0F)
+    rep = lyapunov_trace(res, synth)
+    nanargmax, calls = np.nanargmax, []
+    monkeypatch.setattr(np, "nanargmax",
+                        lambda a, *args, **kw: calls.append(1)
+                        or nanargmax(a, *args, **kw))
+    for _ in range(2):
+        assert rep.passed and rep.ratios_ok
+        assert rep.worst_ratio == rep.ratios[rep.worst_interval]
+    assert rep.worst_interval == int(nanargmax(rep.ratios))
+    assert len(calls) == 1
 
 
 def test_lyapunov_trace_contracts_within_bound():
