@@ -28,8 +28,10 @@ first use, not at import.
 A block's working memory is the most arrays live at one time, so the
 kernel writes into arrays that are used up, drops each temporary at its
 last use, holds flags as bool, and avoids the ufunc buffers numpy
-allocates for a broadcast operand. The text is gathered 256 values at
-a time, each run freed of its pad bytes before the next. No array of a
+allocates for a broadcast operand. The text is gathered 512 values at
+a time on an ``int16`` index, 2 bytes per output byte, each run freed of
+its pad bytes before the next. ``take`` copies any index to ``intp``
+(512 x 25 x 8 = 100 KiB), which sets the run length: no array of a
 4096-value block reaches 128 KiB, glibc's default mmap threshold, so
 each one reuses heap the process already holds instead of touching
 fresh pages. The kernel keeps to the dtypes of the ufunc loops the
@@ -67,11 +69,15 @@ _WIDTH = 25                 # longest text ("-1.2345678901234567e-308"), + sep
 _DOT, _MINUS, _ZERO, _DIG0, _EXP, _PAD, _SEP, _E, _PLUS = (
     0, 1, 2, 3, 20, 23, 24, 25, 26)
 _ROW = 28
-_GATHER_VALUES = 256
+# values gathered per run, on an index of _INDEX: the run's largest
+# offset, _GATHER_VALUES * _ROW - 1, must fit it, so 1170 at most
+_GATHER_VALUES = 512
+_INDEX = np.int16
 
 # the most bytes format_rows holds per value of a block of 4096 values
-# or more (about 100 measured; the gather's fixed 170 KB is spread over
-# them), and the most the tables take while they are built, for a
+# or more (99.5 measured, the gather's fixed 190 KB spread over them:
+# its index, offsets and text, and the 100 KiB intp copy take makes of
+# the index), and the most the tables take while they are built, for a
 # caller's memory budget
 WORK_BYTES_PER_VALUE = 128
 TABLE_BYTES = 1 << 20
@@ -166,7 +172,7 @@ def _tables() -> _Tables:
     exp_quad = exp_digits.view(np.uint32)[:, 0]
 
     templates = np.full((2 * _DIGITS * _FORMS + 4, _WIDTH), _PAD,
-                        dtype=np.uint8)
+                        dtype=_INDEX)
     for sign in (0, 1):
         for n in range(1, _DIGITS + 1):
             for f in range(_FORMS):
@@ -453,15 +459,17 @@ def format_rows(block: np.ndarray) -> bytes:
         np.copyto(layout, code, where=special)
         del nan, code
 
-    # the gather, a few hundred values at a time (its index takes 8
-    # bytes per output byte), each run of text freed of its pad bytes
-    # (a boolean mask would build an index of 8 bytes per kept byte)
+    # the gather, a few hundred values at a time on an index of 2 bytes
+    # per output byte (the templates, the offsets and their sum share
+    # one dtype, so the add needs no cast buffer), each run of text
+    # freed of its pad bytes (a boolean mask would build an index of 8
+    # bytes per kept byte)
     step = min(nv, _GATHER_VALUES)
     # each value's row offset, once per byte: a broadcast add would
     # allocate ufunc buffers larger than the index
-    offsets = np.repeat(np.arange(0, step * _ROW, _ROW),
+    offsets = np.repeat(np.arange(0, step * _ROW, _ROW, dtype=_INDEX),
                         _WIDTH).reshape(step, _WIDTH)
-    idx = np.empty((step, _WIDTH), dtype=np.intp)
+    idx = np.empty((step, _WIDTH), dtype=_INDEX)
     text = np.empty((step, _WIDTH), dtype=np.uint8)
     pieces = []
     for lo in range(0, nv, step):

@@ -93,20 +93,38 @@ class SamplingSchedule:
 GRID_DIV_TOL = 1e-12
 
 
-def _grid_ticks(value, grid_h: float, what: str):
-    """Snap a time, or an array of times, to its grid step count,
-    rejecting off-grid values."""
-    v = np.asarray(value, dtype=float)
+def _off_grid(value: float, grid_h, what: str) -> InvalidSchedule:
+    """The refusal of a time that is not on the grid."""
+    return InvalidSchedule(f"{what} = {value} is not a whole number of "
+                           f"grid steps (grid_h = {grid_h})")
+
+
+def _grid_count(value: float, grid_h: float, what: str) -> int:
+    """Snap one time to its grid step count, rejecting an off-grid
+    value: what _grid_ticks does for an array, in Python floats."""
+    v, h = float(value), float(grid_h)
+    r = v / h
+    # a ratio beyond the float range, or NaN, is off the grid
+    if math.isfinite(r):
+        # round() ties to even, as np.rint does
+        k = round(r)
+        if abs(k * h - v) <= GRID_DIV_TOL * max(1.0, abs(v)):
+            return k
+    raise _off_grid(v, grid_h, what)
+
+
+def _grid_ticks(times: np.ndarray, grid_h: float, what: str) -> np.ndarray:
+    """Snap an array of times to their grid step counts, rejecting
+    off-grid values."""
+    v = np.asarray(times, dtype=float)
     # a ratio beyond the float range is off the grid, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         k = np.rint(v / grid_h)
         on_grid = np.abs(k * grid_h - v) <= \
             GRID_DIV_TOL * np.maximum(1.0, np.abs(v))
     if not np.all(on_grid):
-        raise InvalidSchedule(
-            f"{what} = {float(v[~on_grid].flat[0])} is not a whole number "
-            f"of grid steps (grid_h = {grid_h})")
-    return int(k) if k.ndim == 0 else k.astype(np.int64)
+        raise _off_grid(float(v[~on_grid][0]), grid_h, what)
+    return k.astype(np.int64)
 
 
 # bytes one run may allocate: the transition tables and everything
@@ -185,11 +203,11 @@ def _output_grid(horizon: float, grid_h: float, output_dt: float | None):
         raise InvalidSchedule(f"grid_h must be positive, got {grid_h}")
     if not horizon >= 0.0:
         raise InvalidSchedule(f"horizon must not be negative, got {horizon}")
-    hor = _grid_ticks(horizon, grid_h, "horizon")
+    hor = _grid_count(horizon, grid_h, "horizon")
     out_dt = grid_h if output_dt is None else float(output_dt)
     if not out_dt > 0.0:
         raise InvalidSchedule(f"output_dt must be positive, got {out_dt}")
-    stride = _grid_ticks(out_dt, grid_h, "output_dt")
+    stride = _grid_count(out_dt, grid_h, "output_dt")
     if stride < 1:
         raise InvalidSchedule(f"output_dt = {out_dt} is below the grid pitch")
     # any stride past the horizon gives the same rows, and this one
@@ -236,7 +254,7 @@ def check_run_memory(modes: int, N: int, n: int, T_low: float,
     refuse is refused before its schedule is drawn."""
     hor, _, rows = _output_grid(horizon, grid_h, output_dt)
     _check_schedule_memory(T_low, horizon)
-    L = min(_grid_ticks(T_low, grid_h, "T_low"), hor)
+    L = min(_grid_count(T_low, grid_h, "T_low"), hor)
     _check_memory(modes, L, N, n, 0, rows)
 
 
@@ -303,8 +321,8 @@ def gen_schedule(T_low: float, T_high: float, grid_h: float, horizon: float,
             f"T_low = {T_low} exceeds T_high = {T_high}")
     if not horizon > 0.0:
         raise InvalidSchedule(f"horizon must be positive, got {horizon}")
-    lo = _grid_ticks(T_low, grid_h, "T_low")
-    hi = _grid_ticks(T_high, grid_h, "T_high")
+    lo = _grid_count(T_low, grid_h, "T_low")
+    hi = _grid_count(T_high, grid_h, "T_high")
     if lo < 1:
         raise InvalidSchedule(f"T_low = {T_low} is below the grid pitch")
     _check_schedule_memory(T_low, horizon)

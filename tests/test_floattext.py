@@ -70,6 +70,66 @@ def test_format_rows_matches_repr_on_a_seeded_sweep():
         _same_as_repr(values, 2 if values.size % 2 == 0 else 1)
 
 
+def _block_shapes(nv, cols):
+    """The shapes of cols columns whose size is nearest nv from below
+    and from above."""
+    return sorted({(rows, cols) for rows in (nv // cols, -(-nv // cols))
+                   if rows})
+
+
+_RUN_EDGE_SIZES = [511, 512, 513, 1025, 4096]
+
+
+@pytest.mark.parametrize("cols", [1, 16, 86])
+@pytest.mark.parametrize("nv", _RUN_EDGE_SIZES)
+def test_format_rows_matches_repr_at_the_gather_run_edges(nv, cols):
+    # full and partial runs of the gather, at one column and at the
+    # widths of the demos' and the 16-follower ring's trajectory CSVs
+    rng = np.random.default_rng(nv * 100 + cols)
+    for shape in _block_shapes(nv, cols):
+        size = shape[0] * shape[1]
+        block = (rng.standard_normal(size)
+                 * 10.0 ** rng.integers(-20, 20, size)).reshape(shape)
+        assert format_rows(block) == oracles.repr_rows(block).encode()
+
+
+# one value of each kind of template: the four specials, zeros of
+# both signs, subnormals, integers near 1e16 in fixed and e notation,
+# and 17-digit negatives with 3-digit exponents, which fill a value's
+# 25-byte slot
+_TEMPLATE_CLASSES = [
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.225073858507201e-308,
+    9999999999999998.0, -9999999999999998.0, 1e16, 1.0000000000000002e16,
+    -1.2345678901234567e-308, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("value", _TEMPLATE_CLASSES, ids=repr)
+@pytest.mark.parametrize("cols", [16, 86])
+def test_format_rows_puts_each_template_on_a_run_boundary(value, cols):
+    # the value is the first and the last of every run of the gather,
+    # and of the block
+    run = floattext._GATHER_VALUES
+    rows = -(-4096 // cols)
+    block = np.random.default_rng(cols).standard_normal(rows * cols)
+    edges = np.arange(0, block.size, run)
+    block[np.concatenate([edges, edges[1:] - 1, [block.size - 1]])] = value
+    block = block.reshape(rows, cols)
+    assert format_rows(block) == oracles.repr_rows(block).encode()
+    assert max(map(len, map(repr, _TEMPLATE_CLASSES))) + 1 == \
+        floattext._WIDTH
+
+
+def test_gather_index_holds_the_largest_offset_of_a_run():
+    # each index of a run is a value's row offset plus a column of its
+    # row, up to _GATHER_VALUES * _ROW - 1; past 1170 values per run
+    # that passes int16, and take's clip mode would write wrong bytes
+    tab = floattext._tables()
+    assert tab.templates.dtype == floattext._INDEX
+    assert 0 <= tab.templates.min() and tab.templates.max() < floattext._ROW
+    assert floattext._GATHER_VALUES * floattext._ROW - 1 <= \
+        np.iinfo(floattext._INDEX).max
+
+
 def test_format_rows_edge_shapes():
     assert format_rows(np.empty((0, 3))) == b""
     assert format_rows(np.empty((2, 0))) == b"\n\n"

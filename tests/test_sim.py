@@ -238,6 +238,82 @@ def test_gen_schedule_rejects_ticks_past_2_to_62():
         gen_schedule(0.001, 1e20, 0.001, 1.0, 7)
 
 
+def _snap_through_0d_arrays(value, grid_h, what):
+    """The grid snapping of one time as numpy 0-d arrays do it, which
+    _grid_count must reproduce in Python floats."""
+    v = np.asarray(value, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.rint(v / grid_h)
+        on_grid = np.abs(k * grid_h - v) <= \
+            leadersync.sim.GRID_DIV_TOL * np.maximum(1.0, np.abs(v))
+    if not np.all(on_grid):
+        raise InvalidSchedule(
+            f"{what} = {float(v[~on_grid].flat[0])} is not a whole number "
+            f"of grid steps (grid_h = {grid_h})")
+    return int(k)
+
+
+def _snap_outcome(snap, value, grid_h):
+    try:
+        k = snap(value, grid_h, "T_low")
+    except InvalidSchedule as exc:
+        return "refused", str(exc)
+    assert type(k) is int
+    return "ticks", k
+
+
+_GRID_PITCHES = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 0.001,
+                 0.004, 0.1, 1.0, 3.0, 1e300, math.inf]
+
+
+@st.composite
+def _near_grid_times(draw):
+    # whole and half multiples of the pitch, up to past 2^63 steps
+    # (the halves within the tolerance from 2^40 steps, where the ties
+    # are rounded to even), moved by up to twice the snapping tolerance
+    # (1e-12 relative)
+    grid_h = draw(st.sampled_from(_GRID_PITCHES))
+    k = draw(st.one_of(st.integers(-2 ** 12, 2 ** 12),
+                       st.integers(2 ** 40, 2 ** 51),
+                       st.integers(2 ** 62, 2 ** 70)))
+    half = draw(st.sampled_from([0.0, 0.5]))
+    rel = draw(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    return ((float(k) + half) * grid_h * (1.0 + sign * rel * 1e-12),
+            grid_h)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, database=None)
+@given(case=st.one_of(
+    _near_grid_times(),
+    st.tuples(st.floats(allow_nan=True, allow_infinity=True,
+                        allow_subnormal=True),
+              st.sampled_from(_GRID_PITCHES))))
+def test_grid_count_snaps_as_0d_arrays_do(case):
+    value, grid_h = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _snap_outcome(leadersync.sim._grid_count, value, grid_h)
+    assert got == _snap_outcome(_snap_through_0d_arrays, value, grid_h)
+
+
+@pytest.mark.parametrize("value, grid_h, want", [
+    (math.nan, 0.001, "refused"), (math.inf, 0.001, "refused"),
+    (-math.inf, 0.001, "refused"), (-0.25, 0.05, "ticks"),
+    # a subnormal pitch whose ratio leaves the float range
+    (1.0, 5e-324, "refused"), (1e-320, 5e-324, "ticks"),
+    # 1e-12 relative off the grid, just within and just past it
+    (3.0 * (1 + 0.999e-12), 0.5, "ticks"),
+    (3.0 * (1 + 1.001e-12), 0.5, "refused"),
+    # ratios past 2^63
+    (1e20, 1.0, "ticks"), (2.0 ** 64 * 0.001, 0.001, "ticks"),
+    (1e300, 1e-8, "ticks")])
+def test_grid_count_edges(value, grid_h, want):
+    got = _snap_outcome(leadersync.sim._grid_count, value, grid_h)
+    assert got == _snap_outcome(_snap_through_0d_arrays, value, grid_h)
+    assert got[0] == want
+
+
 # ------------------------------------------------------------ simulate
 
 def test_simulate_consensus_is_invariant():
