@@ -16,6 +16,19 @@ All of it runs on ``uint64`` arrays with ``np.uint64`` constants only,
 since numpy turns a mix of signed and unsigned 64-bit integers into
 float64.
 
+Most values take a second search with the same decisions in about half
+the numpy passes: ``_shortest_float``, on magnitudes in [2^-18, 2^53),
+the 142 rows of Schubfach's tables on which its scaled value
+x 10^-k = p + e splits exactly into a double and an error term by
+Dekker's product (T. J. Dekker, "A floating-point technique for
+extending the available precision", Numer. Math. 18, 1971, with
+Veltkamp's split), and every sum its decisions compare is a double.
+The range is derived from those conditions (``_float_tables``); it
+relies on numpy's float64 multiply, add and floor rounding to nearest
+as IEEE 754 has them. Schubfach stays for the rest, the subnormals and
+the smaller and larger magnitudes, for which it is the only exact
+search here: a block gathers its values outside the range for it.
+
 The text is then laid out by one gather: each value gets a template
 (sign x significant digits x decimal-point layout, plus ``nan``,
 ``inf``, ``-inf``, ``0.0`` and ``-0.0``) naming which byte of its row
@@ -50,10 +63,10 @@ _MASK_63 = _U(0x7FFFFFFFFFFFFFFF)
 _MASK_52 = _U(0xFFFFFFFFFFFFF)
 _C_MIN = _U(1 << 52)
 _INF_BITS = _U(0x7FF0000000000000)
-_ONE_BITS = _U(0x3FF0000000000000)
 _U0, _U1, _U2, _U3, _U4, _U10 = _U(0), _U(1), _U(2), _U(3), _U(4), _U(10)
 _U32, _U52, _U63, _U64 = _U(32), _U(52), _U(63), _U(64)
 _E4, _E8, _E16 = _U(10 ** 4), _U(10 ** 8), _U(10 ** 16)
+_SPLIT = 2.0 ** 27 + 1      # Veltkamp's splitter of a double
 
 _K_MIN, _K_MAX = -324, 292  # decimal exponents of the g table
 _Q_MIN = -1074              # binary exponent of the subnormals
@@ -75,7 +88,8 @@ _GATHER_VALUES = 512
 _INDEX = np.int16
 
 # the most bytes format_rows holds per value of a block of 4096 values
-# or more (99.5 measured, the gather's fixed 190 KB spread over them:
+# or more (115.5 measured on a block wholly outside _shortest_float's
+# range, 95.2 inside it; the gather's fixed 190 KB spread over them:
 # its index, offsets and text, and the 100 KiB intp copy take makes of
 # the index), and the most the tables take while they are built, for a
 # caller's memory budget
@@ -122,6 +136,18 @@ class _Tables(NamedTuple):
     exp_quad: np.ndarray   # ASCII of |exponent| and a NUL, by exp - _E_MIN
     templates: np.ndarray  # source columns of each text (see _layout)
     tail: np.uint32        # ",e+" and a NUL, the last word of a row
+    # _shortest_float's range of magnitudes, as bits, and its row tables
+    # by (bq - bq of float_lo) << 1 | irregular
+    float_lo: np.uint64    # the least magnitude in the range
+    float_span: np.uint64  # the first one past it, less float_lo
+    float_p: np.ndarray    # 10^-k
+    float_ph: np.ndarray   # its high half (Veltkamp's split)
+    float_pl: np.ndarray   # its low half
+    float_wl: np.ndarray   # T/2, or T/4 on an irregular row
+    float_win: np.ndarray  # 1 - T/2
+    float_wpin: np.ndarray  # 10 - T/2
+    float_e: np.ndarray    # k + 15, the exponent of a 16-digit f
+    float_pad: np.ndarray  # 10 and 1, f's factor to 17 digits by f >= 10^16
 
 
 @functools.cache
@@ -144,6 +170,7 @@ def _tables() -> _Tables:
     k = np.stack([_flog10pow2(q), _flog10_three_quarters_pow2(q)],
                  axis=1).reshape(-1)
     h = (np.repeat(q, 2) + _flog2pow10(-k) + 2).astype(np.uint64)
+    in_float = _float_tables(np.repeat(q, 2), k)
     # exponents past the normals' (inf and NaN) never reach the search
     k = np.clip(k, _K_MIN, _K_MAX) - _K_MIN
 
@@ -189,7 +216,38 @@ def _tables() -> _Tables:
     templates[:, -1] = _SEP
     tail = np.frombuffer(b",e+\0", dtype=np.uint32)[0]
     return _Tables(g1, g0, h, k, pow10, ndigits, lead, quads, form,
-                   exp_quad, templates, tail)
+                   exp_quad, templates, tail, *in_float)
+
+
+def _float_tables(q, k):
+    """_shortest_float's range and row tables from the binary and
+    decimal exponents q and k of the rows of _Tables.h.
+
+    A row is in when the search is exact on it (see _shortest_float):
+    k <= 0 and 5^-k < 2^53, so 10^-k and T = 2^q 10^-k are doubles;
+    q - k >= 5 - 53, so 53 bits hold every value compared, each one
+    below 2^4 on the grid 2^(q - k - 1) (T/4 below 2^2 on the grid
+    2^(q - k - 2)); and q - k <= 0 unless the row is irregular, so no
+    end of the rounding interval is a candidate. The range is the
+    biased exponents whose two rows are in."""
+    qk = q - k
+    irregular = np.arange(k.size) % 2 == 1
+    # 5^27 is the last power of five an int64 holds
+    ok = (k <= 0) & (k >= -27) & (qk >= 5 - 53) & (irregular | (qk <= 0))
+    ok[ok] = 5 ** -k[ok] < 1 << 53
+    bqs = np.flatnonzero(ok.reshape(-1, 2).all(axis=1))
+    lo, hi = int(bqs[0]), int(bqs[-1]) + 1
+    assert hi - lo == bqs.size, "the range is one run of exponents"
+    k, qk = k[2 * lo:2 * hi], qk[2 * lo:2 * hi]
+    five = (5 ** -k).astype(np.float64)
+    p = np.ldexp(five, -k)
+    ph = p * _SPLIT
+    ph -= ph - p
+    half = np.ldexp(five, qk - 1)
+    wl = half.copy()
+    wl[1::2] /= 2
+    return (_U(lo) << _U52, _U(hi - lo) << _U52, p, ph, p - ph, wl,
+            1 - half, 10 - half, k + 15, np.array([10, 1]))
 
 
 def _layout(n, form):
@@ -374,6 +432,98 @@ def _shortest(mag, tab):
     return f, n
 
 
+def _shortest_float(row, x, tab):
+    """_shortest's f and exponent for positive doubles x = c 2^q in
+    _float_tables' range, by float64 arithmetic; row is each one's row
+    of the range's tables.
+
+    Schubfach scales x to X = c T = x 10^-k (T = 2^q 10^-k), which lies
+    in [2^52, 10 2^53): s = floor(X) has 16 or 17 digits. Its rounding
+    interval is [X - wl, X + T/2] (wl = T/2, or T/4 on an irregular
+    row). X = p + e exactly by Dekker's product (Numer. Math. 18, 1971),
+    x split by Veltkamp's 2^27 + 1; p >= 2^52 is an integer, so
+    s = p + floor(e) and fr = X - s = e - floor(e) are exact. With
+    r = s mod 10, the five decisions are comparisons of exact doubles:
+    s is in iff fr <= wl, s + 1 iff fr >= 1 - T/2, 10 floor(s / 10) iff
+    r + fr <= wl, and the next multiple of ten iff r + fr >= 10 - T/2;
+    s + 1 is the closer when fr > 1/2, or fr = 1/2 and s is odd. An end
+    of the interval counts as in iff c is even, as in _shortest; here
+    it never decides: on a regular row T/2 is an odd multiple of
+    2^(q - k - 1) and every value compared is a multiple of 2^(q - k),
+    and an irregular row's c = 2^52 is even."""
+    # X = p + e, with five arrays of x's size live at most (32 KB each
+    # at 4096 values), at the price of a second take of 10^-k's high half
+    p = tab.float_p.take(row)
+    p *= x
+    xh = x * _SPLIT
+    xl = xh - x
+    xh -= xl
+    np.subtract(x, xh, out=xl)
+    ph = tab.float_ph.take(row)
+    e = xh * ph
+    e -= p
+    pl = tab.float_pl.take(row, out=ph, mode="clip")
+    xh *= pl
+    e += xh
+    tab.float_ph.take(row, out=xh, mode="clip")
+    xh *= xl
+    e += xh
+    xl *= pl
+    e += xl
+    del ph, pl, xl
+    # s = p + floor(e) and fr = e - floor(e)
+    a = np.floor(e, out=xh)
+    fr = e
+    fr -= a
+    s = p.astype(np.int64)
+    del p
+    q10 = a.astype(np.int64)
+    s += q10
+    np.floor_divide(s, 10, out=q10)
+    # r = s mod 10, then r + fr
+    r = q10 * 10
+    np.subtract(s, r, out=r)
+    rf = a
+    np.copyto(rf, r)
+    del r, a
+    rf += fr
+    # the decisions: 10 floor(s / 10) or the next multiple of ten when
+    # just one of them is in, else s + 1 when it is in and s is out or
+    # s + 1 is the closer, else s
+    w = tab.float_wl.take(row)
+    upin = rf <= w
+    up = fr > w
+    tab.float_wpin.take(row, out=w, mode="clip")
+    wpin = rf >= w
+    del rf
+    tab.float_win.take(row, out=w, mode="clip")
+    win = fr >= w
+    del w
+    up |= fr > 0.5
+    tie = fr == 0.5
+    del fr
+    if tie.any():
+        tie &= (s & 1) == 1
+        up |= tie
+    del tie
+    up &= win
+    del win
+    s += up
+    del up
+    q10 += wpin
+    q10 *= 10
+    upin ^= wpin
+    del wpin
+    f = np.where(upin, q10, s)
+    del upin, q10, s
+    # 16 or 17 digits, padded to 17
+    big = f >= 10 ** 16
+    E = tab.float_e.take(row)
+    E += big
+    f *= tab.float_pad.take(big.view(np.uint8))
+    return f.view(np.uint64), E
+
+
 def _text_sources(f, E, tab):
     """Each value's source row (see _ROW) from its 17 digits f and the
     decimal exponent E - _E_MIN, and the trailing zeros of f. f is
@@ -423,13 +573,40 @@ def format_rows(block: np.ndarray) -> bytes:
         return b"\n" * rows
     tab = _tables()
     bits = block.reshape(-1).view(np.uint64)
-    mag = bits & _MASK_63
-    special = (mag == _U0) | (mag >= _INF_BITS)
-    any_special = bool(special.any())
-    if any_special:
-        np.copyto(mag, _ONE_BITS, where=special)
-    f, E = _shortest(mag, tab)
-    del mag
+    # _shortest_float on its range, _shortest on the rest but the zeros,
+    # infinities and NaNs, whose text their templates replace. _shortest
+    # goes first, on the finite values outside gathered, while one
+    # full-size array is live: when most of a block is outside, its
+    # peak is the block's (after the float search, with its f and E
+    # live, it took 132.6 bytes per value on a block wholly outside)
+    row = bits & _MASK_63
+    row -= tab.float_lo
+    special = row >= tab.float_span
+    far = np.flatnonzero(special)
+    rest = bits[far]
+    rest &= _MASK_63
+    finite = (rest != _U0) & (rest < _INF_BITS)
+    far = far[finite]
+    rest = rest[finite]
+    del finite
+    if far.size:
+        found = _shortest(rest, tab)
+    del rest
+    # the values outside are searched as stand-ins
+    np.copyto(row, _U0, where=special)
+    mag = row + tab.float_lo
+    irregular = (row & _MASK_52) == _U0
+    row >>= _U52
+    row <<= _U1
+    row += irregular
+    del irregular
+    f, E = _shortest_float(row.view(np.int64), mag.view(np.float64), tab)
+    del row, mag
+    if far.size:
+        f[far], E[far] = found
+        special[far] = False
+        del found
+    del far
     E -= _E_MIN
     src, zeros = _text_sources(f, E, tab)
     del f  # its remainders, left by _text_sources
@@ -444,20 +621,21 @@ def format_rows(block: np.ndarray) -> bytes:
     layout *= _FORMS
     layout += tab.form.take(E)
     del E
-    if any_special:
+    if special.any():
         # 0.0 and -0.0, then the letters of inf and nan and those of
         # -inf (NaN is written without its sign)
-        mag = bits & _MASK_63
+        at = np.flatnonzero(special)
+        mag = bits[at] & _MASK_63
         nan = mag > _INF_BITS
-        src[nan, _DIG0:_DIG0 + 3] = np.frombuffer(b"nan", dtype=np.uint8)
-        src[mag == _INF_BITS, _DIG0:_DIG0 + 3] = np.frombuffer(
+        src[at[nan], _DIG0:_DIG0 + 3] = np.frombuffer(b"nan", dtype=np.uint8)
+        src[at[mag == _INF_BITS], _DIG0:_DIG0 + 3] = np.frombuffer(
             b"inf", dtype=np.uint8)
         code = np.where(mag == _U0, 0, 2)
-        del mag
-        code += np.where(nan, 0, (bits >> _U63).view(np.int64))
+        code += np.where(nan, 0, (bits[at] >> _U63).view(np.int64))
         code += 2 * _DIGITS * _FORMS
-        np.copyto(layout, code, where=special)
-        del nan, code
+        layout[at] = code
+        del at, mag, nan, code
+    del special
 
     # the gather, a few hundred values at a time on an index of 2 bytes
     # per output byte (the templates, the offsets and their sum share

@@ -342,6 +342,8 @@ def solve_care(A, B, mu1, mu2):
         raise CareFailure("the residual left the float range")
     if res_norm > CARE_RESIDUAL_TOL * (1.0 + p_norm * p_norm):
         raise CareFailure(f"residual {res_norm:.3e} exceeds tolerance")
-    if not (eigenvalues(a - R @ P).real < 0.0).all():
+    # only the signs of the real parts are read: no sort, no complex cast
+    closed = _lapack(np.linalg.eigvals, _as_matrix(a - R @ P, "M"))
+    if not (closed.real < 0.0).all():
         raise CareFailure("closed-loop matrix is not strictly stable")
     return CareSolution(P=P, residual_norm=res_norm, spectrum=spectrum)

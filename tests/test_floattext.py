@@ -1,3 +1,5 @@
+from fractions import Fraction
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -130,6 +132,208 @@ def test_gather_index_holds_the_largest_offset_of_a_run():
         np.iinfo(floattext._INDEX).max
 
 
+# ------------------------------------ the float64 search and its range
+
+def _float_range():
+    """The biased exponents [lo, hi) of _shortest_float's range."""
+    tab = floattext._tables()
+    lo = int(tab.float_lo >> np.uint64(52))
+    return lo, lo + int(tab.float_span >> np.uint64(52))
+
+
+def _schubfach_k(q, irregular):
+    """Schubfach's decimal exponent of a row, from its definition: the
+    largest k with 10^k <= 2^q, or <= 3/4 2^q on an irregular row."""
+    v = Fraction(3, 4) * Fraction(2) ** q if irregular else Fraction(2) ** q
+    k = math.floor(math.log10(v))
+    while Fraction(10) ** (k + 1) <= v:
+        k += 1
+    while Fraction(10) ** k > v:
+        k -= 1
+    return k
+
+
+def _is_double(v):
+    return Fraction(float(v)) == v
+
+
+def _exact_row(bq, irregular):
+    """A row's tables as Fractions, or None where the float64 search is
+    not shown exact on it: 10^-k, T and the tables must be doubles; the
+    53-bit budget must hold every value its decisions compare (each one
+    below 16 on the grid unit/2, where unit = 2^(q - k) is the grid of
+    X, or T/4 on an irregular row); and no end of the rounding interval
+    may be a candidate on a row whose c can be odd."""
+    q = bq - 1075
+    k = _schubfach_k(q, irregular)
+    T = Fraction(2) ** q * Fraction(10) ** -k
+    unit = Fraction(2) ** (q - k)
+    wl = T / 4 if irregular else T / 2
+    values = (Fraction(10) ** -k, T, wl, 1 - T / 2, 10 - T / 2,
+              16 - unit / 2)
+    if k > 0 or not all(map(_is_double, values)):
+        return None
+    if not irregular and unit > 1:
+        return None
+    return values[0], wl, 1 - T / 2, 10 - T / 2, k + 15
+
+
+def test_float_range_tables_are_exact_and_within_53_bits():
+    # rebuilt with Fractions: the range is the run of exponents whose two
+    # rows pass every exactness condition, with the rows next to it on
+    # either side failing one, and each table entry is its exact value
+    tab = floattext._tables()
+    lo, hi = _float_range()
+    assert (lo - 1023, hi - 1023) == (-18, 53)
+    for bq in range(lo - 4, hi + 4):
+        rows = [_exact_row(bq, irr) for irr in (0, 1)]
+        assert all(rows) == (lo <= bq < hi), bq
+        if not lo <= bq < hi:
+            continue
+        for irr, exact in enumerate(rows):
+            r = 2 * (bq - lo) + irr
+            p, wl, win, wpin, e = exact
+            assert Fraction(float(tab.float_p[r])) == p
+            ph, pl = float(tab.float_ph[r]), float(tab.float_pl[r])
+            assert Fraction(ph) + Fraction(pl) == p
+            # Veltkamp's halves: integers of 26 significant bits at
+            # most, so their products with the halves of x are exact
+            for half in (ph, pl):
+                n = abs(int(half))
+                assert n == abs(half)
+                assert (n // (n & -n) if n else 0).bit_length() <= 26
+            assert Fraction(float(tab.float_wl[r])) == wl
+            assert Fraction(float(tab.float_win[r])) == win
+            assert Fraction(float(tab.float_wpin[r])) == wpin
+            assert tab.float_e[r] == e
+
+
+def _row_values(bq, mantissas):
+    bits = (np.uint64(bq) << np.uint64(52)) | np.asarray(mantissas,
+                                                         dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+def test_float_search_on_every_row_and_its_neighbours():
+    # each row of the range and the rows next to it: the irregular one
+    # (c = 2^52) and regular ones with c of either parity, at the ends
+    # of the exponent and at random, both signs; one block per exponent
+    # (wholly in or wholly outside the range) and all of them in one
+    lo, hi = _float_range()
+    rng = np.random.default_rng(30)
+    edge = [0, 1, 2, 3, 4, 5, 2 ** 51 - 1, 2 ** 51, 2 ** 51 + 1,
+            2 ** 52 - 2, 2 ** 52 - 1]
+    blocks = []
+    for bq in range(lo - 3, hi + 3):
+        mantissas = np.concatenate([edge, rng.integers(0, 2 ** 52, 53)])
+        values = _row_values(bq, mantissas)
+        assert {int(m) & 1 for m in mantissas[1:]} == {0, 1}
+        block = np.stack([values, -values[::-1]], axis=1)
+        assert format_rows(block) == oracles.repr_rows(block).encode()
+        blocks.append(block)
+    block = np.concatenate(blocks)
+    assert format_rows(block) == oracles.repr_rows(block).encode()
+
+
+def test_float_search_on_the_powers_of_two():
+    # the irregular rows: a power of two's lower neighbour is closer
+    # than its upper one, and their neighbours on either side
+    lo, hi = _float_range()
+    powers = np.ldexp(1.0, np.arange(lo - 1023 - 3, hi - 1023 + 3))
+    values = np.concatenate([np.nextafter(powers, 0.0), powers,
+                             np.nextafter(powers, np.inf)])
+    _same_as_repr(values, 1)
+    _same_as_repr(-values, 3)
+
+
+def test_float_search_on_the_rows_where_half_the_values_tie():
+    # on the rows with q - k = -1, X = x 10^-k is a multiple of 1/2, so
+    # half of the values sit exactly halfway between s and s + 1 and the
+    # digit goes to the even one
+    lo, hi = _float_range()
+    rng = np.random.default_rng(31)
+    tie_rows = [bq for bq in range(lo, hi)
+                if bq - 1075 - _schubfach_k(bq - 1075, False) == -1]
+    assert tie_rows
+    ties = 0
+    for bq in tie_rows:
+        values = _row_values(bq, rng.integers(1, 2 ** 52, 2000))
+        k = _schubfach_k(bq - 1075, False)
+        ties += sum((Fraction(v) * Fraction(10) ** -k).denominator == 2
+                    for v in values[:200].tolist())
+        _same_as_repr(values, 8)
+    assert ties > 50
+    _same_as_repr([2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75, 2.0 ** 50 + 1.25,
+                   2.0 ** 50 + 1.75, 2.0 ** 51 - 0.25, 2.0 ** 51 - 0.75], 2)
+
+
+def test_float_search_at_the_16_and_17_digit_boundary():
+    # s has 16 or 17 digits in the range: the largest doubles under a
+    # power of ten, the power itself and the next double, over every
+    # decade of the range and past its top (9999999999999998.0 < 2^53 <
+    # 1e16); one value a block, so each takes the search of its range
+    powers = 10.0 ** np.arange(-6, 18)
+    values = np.concatenate([np.nextafter(powers, 0.0),
+                             np.nextafter(np.nextafter(powers, 0.0), 0.0),
+                             powers, np.nextafter(powers, np.inf),
+                             [9999999999999998.0, 1e16, 0.9999999999999999,
+                              9.999999999999998, 999999999999999.9,
+                              2.0 ** 53 - 1, 2.0 ** 53]])
+    for v in np.concatenate([values, -values]):
+        _same_as_repr([v], 1)
+
+
+def _log_uniform(rng, lo, hi, size):
+    return np.exp2(rng.uniform(lo, hi, size)) * rng.choice([-1.0, 1.0], size)
+
+
+@pytest.mark.parametrize("cols", [1, 16, 86])
+def test_float_search_blocks_inside_outside_and_mixed(cols):
+    lo, hi = _float_range()
+    lo, hi = lo - 1023, hi - 1023
+    rng = np.random.default_rng(32 + cols)
+    size = 4096 // cols * cols
+    inside = _log_uniform(rng, lo, hi, size)
+    outside = np.concatenate([
+        _log_uniform(rng, -1074, lo, size // 4),
+        _log_uniform(rng, hi, 1024, size // 4),
+        rng.integers(1, 2 ** 52, size // 4, dtype=np.uint64).view(np.float64),
+        [0.0, -0.0, np.inf, -np.inf, np.nan] * (size // 20)])
+    outside = rng.permutation(np.resize(outside, size))
+    mixed = inside.copy()
+    at = rng.choice(size, 7, replace=False)
+    mixed[at] = [1e-300, -2.0 ** -19, 2.0 ** 53, 5e-324, 0.0, np.nan, -1e300]
+    for values in (inside, outside, mixed):
+        _same_as_repr(values, cols)
+
+
+def test_shortest_takes_only_the_values_outside_the_range(monkeypatch):
+    # no Schubfach for a block wholly in the range; a block with a few
+    # values outside hands it just its finite ones (zeros, infinities and
+    # NaNs are templates), however many they are
+    calls = []
+    shortest = floattext._shortest
+
+    def counted(mag, tab):
+        calls.append(mag.view(np.float64).copy())
+        return shortest(mag, tab)
+    monkeypatch.setattr(floattext, "_shortest", counted)
+    rng = np.random.default_rng(33)
+    block = _log_uniform(rng, -18, 53, 4096)
+    _same_as_repr(block, 16)
+    assert calls == []
+    far = np.array([1e-300, -2.0 ** -19, 2.0 ** 53, -5e-324, 1e300])
+    at = rng.choice(4096, 9, replace=False)
+    block[at] = np.concatenate([far, [0.0, -0.0, np.inf, np.nan]])
+    _same_as_repr(block, 16)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.abs(block[np.sort(at[:5])]))
+    calls.clear()
+    block[:1024] = 1e-20
+    _same_as_repr(block, 16)
+    assert [c.size for c in calls] == [1024 + np.count_nonzero(at[:5] >= 1024)]
+
+
 def test_format_rows_edge_shapes():
     assert format_rows(np.empty((0, 3))) == b""
     assert format_rows(np.empty((2, 0))) == b"\n\n"
@@ -156,9 +360,16 @@ def test_format_rows_working_memory_within_its_bound():
         peaks = []
         for cols in (16, 86):
             size = nv // cols * cols
+            # a block in _shortest_float's range with a few values
+            # outside it, which _shortest takes gathered, and one with
+            # every value outside and finite
+            other = np.random.default_rng(cols)
+            mixed = other.standard_normal(size)
+            mixed[other.choice(size, 3, replace=False)] = [1e-300, 0.0, 1e300]
+            outside = np.exp2(other.uniform(-1074, -19, size))
             for values in (rng.standard_normal(size),
                            np.where(rng.random(size) < 0.3, np.nan, -1e-300),
-                           np.zeros(size)):
+                           np.zeros(size), mixed, outside):
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
                 format_rows(values.reshape(-1, cols))

@@ -753,3 +753,49 @@ def test_care_rejects_bad_weights():
     for mu in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             solve_care(A, B, 1.0, mu)
+
+
+_EIGVALS = np.linalg.eigvals
+
+
+def _eigvals_after_the_first_call(monkeypatch, second):
+    """np.linalg.eigvals as it is for its first call in solve_care (the
+    stabilizability test) and replaced by second for the closed-loop
+    check after it."""
+    calls = []
+
+    def eigvals(a):
+        calls.append(a)
+        return _EIGVALS(a) if len(calls) == 1 else second(a)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    return calls
+
+
+def test_care_closed_loop_check_reads_lapack_alone(monkeypatch):
+    # only the signs of the real parts are read: the check calls
+    # LAPACK's eigvals on A - R P itself, not the sorted, complex
+    # eigenvalues(); its failures keep their types and messages
+    import leadersync.numerics.linalg as la
+    A = np.array([[-0.38, 0.72], [-0.68, 0.42]])
+    B = np.array([[0.26], [0.31]])
+    ref = solve_care(A, B, 1.0, 1.0)
+
+    def refuse(*args):
+        raise AssertionError("eigenvalues() called")
+    monkeypatch.setattr(la, "eigenvalues", refuse)
+    calls = _eigvals_after_the_first_call(monkeypatch, _EIGVALS)
+    assert solve_care(A, B, 1.0, 1.0).P.tobytes() == ref.P.tobytes()
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[1], A - (B @ B.T) @ ref.P)
+
+    def fail(a):
+        raise np.linalg.LinAlgError("did not converge")
+    _eigvals_after_the_first_call(monkeypatch, fail)
+    with pytest.raises(EigenFailure, match="^LAPACK eigvals failed: did "
+                                           "not converge$"):
+        solve_care(A, B, 1.0, 1.0)
+    _eigvals_after_the_first_call(monkeypatch,
+                                  lambda a: np.array([-1.0 + 2j, 0.0]))
+    with pytest.raises(CareFailure, match="^closed-loop matrix is not "
+                                          "strictly stable$"):
+        solve_care(A, B, 1.0, 1.0)
